@@ -16,13 +16,14 @@ from fractions import Fraction
 
 from .cfrac import cf_of_enclosure, cf_of_rational, cf_table
 from .dynamics import (
+    OrbitEscapeError,
     kneading as float_kneading,
     lemma1_validate,
     logistic_map,
     monotonicity_scan,
     tent_map,
 )
-from .encoding import kneading_from_tau, xi
+from .encoding import is_maximal, kneading_from_tau, xi
 from .feigenbaum import tau_infinity_enclosure, tau_level
 from .frequency import empirical_frequencies, letter_frequencies, pair_frequencies
 from .language import LanguageQuery, complexity, forbidden_words
@@ -151,7 +152,13 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    # the series and orbit counts cost O(order^2) products of growing
+    # integers: --counts at order 2000 takes about 2 s on a 2-core Xeon
+    if not 1 <= args.order <= 2048:
+        raise ValueError("order must be in 1..2048")
     stream = _tau_stream(args.tau)
+    if args.counts and is_maximal(stream) is not True:
+        raise ValueError("K is not a maximal stream")
     det = kneading_determinant(stream, args.order)
     zeta = zeta_series(stream, args.order)
     payload = {"tau": args.tau, "order": args.order,
@@ -164,8 +171,11 @@ def _cmd_zeta(args) -> int:
         try:
             res = entropy(stream, N=args.order, tol=Fraction(args.tol).limit_denominator(10 ** 18)
                           if not isinstance(args.tol, Fraction) else args.tol)
+            bracket = None
+            if res.z_bracket is not None:
+                bracket = [_num(Fraction(b), args) for b in res.z_bracket]
             payload["entropy"] = {"lo": res.lo, "hi": res.hi, "method": res.method,
-                                  "bracket": [_num(Fraction(b), args) for b in res.z_bracket]}
+                                  "bracket": bracket}
         except EntropyInconclusive as e:
             payload["entropy"] = {"error": str(e)}
     _emit(_json_text(payload), None)
@@ -607,7 +617,7 @@ def main(argv=None) -> int:
                   output_format=args.format,
                   seed=getattr(args, "seed", 0))
         return args.handler(args)
-    except ValueError as e:
+    except (ValueError, OrbitEscapeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

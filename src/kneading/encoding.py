@@ -24,6 +24,33 @@ class Order(enum.Enum):
     GT = 1
 
 
+def _parity_word(bits: str) -> str:
+    """Running parities t_k = s_1 ^ ... ^ s_k of a 0/1 word.
+
+    The word is read as one integer with s_1 as its top bit; prefix-xor
+    doubling (x ^= x >> 1, 2, 4, ...) leaves t_k in the place of s_k after
+    log2(n) big-integer steps, with no per-symbol Python work.
+    """
+    n = len(bits)
+    if not n:
+        return ""
+    x = int(bits, 2)
+    s = 1
+    while s < n:
+        x ^= x >> s
+        s <<= 1
+    return format(x, "b").zfill(n)
+
+
+def _unparity_word(bits: str) -> str:
+    """Inverse of _parity_word: s_k = t_k ^ t_(k-1), with t_0 = 0."""
+    n = len(bits)
+    if not n:
+        return ""
+    x = int(bits, 2)
+    return format(x ^ (x >> 1), "b").zfill(n)
+
+
 class _ParityStream(_MemoizedStream):
     """Running-parity digits t_k of a base stream."""
 
@@ -32,12 +59,7 @@ class _ParityStream(_MemoizedStream):
         self.base = base
 
     def _compute_prefix(self, n: int) -> str:
-        out = []
-        p = 0
-        for c in self.base.prefix(n):
-            p ^= int(c)
-            out.append("01"[p])
-        return "".join(out)
+        return _parity_word(self.base.prefix(n))
 
 
 class _UnparityStream(_MemoizedStream):
@@ -48,23 +70,7 @@ class _UnparityStream(_MemoizedStream):
         self.base = base
 
     def _compute_prefix(self, n: int) -> str:
-        t = self.base.prefix(n)
-        out = []
-        prev = 0
-        for c in t:
-            cur = int(c)
-            out.append("01"[cur ^ prev])
-            prev = cur
-        return "".join(out)
-
-
-def _parity_word(bits: str) -> str:
-    p = 0
-    out = []
-    for c in bits:
-        p ^= int(c)
-        out.append("01"[p])
-    return "".join(out)
+        return _unparity_word(self.base.prefix(n))
 
 
 def xi(s: SymbolStream) -> SymbolStream:
@@ -87,14 +93,7 @@ def xi_inverse(t: SymbolStream) -> SymbolStream:
         # s_{m+1} mixes the last preperiod digit with the cycle, so the
         # output preperiod can be one longer than the input's.
         m, n = len(t.preperiod), len(t.period)
-        raw = t.prefix(m + 1 + n)
-        out = []
-        prev = 0
-        for c in raw:
-            cur = int(c)
-            out.append("01"[cur ^ prev])
-            prev = cur
-        w = "".join(out)
+        w = _unparity_word(t.prefix(m + 1 + n))
         return PeriodicStream(w[:m + 1], w[m + 1:])
     return _UnparityStream(t)
 

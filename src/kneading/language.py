@@ -9,8 +9,9 @@ from .symbolic import SymbolStream, shift
 
 MODES = ("core", "full-interval")
 
-# enumeration is exhaustive over a pruned binary tree; past ~24 letters the
-# full-shift case alone needs tens of millions of nodes
+# the documented caps on word length: complexity counts without listing
+# words but keeps the cap of the enumeration it replaced; language_words
+# lists every word, and its output alone is exponential in nmax
 ENUM_LIMIT = 24
 WORD_LIMIT = 16
 
@@ -116,16 +117,59 @@ def _enumerate(q: LanguageQuery, visit):
             stack.append((d + 1, b, tvc, nu, nl))
 
 
+def _advance(offsets, b, R, sign):
+    """Live offsets after letter b, or None if some shift decides against R.
+
+    A shift live at offset k >= 1 has matched R[:k]; its last digit was
+    R[k - 1], so the next one is b ^ R[k - 1], compared with R[k].  The
+    shift starting at the current position sees b, compared with R[0].
+    sign is 1 for an upper reference (a digit above R kills the word) and
+    -1 for a lower one.
+    """
+    out = []
+    for k in offsets:
+        diff = ((b ^ R[k - 1]) - R[k]) * sign
+        if diff > 0:
+            return None
+        if diff == 0:
+            out.append(k + 1)
+    diff = (b - R[0]) * sign
+    if diff > 0:
+        return None
+    return ((1,) if diff == 0 else ()) + tuple(out)
+
+
 def complexity(q: LanguageQuery) -> list[int]:
-    """Counts p(1), ..., p(nmax) of viable words of each length."""
+    """Counts p(1), ..., p(nmax) of viable words of each length.
+
+    The walk of _enumerate depends on a word only through the offsets of
+    its live shifts into the references, so words are counted per state
+    (live upper offsets, live lower offsets), one layer per length.  These
+    states are the levels of the Hofbauer tower.  Every tested case has at
+    most d + 1 states at length d, each with at most d offsets, so the cost
+    is O(nmax^3) small-integer steps instead of the ~2^nmax words a walk
+    visits.
+    """
     _validate(q, ENUM_LIMIT)
-    counts = [0] * (q.nmax + 1)
-
-    def visit(d, word):
-        counts[d] += 1
-
-    _enumerate(q, visit)
-    return counts[1:]
+    U, L = _references(q)
+    layer = {((), () if L is not None else None): 1}
+    counts = []
+    for _ in range(q.nmax):
+        nxt = {}
+        for (lu, ll), cnt in layer.items():
+            for b in (0, 1):
+                nu = _advance(lu, b, U, 1)
+                if nu is None:
+                    continue
+                nl = None
+                if ll is not None:
+                    nl = _advance(ll, b, L, -1)
+                    if nl is None:
+                        continue
+                nxt[nu, nl] = nxt.get((nu, nl), 0) + cnt
+        layer = nxt
+        counts.append(sum(layer.values()))
+    return counts
 
 
 def language_words(q: LanguageQuery) -> dict[int, list[str]]:

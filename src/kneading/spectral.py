@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .encoding import xi
 from .symbolic import PeriodicStream
@@ -71,28 +72,11 @@ class IntSeries:
         c0 = self[0]
         if c0 not in (1, -1):
             raise ArithmeticError(f"reciprocal needs constant term 1 or -1, got {c0}")
-        n = self.order
-        out = [0] * (n + 1)
-        out[0] = c0
-        for k in range(1, n + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                acc += self[i] * out[k - i]
-            out[k] = -c0 * acc
+        c = self.coefficients
+        out = [c0]
+        for k in range(1, self.order + 1):
+            out.append(-c0 * sum(map(mul, c[1:k + 1], reversed(out))))
         return IntSeries(tuple(out))
-
-    def log(self) -> tuple:
-        """Coefficients of log(series) as exact Fractions; needs c0 = 1."""
-        if self[0] != 1:
-            raise ArithmeticError(f"log needs constant term 1, got {self[0]}")
-        n = self.order
-        b = [Fraction(0)] * (n + 1)
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k):
-                acc += i * b[i] * self[k - i]
-            b[k] = self[k] - acc / k
-        return tuple(b)
 
     def evaluate(self, x) -> Fraction:
         """Exact Horner evaluation of the truncation at a rational point."""
@@ -226,18 +210,28 @@ def _mobius(n: int) -> int:
 def orbit_counts(zeta: IntSeries) -> OrbitCounts:
     """Recover #Per_n = n [z^n] log zeta and prime-orbit counts N(p).
 
-    Non-integer or negative counts mean the input is not a truncation of a
-    topological zeta function and raise immediately.
+    With zeta = sum c_n z^n (c_0 = 1) and log zeta = sum #Per_n z^n / n,
+    differentiating gives z zeta' = zeta * sum #Per_n z^n; comparing the
+    coefficients of z^n yields the Newton identity
+
+        #Per_n = n c_n - sum_{i<n} #Per_i c_{n-i}.
+
+    It involves only integers and no division, so every #Per_n of an integer
+    series is an integer and only its sign needs checking.  The recurrence
+    costs O(N^2) integer products at order N.  Negative counts, or prime
+    counts that fail divisibility or sign, mean the input is not a
+    truncation of a topological zeta function and raise immediately.
     """
     if zeta[0] != 1:
         raise ValueError("zeta series must have constant term 1")
-    b = zeta.log()
-    per = {}
+    c = zeta.coefficients
+    per = []
     for n in range(1, zeta.order + 1):
-        c = n * b[n]
-        if c.denominator != 1 or c < 0:
-            raise ArithmeticError(f"#Per_{n} = {c} is not a nonnegative integer")
-        per[n] = int(c)
+        v = n * c[n] - sum(map(mul, per, c[n - 1:0:-1]))
+        if v < 0:
+            raise ArithmeticError(f"#Per_{n} = {v} is not a nonnegative integer")
+        per.append(v)
+    per = dict(enumerate(per, start=1))
     prime = {}
     for p in range(1, zeta.order + 1):
         acc = 0

@@ -218,6 +218,25 @@ def test_usage_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["zeta", "--tau", "feigenbaum:3", "--order", "16", "--entropy"], 0, ""),
+    (["zeta", "--tau", "0", "--order", "8", "--entropy"], 0, ""),
+    (["zeta", "--tau", "1/2", "--counts"], 2, "error: K is not a maximal stream\n"),
+    (["dyn", "kneading", "--r", "5"], 2,
+     "error: critical value outside [0, 1]: 1.25\n"),
+    (["zeta", "--tau", "6/7", "--order", "2049"], 2,
+     "error: order must be in 1..2048\n"),
+])
+def test_documented_inputs_exit_cleanly(capsys, argv, code, err):
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if code == 0:
+        ent = json.loads(captured.out)["entropy"]
+        assert ent == {"lo": 0.0, "hi": 0.0, "method": "unit-root-factors",
+                       "bracket": None}
+
+
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         cli.RunConfig("tau", precision_bits=0)

@@ -4,8 +4,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kneading.encoding import Order, binary_digits, kneading_from_tau, word_order, xi
+from kneading.encoding import (
+    Order,
+    binary_digits,
+    in_lambda,
+    kneading_from_tau,
+    word_order,
+    xi,
+)
 from kneading.language import LanguageQuery, complexity, forbidden_words, language_words
 from kneading.symbolic import PeriodicStream, feigenbaum_stream, shift
 
@@ -20,6 +29,11 @@ CASCADE3_CORE = [2, 3, 5, 7, 10, 13, 17, 21, 26, 31, 37, 43]
 CASCADE3_FULL = [2, 4, 7, 12, 19, 29, 42, 59, 80, 106, 137, 174]
 
 GOLDEN = math.log((1 + math.sqrt(5)) / 2)
+
+# tau = p/q in Lambda (every tent iterate stays <= tau): exactly the tau
+# whose kneading stream is maximal
+MAXIMAL_TAU = sorted({Fraction(p, q) for q in range(1, 65) for p in range(q + 1)
+                      if in_lambda(Fraction(p, q))})
 
 
 def _digit_word(u):
@@ -136,6 +150,14 @@ def test_factor_closure():
             for w in words[n]:
                 assert w[1:] in shorter
                 assert w[:-1] in shorter
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MAXIMAL_TAU), st.sampled_from(["core", "full-interval"]),
+       st.integers(min_value=1, max_value=14))
+def test_counting_dp_matches_word_walk(tau, mode, n):
+    q = LanguageQuery(kneading_from_tau(tau), n, mode)
+    assert complexity(q) == [len(w) for w in language_words(q).values()]
 
 
 def test_forbidden_words_window():

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneading.encoding import kneading_from_tau, stream_tau
 from kneading.feigenbaum import tau_infinity_digit, tau_infinity_enclosure
@@ -83,11 +85,50 @@ def test_series_arithmetic_and_reciprocal():
     assert f.evaluate(Fraction(1, 2)) == Fraction(1, 2)
 
 
-def test_series_log_geometric():
+def _fraction_log(zeta):
+    # reference: coefficients of log(zeta) over Fraction, from
+    # k b_k = k c_k - sum_{i<k} i b_i c_{k-i}
+    c = zeta.coefficients
+    b = [Fraction(0)] * len(c)
+    for k in range(1, len(c)):
+        acc = sum((i * b[i] * c[k - i] for i in range(1, k)), Fraction(0))
+        b[k] = c[k] - acc / k
+    return b
+
+
+def test_fraction_log_geometric():
     f = series_of_rational([1], [1, -2], 10)
-    b = f.log()
+    b = _fraction_log(f)
     for n in range(1, 11):
         assert b[n] == Fraction(2 ** n, n)
+    assert orbit_counts(f).per_counts == {n: 2 ** n for n in range(1, 11)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(
+        PeriodicStream,
+        st.text(alphabet="01", min_size=0, max_size=6),
+        st.text(alphabet="01", min_size=1, max_size=8),
+    ),
+    st.integers(min_value=1, max_value=40),
+)
+def test_orbit_counts_match_fraction_log(K, N):
+    z = zeta_series(K, N)
+    b = _fraction_log(z)
+    per = {n: n * b[n] for n in range(1, N + 1)}
+    assert all(v.denominator == 1 for v in per.values())
+    if any(v < 0 for v in per.values()):
+        with pytest.raises(ArithmeticError, match="#Per_"):
+            orbit_counts(z)
+        return
+    try:
+        oc = orbit_counts(z)
+    except ArithmeticError as e:
+        # only the prime-orbit sign check may reject nonnegative #Per_n
+        assert "is negative" in str(e)
+        return
+    assert oc.per_counts == per
 
 
 def test_determinant_cases():
