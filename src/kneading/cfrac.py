@@ -38,10 +38,9 @@ class ContinuedFraction:
             raise ValueError("canonical expansion cannot end in 1")
 
     def value(self) -> Fraction:
-        v = Fraction(0)
-        for a in reversed(self.quotients):
-            v = 1 / (a + v)
-        return v
+        for r, s in _convergent_pairs(self.quotients):
+            pass
+        return Fraction(r, s)
 
     def __len__(self):
         return len(self.quotients)
@@ -106,31 +105,38 @@ def cf_of_enclosure(enclosure) -> list:
         raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
     if lo == hi:
         return [] if lo == 0 else list(cf_of_rational(lo).quotients)
+    # endpoints as unreduced integer pairs ln/ld <= hn/hd: the floors need
+    # no gcd, so none is taken
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     out = []
-    while lo > 0:
-        a = hi.denominator // hi.numerator
-        if a != lo.denominator // lo.numerator:
+    while ln > 0:
+        a, rem = divmod(hd, hn)
+        if a != ld // ln:
             break
         out.append(a)
         # taking reciprocals flips the interval: 1/hi - a is the new lower end
-        lo, hi = 1 / hi - a, 1 / lo - a
-        if lo == 0:
+        ln, ld, hn, hd = rem, hn, ld - a * ln, ln
+        if ln == 0:
             # the upper endpoint terminated exactly here; interior points
             # continue with arbitrarily large next quotients
             break
     return out
 
 
-def convergents(cf: ContinuedFraction) -> list:
-    """Convergents r_n/s_n of an expansion by the three-term recurrence."""
+def _convergent_pairs(quotients):
+    """Yield r_n, s_n by the three-term recurrence, n = 1, 2, ..."""
     r_prev, r_cur = 1, 0
     s_prev, s_cur = 0, 1
-    out = []
-    for i, a in enumerate(cf.quotients, start=1):
+    for a in quotients:
         r_prev, r_cur = r_cur, a * r_cur + r_prev
         s_prev, s_cur = s_cur, a * s_cur + s_prev
-        out.append(Convergent(r_cur, s_cur, i))
-    return out
+        yield r_cur, s_cur
+
+
+def convergents(cf: ContinuedFraction) -> list:
+    """Convergents r_n/s_n of an expansion by the three-term recurrence."""
+    return [Convergent(r, s, i)
+            for i, (r, s) in enumerate(_convergent_pairs(cf.quotients), start=1)]
 
 
 def cf_table(jmax: int) -> list:

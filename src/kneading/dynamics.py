@@ -10,6 +10,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+from .encoding import _parity_word
+
 _BOUNDARY_TOL = 1e-12
 
 
@@ -200,15 +202,6 @@ def band_merging_parameter(lo: float = 3.6, hi: float = 3.7,
     return _bisect(g, lo, hi, tol)
 
 
-def _digit_word(word: str) -> str:
-    out = []
-    p = 0
-    for ch in word:
-        p ^= int(ch)
-        out.append("01"[p])
-    return "".join(out)
-
-
 @dataclass(frozen=True)
 class Lemma1Report:
     pairs_tested: int
@@ -234,7 +227,7 @@ def lemma1_validate(m: UnimodalMap, pairs: int, n: int, seed: int = 0) -> Lemma1
         tested += 1
         wx, fx = itinerary(m, x, n)
         wy, fy = itinerary(m, y, n)
-        tx, ty = _digit_word(wx), _digit_word(wy)
+        tx, ty = _parity_word(wx), _parity_word(wy)
         d = next((i for i in range(n) if tx[i] != ty[i]), None)
         if d is None or not (all(fx[: d + 1]) and all(fy[: d + 1])):
             excluded += 1
@@ -273,7 +266,7 @@ def monotonicity_scan(r_grid, n: int) -> ScanReport:
         if k == 0:
             rows.append(ScanRow(r, None, 0))
             continue
-        digits = _digit_word(word[:k])
+        digits = _parity_word(word[:k])
         tau = sum(int(c) / 2.0 ** (i + 1) for i, c in enumerate(digits))
         rows.append(ScanRow(r, tau, k))
     vals = [row.tau for row in rows if row.tau is not None]

@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from kneading.encoding import xi, tau_of_periodic
+from kneading.encoding import _parity_word, xi, tau_of_periodic
 from kneading.symbolic import (
     THUE_MORSE_RULE,
     FixedPointStream,
-    FunctionStream,
     PeriodicStream,
     SubstitutionRule,
     SymbolStream,
@@ -30,6 +29,48 @@ PAIR_TO_DIGITS = {"a": "00", "b": "01", "c": "10", "d": "11"}
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
+
+
+# Integers up to this many bits go through str(), which is quadratic but
+# fast at this size and far below the 4300-digit conversion limit.
+_DECIMAL_CHUNK_BITS = 8192
+
+
+def _decimal_str(n: int) -> str:
+    """Decimal digits of an integer of any size.
+
+    str() on an int is quadratic and refuses more than 4300 digits.  Here
+    n is split in halves at bit positions chunk * 2^i, the halves are
+    converted recursively, and decimal (libmpdec, whose multiplication is
+    subquadratic) rebuilds n = hi * 2^w + lo exactly; 2^19 bits take tens
+    of milliseconds against hundreds for str().
+    """
+    if n < 0:
+        return "-" + _decimal_str(-n)
+    chunk = _DECIMAL_CHUNK_BITS
+    if n.bit_length() <= chunk:
+        return str(n)
+    import decimal  # only big integers pay for the import
+
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+    # powers[i] = 2^(chunk * 2^i), up to the top split of n
+    powers = [ctx.power(decimal.Decimal(2), chunk)]
+    while chunk << len(powers) < n.bit_length():
+        powers.append(ctx.multiply(powers[-1], powers[-1]))
+
+    def convert(x: int, i: int):
+        # x < 2^(chunk * 2^(i+1))
+        if i < 0:
+            return decimal.Decimal(x)
+        w = chunk << i
+        hi = x >> w
+        if not hi:
+            return convert(x, i - 1)
+        return ctx.add(ctx.multiply(convert(hi, i - 1), powers[i]),
+                       convert(x - (hi << w), i - 1))
+
+    return str(convert(n, len(powers) - 1))
 
 
 @dataclass(frozen=True)
@@ -63,11 +104,10 @@ class DyadicEnclosure:
         return DyadicEnclosure(lo, hi, max(self.bits, other.bits))
 
     def to_json(self) -> dict:
-        return {
-            "lo": f"{self.lo.numerator}/2^{self.lo.denominator.bit_length() - 1}",
-            "hi": f"{self.hi.numerator}/2^{self.hi.denominator.bit_length() - 1}",
-            "bits": self.bits,
-        }
+        def dyadic(x: Fraction) -> str:
+            return f"{_decimal_str(x.numerator)}/2^{x.denominator.bit_length() - 1}"
+
+        return {"lo": dyadic(self.lo), "hi": dyadic(self.hi), "bits": self.bits}
 
 
 @dataclass(frozen=True)
@@ -103,11 +143,32 @@ def _level_from_word(j: int, word: str) -> TauLevel:
     return TauLevel(j, v.numerator, v.denominator, word)
 
 
+def _closed_form_pq(j: int) -> tuple[int, int]:
+    """p and q of tau_j in lowest terms, with no gcd and no division.
+
+    q = 2^(2^(j-1)) + 1 and p = q - P with P = prod_{k<j-1} (2^(2^k) - 1).
+    Each factor is a shift and a subtraction: P (2^m - 1) = (P << m) - P.
+
+    Lowest terms: 2^(2^k) - 1 divides 2^(2^(j-1)) - 1 = q - 2 for every
+    k < j - 1, since 2^k divides 2^(j-1).  So a common divisor of P and q
+    divides q - 2 and q, hence 2; q is odd, so gcd(P, q) = 1 and with it
+    gcd(p, q) = gcd(q - P, q) = 1.
+    """
+    prod = 1
+    for k in range(j - 1):
+        prod = (prod << (1 << k)) - prod
+    q = (1 << (1 << (j - 1))) + 1
+    return q - prod, q
+
+
 def tau_level(j: int, method: str = "digit-rule") -> TauLevel:
     """tau_j by any of four equivalent constructions.
 
-    digit-rule: rewrite the digit period w -> w' of doubled length.
-    pair-substitution: expand the pair coding under PAIR_RULE.
+    digit-rule: rewrite the digit period w -> w' of doubled length; p/q
+    from the closed form (the word is 2^j digits long, and reducing
+    w / (2^(2^j) - 1) would cost a gcd of 2^j-bit integers).
+    pair-substitution: expand the pair coding under PAIR_RULE and reduce
+    the word's value.
     pq-recursion: p' = 2 + p(q-2), q' = 2 + q(q-2) from (2, 3).
     closed-form: q = 2^(2^(j-1)) + 1 and a product formula for p.
     """
@@ -119,7 +180,7 @@ def tau_level(j: int, method: str = "digit-rule") -> TauLevel:
         w = "10"
         for _ in range(j - 1):
             w = w[:-1] + complement(w[-1]) + complement(w[:-1]) + w[-1]
-        return _level_from_word(j, w)
+        return TauLevel(j, *_closed_form_pq(j), w)
     if method == "pair-substitution":
         w = "c"
         for _ in range(j - 1):
@@ -131,11 +192,7 @@ def tau_level(j: int, method: str = "digit-rule") -> TauLevel:
             p, q = 2 + p * (q - 2), 2 + q * (q - 2)
         return TauLevel(j, p, q, _digits_from_value(p, q, 2 ** j))
     # closed-form
-    q = 2 ** (2 ** (j - 1)) + 1
-    prod = 1
-    for k in range(j - 1):
-        prod *= 2 ** (2 ** k) - 1
-    p = q - prod
+    p, q = _closed_form_pq(j)
     return TauLevel(j, p, q, _digits_from_value(p, q, 2 ** j))
 
 
@@ -160,8 +217,10 @@ def tau_infinity_digit(k: int) -> int:
 
 
 def tau_infinity_digits() -> SymbolStream:
-    """The digit stream of tau_infinity (random access, memoized)."""
-    return FunctionStream(tau_infinity_digit)
+    """The digit stream of tau_infinity (memoized): the running parities of
+    the limit kneading sequence, built by substitution and one parity pass
+    instead of one tau_infinity_digit call per index."""
+    return xi(feigenbaum_limit())
 
 
 def tau_infinity_enclosure(bits: int, method: str = "digit-sum") -> DyadicEnclosure:
@@ -175,8 +234,7 @@ def tau_infinity_enclosure(bits: int, method: str = "digit-sum") -> DyadicEnclos
         raise ValueError("bits must be >= 1")
     if method == "digit-sum":
         n = bits
-        lo = Fraction(int("".join(
-            str(tau_infinity_digit(k)) for k in range(1, n + 1)), 2), 2 ** n)
+        lo = Fraction(int(tau_infinity_digits().prefix(n), 2), 2 ** n)
         return DyadicEnclosure(lo, lo + Fraction(1, 2 ** n), bits)
     if method == "product-formula":
         # Partial product P_K over k <= K; the tail factor lies in
@@ -222,14 +280,8 @@ def thue_morse_check(n: int) -> bool:
     """Prepending 0 to the cascade limit and encoding it digit-wise gives
     the fixed point of 0 -> 01, 1 -> 10; verify the first n symbols."""
     u = feigenbaum_limit().prefix(max(n - 1, 0))
-    padded = "0" + u
-    parity = 0
-    digits = []
-    for c in padded:
-        parity ^= int(c)
-        digits.append("01"[parity])
     tm = FixedPointStream(THUE_MORSE_RULE, "0").prefix(n)
-    return "".join(digits[:n]) == tm
+    return _parity_word("0" + u)[:n] == tm
 
 
 def tau_from_kneading(j: int) -> Fraction:

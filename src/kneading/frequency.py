@@ -238,13 +238,54 @@ def empirical_frequencies(
         raise ValueError("prefix shorter than one block")
     text = stream.prefix(N)
     step = block_len if aligned else 1
-    counts: dict[str, int] = {}
-    total = 0
-    for i in range(0, N - block_len + 1, step):
-        b = text[i:i + block_len]
-        counts[b] = counts.get(b, 0) + 1
-        total += 1
+    counts = _lane_block_counts(text, block_len, step)
+    if counts is None:
+        counts = {}
+        for i in range(0, N - block_len + 1, step):
+            b = text[i:i + block_len]
+            counts[b] = counts.get(b, 0) + 1
+    total = len(range(0, N - block_len + 1, step))
     return {b: Fraction(c, total) for b, c in sorted(counts.items())}
+
+
+def _lane_block_counts(text: str, b: int, step: int) -> dict[str, int] | None:
+    """Counts of the length-b windows of text starting at 0, step, 2 step, ...
+
+    Each symbol becomes its index in the sorted alphabet (radix A), one
+    8-bit lane per symbol of a single integer T, first symbol on top.
+    T * sum_r A^r 256^(b-1-r) adds, for r < b, T shifted up by b-1-r lanes
+    times A^r, which puts the code sum_r s_(m-r) A^r of the window ending
+    at symbol m into lane m: the window read as a base-A numeral.  Codes
+    stay below A^b <= 256, so no lane carries into the next, and each code
+    is tallied with bytes.count.  Returns None (caller loops per position)
+    when A^b > 256 or a symbol is not ASCII.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    # the alphabet, one C pass per symbol: delete each newly seen symbol
+    seen, rest = b"", raw
+    while rest:
+        seen += rest[:1]
+        if len(seen) ** b > 256:
+            return None
+        rest = rest.translate(None, seen)
+    alphabet = bytes(sorted(seen))
+    A, n = len(alphabet), len(text)
+    spread = sum(A ** r << 8 * (b - 1 - r) for r in range(b))
+    # one expression, so each n-byte temporary is freed once consumed
+    lanes = (int.from_bytes(raw.translate(bytes.maketrans(alphabet, bytes(range(A)))),
+                            "big") * spread).to_bytes(n + b - 1, "big")[b - 1:n:step]
+    counts = {}
+    for code in range(A ** b):
+        c = lanes.count(code)
+        if c:
+            word = []
+            for _ in range(b):
+                code, d = divmod(code, A)
+                word.append(alphabet[d])
+            counts[bytes(reversed(word)).decode("ascii")] = c
+    return counts
 
 
 @dataclass(frozen=True)

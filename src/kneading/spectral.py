@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .encoding import xi
+from .encoding import _parity_word, xi
 from .symbolic import PeriodicStream
 
 __all__ = [
@@ -112,15 +112,12 @@ class EntropyResult:
     z_bracket: tuple = None
 
 
+_SIGN = {"0": 1, "1": -1}
+
+
 def _epsilon_prefix(stream, count: int) -> list:
     """eps_k = (-1)**(s_1 + ... + s_k) for k = 1..count."""
-    prefix = stream.prefix(count)
-    out = []
-    parity = 0
-    for ch in prefix:
-        parity ^= ch == "1"
-        out.append(1 - 2 * parity)
-    return out
+    return list(map(_SIGN.__getitem__, _parity_word(stream.prefix(count))))
 
 
 def kneading_determinant(K, N: int) -> IntSeries:

@@ -46,9 +46,34 @@ class SubstitutionRule:
                 raise ValueError(f"symbols must be single characters: {a!r}")
             if not w or set(w) - self.alphabet:
                 raise ValueError(f"bad image for {a!r}: {w!r}")
+        self._table = str.maketrans(self.images)
+        # Images of one length L over Latin-1 symbols: the r-th letters of
+        # the images, as byte tables, fill positions r, r + L, r + 2L, ...
+        # of the output in one bytes.translate each.
+        self._columns = None
+        lengths = {len(w) for w in self.images.values()}
+        if len(lengths) == 1 and all(ord(a) < 256 for a in self.alphabet):
+            src = "".join(self.images).encode("latin-1")
+            self._columns = tuple(
+                bytes.maketrans(src, "".join(w[r] for w in self.images.values())
+                                .encode("latin-1"))
+                for r in range(lengths.pop()))
 
     def apply(self, word: str) -> str:
-        return "".join(self.images[c] for c in word)
+        if not self.alphabet.issuperset(word):
+            raise KeyError(next(c for c in word if c not in self.alphabet))
+        return self._expand(word)
+
+    def _expand(self, word: str) -> str:
+        """apply() without the alphabet check, for words over the alphabet."""
+        if self._columns is None:
+            return word.translate(self._table)
+        src = word.encode("latin-1")
+        L = len(self._columns)
+        out = bytearray(L * len(src))
+        for r, column in enumerate(self._columns):
+            out[r::L] = src.translate(column)
+        return out.decode("latin-1")
 
     def __eq__(self, other):
         return isinstance(other, SubstitutionRule) and self.images == other.images
@@ -172,9 +197,10 @@ class FixedPointStream(_MemoizedStream):
         self.letter = letter
 
     def _compute_prefix(self, n: int) -> str:
+        # the iterates stay over the rule's alphabet, so no symbol check
         w = self.letter
         while len(w) < n:
-            grown = self.rule.apply(w)
+            grown = self.rule._expand(w)
             if len(grown) <= len(w):
                 raise ValueError("substitution iteration does not grow")
             w = grown

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import kneading.cli as cli
+from kneading.feigenbaum import tau_infinity_digit, tau_level
 from kneading.spectral import feigenbaum_zeta
 
 
@@ -38,6 +39,36 @@ def test_tau_infinity(capsys):
     assert d["lo"].endswith("/2^64")
     lo = Fraction(*map(int, d["lo"].replace("2^64", str(2 ** 64)).split("/")))
     assert abs(lo - Fraction(8249, 10000)) < Fraction(1, 1000)
+
+
+def test_tau_level_20_all_formats(capsys, lift_str_limit):
+    d = run_json(capsys, "tau", "--j", "20")
+    d_float = run_json(capsys, "tau", "--j", "20", "--float")
+    rc, text = run(capsys, "tau", "--j", "20", "--format", "text")
+    assert rc == 0
+    # independent of the library: q = 2^(2^19) + 1, p = q - prod (2^(2^k) - 1)
+    q = 2 ** (2 ** 19) + 1
+    prod = 1
+    for k in range(19):
+        prod *= 2 ** (2 ** k) - 1
+    lift_str_limit()
+    p, q = str(q - prod), str(q)
+    digits = d["digits"]
+    assert len(digits) == 2 ** 20
+    assert digits.startswith(tau_level(14).period_digits[:-1])
+    assert d == {"j": 20, "p": p, "q": q, "tau": f"{p}/{q}", "digits": digits}
+    # tau_20 and tau_14 differ by far less than one float ulp
+    assert d_float == dict(d, tau=float(tau_level(14).value))
+    assert text == f"j=20 tau={p}/{q} digits={digits}\n"
+
+
+def test_tau_infinity_16384_bits(capsys, lift_str_limit):
+    d = run_json(capsys, "tau", "--infinity", "--bits", "16384")
+    n = int("".join(str(tau_infinity_digit(k)) for k in range(1, 16385)), 2)
+    lift_str_limit()
+    lo, hi = (f"{x.numerator}/2^{x.denominator.bit_length() - 1}"
+              for x in (Fraction(n, 2 ** 16384), Fraction(n + 1, 2 ** 16384)))
+    assert d == {"lo": lo, "hi": hi, "bits": 16384}
 
 
 def test_cf_tau_level_text(capsys):
@@ -226,8 +257,21 @@ def test_usage_exit_codes(capsys):
      "error: critical value outside [0, 1]: 1.25\n"),
     (["zeta", "--tau", "6/7", "--order", "2049"], 2,
      "error: order must be in 1..2048\n"),
+    (["zeta", "--tau", "1/2", "--entropy"], 2, "error: K is not a maximal stream\n"),
+    (["zeta", "--tau", "1/3", "--entropy"], 2, "error: K is not a maximal stream\n"),
+    (["reproduce", "all", "--out", "missing/"], 2,
+     "error: no such output directory: missing/\n"),
+    (["export", "frequency-convergence", "--out", "missing/x.csv"], 2,
+     "error: no such output directory: missing\n"),
+    (["export", "zeta-roots", "--out", "."], 2,
+     "error: output path is a directory: .\n"),
+    (["tau", "--infinity", "--bits", "65537"], 2, "error: bits must be in 1..65536\n"),
+    (["cf", "tau-infinity", "--bits", "65537"], 2, "error: bits must be in 1..65536\n"),
+    (["export", "zeta-roots", "--j", "12"], 2, "error: j must be in 0..11\n"),
+    (["export", "zeta-roots", "--j", "-1"], 2, "error: j must be in 0..11\n"),
 ])
-def test_documented_inputs_exit_cleanly(capsys, argv, code, err):
+def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
+    monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
     assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert captured.err == err

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from kneading.encoding import binary_digits, xi
 from kneading.feigenbaum import (
+    _DECIMAL_CHUNK_BITS,
+    _decimal_str,
     PAIR_RULE,
     DyadicEnclosure,
     TauLevel,
@@ -60,6 +63,14 @@ def test_methods_agree_deep():
         assert all(l == levels[0] for l in levels[1:])
 
 
+def test_digit_rule_matches_closed_form_and_recursion():
+    # digit-rule takes p/q from the closed form; pq-recursion derives it
+    # independently, and both derive the word's value from p/q
+    for j in range(1, 15):
+        lvl = tau_level(j)
+        assert lvl == tau_level(j, "closed-form") == tau_level(j, "pq-recursion")
+
+
 def test_tau_matches_kneading_encoding():
     for j in range(1, 11):
         assert tau_from_kneading(j) == tau_level(j).value
@@ -107,6 +118,11 @@ def test_tau_infinity_digit_invariance():
     for k in range(1, 200):
         assert tau_infinity_digit(k) == tau_infinity_digit(2 * k)
         assert tau_infinity_digit(k) == tau_infinity_digit(4 * k)
+
+
+def test_tau_infinity_digits_match_digit_oracle():
+    prefix = tau_infinity_digits().prefix(5000)
+    assert prefix == "".join(str(tau_infinity_digit(k)) for k in range(1, 5001))
 
 
 def test_tau_infinity_prefix_matches_levels():
@@ -201,3 +217,18 @@ def test_digits_equal_binary_expansion_of_any_enclosed_value():
     e = tau_infinity_enclosure(64, "digit-sum")
     bits = bin(e.lo.numerator)[2:].zfill(64)
     assert bits == tau_infinity_digits().prefix(64)
+
+
+def test_decimal_str_matches_str(lift_str_limit):
+    rng = random.Random(7)
+    c = _DECIMAL_CHUNK_BITS
+    sizes = [0, 1, 2, 64, c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1,
+             3 * c + 5, 4 * c, 4 * c + 1, 7 * c - 3, 1 << 16]
+    cases = [0, 1, -1, 10 ** 4299, -(10 ** 4299), 2 ** (4 * c), 2 ** (4 * c) - 1]
+    for bits in sizes:
+        for _ in range(3):
+            x = rng.getrandbits(bits) | (1 << bits) >> 1
+            cases += [x, -x]
+    got = [_decimal_str(x) for x in cases]
+    lift_str_limit()
+    assert got == [str(x) for x in cases]

@@ -1,8 +1,11 @@
 """Incidence matrices, exact eigenvectors, empirical block statistics."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneading.encoding import xi
 from kneading.feigenbaum import PAIR_RULE
@@ -20,7 +23,9 @@ from kneading.frequency import (
 from kneading.symbolic import (
     FEIGENBAUM_RULE,
     THUE_MORSE_RULE,
+    FixedPointStream,
     PeriodicStream,
+    SymbolStream,
     feigenbaum_limit,
 )
 
@@ -193,3 +198,43 @@ def test_incidence_matrix_validation():
         IncidenceMatrix(("0", "1"), ((1, -1), (0, 1)))
     with pytest.raises(ValueError):
         IncidenceMatrix(("0",), ((1, 1),))
+
+
+class _WordStream(SymbolStream):
+    """A finite word over any alphabet, read as a stream prefix."""
+
+    def __init__(self, word):
+        self.word = word
+
+    def prefix(self, n):
+        assert n <= len(self.word)
+        return self.word[:n]
+
+
+def _window_frequencies(text, b, aligned):
+    """Reference: one slice per window position."""
+    step = b if aligned else 1
+    counts = Counter(text[i:i + b] for i in range(0, len(text) - b + 1, step))
+    total = sum(counts.values())
+    return {w: Fraction(c, total) for w, c in sorted(counts.items())}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(["01", "abcd", "\u03b1\u03b2", "0"]),
+       st.integers(min_value=1, max_value=10), st.booleans())
+def test_lane_counts_match_window_loop(data, alphabet, b, aligned):
+    # binary and four-letter words take the lane path while A^b <= 256 and
+    # the per-position loop above it; non-ASCII symbols always loop
+    word = data.draw(st.text(alphabet=alphabet, min_size=b, max_size=300))
+    got = empirical_frequencies(_WordStream(word), b, len(word), aligned)
+    assert got == _window_frequencies(word, b, aligned)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("aligned", [False, True])
+def test_lane_counts_on_pair_rule_stream(b, aligned):
+    # four letters: lanes up to b = 4 (4^4 = 256 codes), the loop at b = 5
+    stream = FixedPointStream(PAIR_RULE, "a")
+    for N in (b, 1000, 4099):
+        got = empirical_frequencies(stream, b, N, aligned)
+        assert got == _window_frequencies(stream.prefix(N), b, aligned)

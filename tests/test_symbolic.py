@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneading.symbolic import (
     FEIGENBAUM_RULE,
@@ -80,6 +82,35 @@ def test_substitute():
         SubstitutionRule({"0": ""})
     with pytest.raises(ValueError):
         SubstitutionRule({"0": "01"})  # image uses a foreign symbol
+
+
+# one rule per expansion branch: images of one length over Latin-1 symbols
+# (residue-class byte tables) and the str.translate table otherwise
+BRANCH_RULES = [
+    THUE_MORSE_RULE,
+    SubstitutionRule({"a": "ac", "b": "ad", "c": "da", "d": "db"}),
+    SubstitutionRule({"0": "011", "1": "101"}),
+    SubstitutionRule({"0": "01", "1": "0"}),
+    SubstitutionRule({"\u03b1": "\u03b1\u03b2", "\u03b2": "\u03b2\u03b1"}),
+]
+
+
+def test_expansion_branch_selection():
+    assert [r._columns is not None for r in BRANCH_RULES] == [
+        True, True, True, False, False]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(BRANCH_RULES))
+def test_apply_matches_symbol_by_symbol(data, rule):
+    word = data.draw(st.text(alphabet=sorted(rule.alphabet), max_size=200))
+    assert rule.apply(word) == "".join(rule.images[c] for c in word)
+
+
+@pytest.mark.parametrize("rule", BRANCH_RULES)
+def test_apply_rejects_foreign_symbols(rule):
+    with pytest.raises(KeyError):
+        rule.apply(min(rule.alphabet) + "x")
 
 
 def test_fixed_point_prefix_stability():
