@@ -10,9 +10,8 @@ import math
 import os
 import sys
 import tempfile
-import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cfrac import cf_of_enclosure, cf_of_rational, cf_table
 from .dynamics import (
@@ -45,19 +44,13 @@ from .symbolic import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    precision_bits: int = 128
-    order: int = 30
-    output_format: str = "json"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.precision_bits < 1 or self.order < 1:
-            raise ValueError("numeric limits must be positive")
-        if self.output_format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown format {self.output_format!r}")
+class _Result(NamedTuple):
+    """What a handler returns: a JSON payload, an optional CSV table
+    (header, rows), an optional text line, and the exit code."""
+    payload: object
+    table: tuple | None = None
+    text: str | None = None
+    code: int = 0
 
 
 def _num(x, args):
@@ -67,23 +60,30 @@ def _num(x, args):
     return x
 
 
-def _emit(text: str, out: str | None):
+def _emit(args, res: _Result) -> int:
+    """The one output rule: --format text prints the text line if there is
+    one; any format other than json prints the CSV table if there is one;
+    everything else prints JSON.  --out writes the file atomically."""
+    if args.format == "text" and res.text is not None:
+        text = res.text + "\n"
+    elif args.format != "json" and res.table is not None:
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(res.table[0])
+        w.writerows(res.table[1])
+        text = buf.getvalue()
+    else:
+        text = _json_text(res.payload)
+    out = getattr(args, "out", None)
     if out:
         _atomic_write(out, text)
     else:
         sys.stdout.write(text)
+    return res.code
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
 
 
 def _require_dir(d: str):
@@ -107,13 +107,25 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator reported as bad input
+    (ValueError, exit 2) like any other malformed number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text}") from None
+
+
+_fraction.__name__ = "Fraction"  # argparse names the type in its messages
+
+
 def _tau_stream(spec: str):
     """Stream for a --tau argument: p/q, feigenbaum:j, or feigenbaum:inf."""
     if spec == "feigenbaum:inf":
         return feigenbaum_limit()
     if spec.startswith("feigenbaum:"):
         return feigenbaum_stream(int(spec.split(":", 1)[1]))
-    return kneading_from_tau(Fraction(spec))
+    return kneading_from_tau(_fraction(spec))
 
 
 # ---------------------------------------------------------------- handlers
@@ -128,54 +140,40 @@ def _check_bits(bits: int):
         raise ValueError(f"bits must be in 1..{_MAX_BITS}")
 
 
-def _cmd_tau(args) -> int:
+def _cmd_tau(args) -> _Result:
+    _check_bits(args.bits)
     if args.infinity:
-        _check_bits(args.bits)
-        enc = tau_infinity_enclosure(args.bits)
-        _emit(_json_text(enc.to_json()), None)
-        return 0
+        return _Result(tau_infinity_enclosure(args.bits).to_json())
     if not 1 <= args.j <= 20:
         raise ValueError("level must be in 1..20")
     lvl = tau_level(args.j)
     # p/q is in lowest terms; Fraction(p, q) would only repeat a gcd of
     # 2^(j-1)-bit integers, and str() refuses q past level 14
     p, q = _decimal_str(lvl.p), _decimal_str(lvl.q)
-    if args.format == "text":
-        _emit(f"j={lvl.j} tau={p}/{q} digits={lvl.period_digits}\n", None)
-        return 0
-    payload = {"j": lvl.j, "p": p, "q": q,
-               "tau": lvl.p / lvl.q if args.as_float else f"{p}/{q}",
-               "digits": lvl.period_digits}
-    _emit(_json_text(payload), None)
-    return 0
+    return _Result({"j": lvl.j, "p": p, "q": q,
+                    "tau": lvl.p / lvl.q if args.as_float else f"{p}/{q}",
+                    "digits": lvl.period_digits},
+                   text=f"j={lvl.j} tau={p}/{q} digits={lvl.period_digits}")
 
 
-def _cmd_cf(args) -> int:
+def _cmd_cf(args) -> _Result:
+    _check_bits(args.bits)
     if args.what == "tau-level":
         if not 1 <= args.j <= 12:
             raise ValueError("level must be in 1..12")
         q = list(cf_of_rational(tau_level(args.j).value).quotients)
-        if args.format == "text":
-            _emit(" ".join(map(str, q)) + "\n", None)
-        else:
-            _emit(_json_text({"j": args.j, "quotients": q, "count": len(q)}), None)
-        return 0
+        return _Result({"j": args.j, "quotients": q, "count": len(q)},
+                       text=" ".join(map(str, q)))
     if args.what == "tau-infinity":
-        _check_bits(args.bits)
         q = cf_of_enclosure(tau_infinity_enclosure(args.bits))
-        _emit(_json_text({"bits": args.bits, "quotients": q, "count": len(q)}), None)
-        return 0
+        return _Result({"bits": args.bits, "quotients": q, "count": len(q)})
     rows = cf_table(args.jmax)
-    if args.format == "csv":
-        _emit(_csv_text(("j", "n_j", "quotients"),
-                        [(j, n, " ".join(map(str, q))) for j, q, n in rows]), args.out)
-    else:
-        _emit(_json_text([{"j": j, "quotients": q, "count": n} for j, q, n in rows]),
-              args.out)
-    return 0
+    return _Result([{"j": j, "quotients": q, "count": n} for j, q, n in rows],
+                   (("j", "n_j", "quotients"),
+                    [(j, n, " ".join(map(str, q))) for j, q, n in rows]))
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args) -> _Result:
     # the series and orbit counts cost O(order^2) products of growing
     # integers: --counts at order 2000 takes about 2 s on a 2-core Xeon
     if not 1 <= args.order <= 2048:
@@ -193,8 +191,7 @@ def _cmd_zeta(args) -> int:
         payload["primeCounts"] = {str(n): c for n, c in oc.prime_counts.items()}
     if args.entropy:
         try:
-            res = entropy(stream, N=args.order, tol=Fraction(args.tol).limit_denominator(10 ** 18)
-                          if not isinstance(args.tol, Fraction) else args.tol)
+            res = entropy(stream, N=args.order, tol=args.tol)
             bracket = None
             if res.z_bracket is not None:
                 bracket = [_num(Fraction(b), args) for b in res.z_bracket]
@@ -202,23 +199,17 @@ def _cmd_zeta(args) -> int:
                                   "bracket": bracket}
         except EntropyInconclusive as e:
             payload["entropy"] = {"error": str(e)}
-    _emit(_json_text(payload), None)
-    return 0
+    return _Result(payload)
 
 
-def _cmd_lang(args) -> int:
+def _cmd_lang(args) -> _Result:
     stream = _tau_stream(args.tau)
     if args.what == "complexity":
         counts = complexity(LanguageQuery(stream, args.nmax, args.mode))
-        if args.format == "csv":
-            _emit(_csv_text(("n", "p_n"), list(enumerate(counts, start=1))), args.out)
-        else:
-            _emit(_json_text({"tau": args.tau, "mode": args.mode,
-                              "counts": counts}), args.out)
-        return 0
-    words = forbidden_words(xi(stream), args.nmax)
-    _emit(_json_text({"tau": args.tau, "nmax": args.nmax, "forbidden": words}), None)
-    return 0
+        return _Result({"tau": args.tau, "mode": args.mode, "counts": counts},
+                       (("n", "p_n"), list(enumerate(counts, start=1))))
+    return _Result({"tau": args.tau, "nmax": args.nmax,
+                    "forbidden": forbidden_words(xi(stream), args.nmax)})
 
 
 _FREQ_STREAMS = {
@@ -228,7 +219,7 @@ _FREQ_STREAMS = {
 }
 
 
-def _cmd_freq(args) -> int:
+def _cmd_freq(args) -> _Result:
     stream = _FREQ_STREAMS[args.stream]()
     freqs = empirical_frequencies(stream, args.block, args.prefix, aligned=args.aligned)
     predicted = None
@@ -241,8 +232,7 @@ def _cmd_freq(args) -> int:
                "frequencies": {k: _num(v, args) for k, v in freqs.items()}}
     if predicted is not None:
         payload["predicted"] = {k: _num(v, args) for k, v in predicted.items()}
-    _emit(_json_text(payload), None)
-    return 0
+    return _Result(payload)
 
 
 def _dyn_map(args):
@@ -251,35 +241,34 @@ def _dyn_map(args):
     return tent_map(args.slope, eta=args.eta)
 
 
-def _cmd_dyn(args) -> int:
+def _scan(args) -> _Result:
+    """`dyn scan` and `export bifurcation-scan`."""
+    if args.steps < 2:
+        raise ValueError("need at least two grid points")
+    grid = [args.lo + (args.hi - args.lo) * i / (args.steps - 1)
+            for i in range(args.steps)]
+    rep = monotonicity_scan(grid, args.n)
+    rows = [(row.r, row.tau, row.reliable_prefix) for row in rep.rows]
+    return _Result({"decreases": rep.decreases,
+                    "rows": [{"r": r, "tau": t, "reliablePrefix": k} for r, t, k in rows]},
+                   (("r", "tau", "reliable_prefix"), rows))
+
+
+def _cmd_dyn(args) -> _Result:
     if args.what == "kneading":
         word, flags = float_kneading(_dyn_map(args), args.n)
-        payload = {"family": args.family,
-                   "parameter": args.r if args.family == "logistic" else args.slope,
-                   "n": args.n, "word": word,
-                   "reliable": "".join("R" if f else "u" for f in flags)}
-        _emit(_json_text(payload), None)
-        return 0
+        return _Result({"family": args.family,
+                        "parameter": args.r if args.family == "logistic" else args.slope,
+                        "n": args.n, "word": word,
+                        "reliable": "".join("R" if f else "u" for f in flags)})
     if args.what == "scan":
-        if args.steps < 2:
-            raise ValueError("need at least two grid points")
-        grid = [args.lo + (args.hi - args.lo) * i / (args.steps - 1)
-                for i in range(args.steps)]
-        rep = monotonicity_scan(grid, args.n)
-        rows = [(row.r, row.tau, row.reliable_prefix) for row in rep.rows]
-        if args.format == "json":
-            _emit(_json_text({"decreases": rep.decreases,
-                              "rows": [{"r": r, "tau": t, "reliablePrefix": k}
-                                       for r, t, k in rows]}), args.out)
-        else:
-            _emit(_csv_text(("r", "tau", "reliable_prefix"), rows), args.out)
-        return 0
+        return _scan(args)
     rep = lemma1_validate(_dyn_map(args), args.pairs, args.n, seed=args.seed)
-    _emit(_json_text({"pairsTested": rep.pairs_tested,
-                      "pairsDecided": rep.pairs_decided,
-                      "pairsExcluded": rep.pairs_excluded,
-                      "violations": rep.violations}), None)
-    return 0 if rep.violations == 0 else 1
+    return _Result({"pairsTested": rep.pairs_tested,
+                    "pairsDecided": rep.pairs_decided,
+                    "pairsExcluded": rep.pairs_excluded,
+                    "violations": rep.violations},
+                   code=0 if rep.violations == 0 else 1)
 
 
 # ------------------------------------------------------- reproduction targets
@@ -425,24 +414,12 @@ _TARGETS = {
 def _cmd_reproduce(args) -> int:
     if args.out:
         _require_dir(args.out)
-    names = sorted(_TARGETS) if args.target == "all" else [args.target]
-    results = {}
-
-    def run(name):
-        try:
-            results[name] = _TARGETS[name]()
-        except Exception as e:
-            results[name] = (False, f"error: {e}", [])
-
-    threads = [threading.Thread(target=run, args=(n,)) for n in names]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
     all_ok = True
-    for name in names:
-        ok, detail, rows = results[name]
+    for name in sorted(_TARGETS) if args.target == "all" else [args.target]:
+        try:
+            ok, detail, rows = _TARGETS[name]()
+        except Exception as e:
+            ok, detail, rows = False, f"error: {e}", []
         all_ok = all_ok and ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if args.out:
@@ -454,7 +431,7 @@ def _cmd_reproduce(args) -> int:
 
 # ------------------------------------------------------------ export kinds
 
-def _export_zeta_roots(args) -> int:
+def _export_zeta_roots(args) -> _Result:
     # denominator (1 - z) * prod_{n<=j} (1 - z^(2^n)); every root is a root
     # of unity, listed factor by factor with multiplicity
     j = args.j
@@ -481,35 +458,13 @@ def _export_zeta_roots(args) -> int:
                 val = val * z + c
             rows.append((n, k, z.real, z.imag,
                          abs(abs(z) - 1.0), abs(val)))
-    if args.format == "json":
-        text = _json_text([{"factor": n, "k": k, "re": re, "im": im,
-                            "modulusError": me, "residual": rv}
-                           for n, k, re, im, me, rv in rows])
-    else:
-        text = _csv_text(("factor", "k", "re", "im", "modulus_error", "residual"),
-                         rows)
-    _emit(text, args.out)
-    return 0
+    return _Result([{"factor": n, "k": k, "re": re, "im": im,
+                     "modulusError": me, "residual": rv}
+                    for n, k, re, im, me, rv in rows],
+                   (("factor", "k", "re", "im", "modulus_error", "residual"), rows))
 
 
-def _export_bifurcation_scan(args) -> int:
-    if args.steps < 2:
-        raise ValueError("need at least two grid points")
-    grid = [args.lo + (args.hi - args.lo) * i / (args.steps - 1)
-            for i in range(args.steps)]
-    rep = monotonicity_scan(grid, args.n)
-    rows = [(row.r, row.tau, row.reliable_prefix) for row in rep.rows]
-    if args.format == "json":
-        text = _json_text({"decreases": rep.decreases,
-                           "rows": [{"r": r, "tau": t, "reliablePrefix": k}
-                                    for r, t, k in rows]})
-    else:
-        text = _csv_text(("r", "tau", "reliable_prefix"), rows)
-    _emit(text, args.out)
-    return 0
-
-
-def _export_frequency_convergence(args) -> int:
+def _export_frequency_convergence(args) -> _Result:
     if args.kmin < 1 or args.kmin > args.kmax:
         raise ValueError("need 1 <= kmin <= kmax")
     stream = feigenbaum_limit()
@@ -520,17 +475,13 @@ def _export_frequency_convergence(args) -> int:
         obs = empirical_frequencies(stream, 1, n)
         dev = max(abs(obs.get(b, Fraction(0)) - predicted[b]) for b in "01")
         rows.append((k, n, str(dev)))
-    if args.format == "json":
-        text = _json_text([{"k": k, "n": n, "deviation": d} for k, n, d in rows])
-    else:
-        text = _csv_text(("k", "n", "deviation"), rows)
-    _emit(text, args.out)
-    return 0
+    return _Result([{"k": k, "n": n, "deviation": d} for k, n, d in rows],
+                   (("k", "n", "deviation"), rows))
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> _Result:
     return {"zeta-roots": _export_zeta_roots,
-            "bifurcation-scan": _export_bifurcation_scan,
+            "bifurcation-scan": _scan,
             "frequency-convergence": _export_frequency_convergence}[args.kind](args)
 
 
@@ -572,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=30)
     p.add_argument("--counts", action="store_true")
     p.add_argument("--entropy", action="store_true")
-    p.add_argument("--tol", type=Fraction, default=Fraction(1, 10 ** 10))
+    p.add_argument("--tol", type=_fraction, default=Fraction(1, 10 ** 10))
     p.set_defaults(handler=_cmd_zeta)
 
     p = sub.add_parser("lang", help="admissible-word language")
@@ -612,7 +563,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("target", choices=sorted(_TARGETS) + ["all"])
     p.add_argument("--out", help="directory for per-target JSON reports")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_reproduce)
 
     p = sub.add_parser("export", help="plot-ready data files")
@@ -626,7 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=24)
     p.add_argument("--kmin", type=int, default=10)
     p.add_argument("--kmax", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_export)
 
@@ -641,12 +590,10 @@ def main(argv=None) -> int:
         code = e.code if isinstance(e.code, int) else 0
         return 2 if code else 0
     try:
-        RunConfig(args.command,
-                  precision_bits=getattr(args, "bits", 128),
-                  order=getattr(args, "order", 30),
-                  output_format=args.format,
-                  seed=getattr(args, "seed", 0))
-        return args.handler(args)
+        res = args.handler(args)
+        # reproduce prints its own PASS/FAIL lines; every other handler
+        # returns a _Result for the one emitter
+        return res if isinstance(res, int) else _emit(args, res)
     except (ValueError, OrbitEscapeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -189,21 +189,6 @@ def feigenbaum_zeta(j: int, N: int) -> IntSeries:
     return IntSeries(tuple(c)).reciprocal()
 
 
-def _mobius(n: int) -> int:
-    res = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            res = -res
-        d += 1
-    if n > 1:
-        res = -res
-    return res
-
-
 def orbit_counts(zeta: IntSeries) -> OrbitCounts:
     """Recover #Per_n = n [z^n] log zeta and prime-orbit counts N(p).
 
@@ -228,19 +213,27 @@ def orbit_counts(zeta: IntSeries) -> OrbitCounts:
         if v < 0:
             raise ArithmeticError(f"#Per_{n} = {v} is not a nonnegative integer")
         per.append(v)
-    per = dict(enumerate(per, start=1))
+    # Moebius inversion p N(p) = sum_{d | p} mu(d) #Per_{p/d}, over one table
+    # of mu (mu(m) = -sum of mu(d) over proper divisors d of m) and a loop
+    # over multiples: O(N log N) steps
+    N = zeta.order
+    per = [0] + per
+    mu = [0, 1] + [0] * (N - 1)
+    acc = [0] * (N + 1)
+    for d in range(1, N + 1):
+        for m in range(2 * d, N + 1, d):
+            mu[m] -= mu[d]
+        if mu[d]:
+            for k in range(1, N // d + 1):
+                acc[d * k] += mu[d] * per[k]
     prime = {}
-    for p in range(1, zeta.order + 1):
-        acc = 0
-        for d in range(1, p + 1):
-            if p % d == 0:
-                acc += _mobius(d) * per[p // d]
-        if acc % p:
+    for p in range(1, N + 1):
+        if acc[p] % p:
             raise ArithmeticError(f"orbit count N({p}) is not an integer")
-        prime[p] = acc // p
+        prime[p] = acc[p] // p
         if prime[p] < 0:
             raise ArithmeticError(f"orbit count N({p}) = {prime[p]} is negative")
-    return OrbitCounts(per, prime)
+    return OrbitCounts(dict(enumerate(per[1:], start=1)), prime)
 
 
 # ---------------------------------------------------------------------------

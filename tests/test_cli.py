@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,8 @@ def test_cf_table_csv(capsys):
     assert lines[0] == "j,n_j,quotients"
     assert len(lines) == 4
     assert lines[3] == "3,4,1 4 1 2"
+    # --format text has no text line here, so it prints the CSV table too
+    assert run(capsys, "cf", "table", "--jmax", "3", "--format", "text") == (0, out)
 
 
 def test_cf_tau_infinity_prefix(capsys):
@@ -115,6 +118,8 @@ def test_lang_complexity(capsys):
     assert rc == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [int(p) for _, p in rows] == [2, 3, 5, 8, 13, 21, 34, 55]
+    assert run(capsys, "lang", "complexity", "--tau", "6/7",
+               "--nmax", "8", "--format", "text") == (0, out)
 
     d = run_json(capsys, "lang", "complexity", "--tau", "1", "--nmax", "6")
     assert d["counts"] == [2, 4, 8, 16, 32, 64]
@@ -172,6 +177,20 @@ def test_dyn_lemma1(capsys):
                  "--pairs", "200", "--n", "30", "--seed", "5")
     assert d["violations"] == 0
     assert d["pairsTested"] == 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["lang", "forbidden", "--tau", "6/7", "--nmax", "10"],
+    ["cf", "tau-level", "--j", "5", "--format", "text"],
+    ["cf", "tau-infinity", "--bits", "256"],
+    ["dyn", "kneading", "--r", "3.9", "--n", "16"],
+    ["dyn", "lemma1", "--family", "tent", "--pairs", "200", "--n", "30", "--seed", "5"],
+])
+def test_out_writes_what_stdout_would_show(capsys, tmp_path, argv):
+    rc, want = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (rc, "")
+    assert target.read_text() == want
 
 
 def test_reproduce_all(capsys, tmp_path):
@@ -269,22 +288,80 @@ def test_usage_exit_codes(capsys):
     (["cf", "tau-infinity", "--bits", "65537"], 2, "error: bits must be in 1..65536\n"),
     (["export", "zeta-roots", "--j", "12"], 2, "error: j must be in 0..11\n"),
     (["export", "zeta-roots", "--j", "-1"], 2, "error: j must be in 0..11\n"),
+    (["tau", "--j", "3", "--bits", "0"], 2, "error: bits must be in 1..65536\n"),
+    (["tau", "--j", "3", "--format", "yaml"], 2,
+     "kneading tau: error: argument --format: invalid choice: 'yaml'"),
+    (["zeta", "--tau", "6/7", "--order", "0"], 2, "error: order must be in 1..2048\n"),
+    (["reproduce", "all", "--seed", "1"], 2,
+     "kneading: error: unrecognized arguments: --seed 1\n"),
+    (["zeta", "--tau", "1/0"], 2, "error: zero denominator: 1/0\n"),
+    (["zeta", "--tau", "6/7", "--entropy", "--tol", "1/0"], 2,
+     "kneading zeta: error: argument --tol: invalid Fraction value: '1/0'\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
     assert cli.main(argv) == code
     captured = capsys.readouterr()
-    assert captured.err == err
+    if captured.err.startswith("usage: "):
+        # argparse: usage lines, then the reason; how it lists the choices
+        # of --format depends on the Python version, so that row gives a prefix
+        assert captured.err.splitlines(keepends=True)[-1].startswith(err)
+    else:
+        assert captured.err == err
     if code == 0:
         ent = json.loads(captured.out)["entropy"]
         assert ent == {"lo": 0.0, "hi": 0.0, "method": "unit-root-factors",
                        "bracket": None}
 
 
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        cli.RunConfig("tau", precision_bits=0)
-    with pytest.raises(ValueError):
-        cli.RunConfig("tau", output_format="yaml")
-    cfg = cli.RunConfig("zeta", order=30)
-    assert cfg.output_format == "json"
+# Every subcommand at its documented boundaries: each cap and one past it,
+# the smallest accepted value and one below, and malformed --tau.  Bad input
+# exits 2, never 3 (a bug here) or with an escaping exception.  The slowest
+# case, export zeta-roots at j = 11, takes under 2 s on a 2-core Xeon.
+_EDGE_SECONDS = 10.0
+_EDGE_CASES = [line.split() for line in """\
+tau --j 0|tau --j 1|tau --j 20|tau --j 21|tau --j 3 --bits 0
+tau --infinity --bits 0|tau --infinity --bits 1|tau --infinity --bits 65536
+tau --infinity --bits 65537|cf tau-level --j 0|cf tau-level --j 1
+cf tau-level --j 12|cf tau-level --j 13|cf tau-infinity --bits 0
+cf tau-infinity --bits 1|cf tau-infinity --bits 65536|cf tau-infinity --bits 65537
+cf table --jmax 0|cf table --jmax 1|cf table --jmax 12|cf table --jmax 13
+zeta --tau 6/7 --order 0|zeta --tau 6/7 --order 1 --counts --entropy
+zeta --tau 6/7 --order 2048 --counts|zeta --tau 6/7 --order 2049
+zeta --tau feigenbaum:0|zeta --tau feigenbaum:|zeta --tau feigenbaum:x
+zeta --tau feigenbaum:inf --order 64 --counts --entropy|zeta --tau 1/0
+zeta --tau abc|zeta --tau 2|zeta --tau 0 --counts --entropy
+zeta --tau 6/7 --entropy --tol 0|zeta --tau 6/7 --entropy --tol 1/0
+lang complexity --tau 1 --nmax 0|lang complexity --tau 1 --nmax 1
+lang complexity --tau 1 --nmax 24|lang complexity --tau 1 --nmax 25
+lang forbidden --tau 6/7 --nmax 0|lang forbidden --tau 6/7 --nmax 1
+lang forbidden --tau 1 --nmax 24|lang complexity --tau feigenbaum:0
+lang complexity --tau 1/2|lang forbidden --tau 3/0|lang forbidden --tau abc
+freq --prefix 0|freq --prefix 1|freq --block 0|freq --block 2 --prefix 1
+freq --stream tau-inf --block 2 --aligned --prefix 2
+dyn kneading --n 0|dyn kneading --n 1|dyn kneading --r 4|dyn kneading --r 4.1
+dyn kneading --eta 0|dyn kneading --family tent --slope 0
+dyn scan --steps 1|dyn scan --steps 2|dyn scan --steps 2 --from 2.8
+dyn lemma1 --pairs 0|dyn lemma1 --pairs 1|dyn lemma1 --n 0
+reproduce all|reproduce nj-sequence
+export zeta-roots --j -1|export zeta-roots --j 0|export zeta-roots --j 11
+export zeta-roots --j 12|export bifurcation-scan --steps 1
+export bifurcation-scan --steps 2|export frequency-convergence --kmin 5 --kmax 4
+export frequency-convergence --kmin 0|export frequency-convergence --kmin 1 --kmax 1
+""".replace("\n", "|").split("|") if line] + [
+    ["zeta", "--tau", ""], ["lang", "forbidden", "--tau", ""]]
+
+
+@pytest.mark.parametrize("argv", _EDGE_CASES, ids=" ".join)
+def test_edge_inputs_exit_cleanly(capsys, argv):
+    t0 = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    if code == 2:
+        lines = err.splitlines()
+        # a one-line reason, or argparse's usage lines and its reason
+        assert lines[-1].startswith("error: ") if len(lines) == 1 else (
+            err.startswith("usage: ") and ": error: " in lines[-1]), err
+    assert elapsed < _EDGE_SECONDS
