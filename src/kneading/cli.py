@@ -124,7 +124,12 @@ def _tau_stream(spec: str):
     if spec == "feigenbaum:inf":
         return feigenbaum_limit()
     if spec.startswith("feigenbaum:"):
-        return feigenbaum_stream(int(spec.split(":", 1)[1]))
+        # zeta --entropy on level j strips a degree-2^j determinant: about
+        # 1.6 s at the cap on a 2-core Xeon, 2.5x that per level past it
+        j = int(spec.split(":", 1)[1])
+        if not 1 <= j <= 14:
+            raise ValueError("level must be in 1..14")
+        return feigenbaum_stream(j)
     return kneading_from_tau(_fraction(spec))
 
 

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .encoding import _parity_word
+from .symbolic import parity_word
 
 _BOUNDARY_TOL = 1e-12
 
@@ -216,6 +216,8 @@ def lemma1_validate(m: UnimodalMap, pairs: int, n: int, seed: int = 0) -> Lemma1
     Pairs whose digit words agree to length n, or whose symbols are
     unreliable anywhere up to the first discrepancy, are excluded.
     """
+    if pairs < 0:
+        raise ValueError("pairs must be >= 0")
     rng = random.Random(seed)
     tested = decided = excluded = violations = 0
     while tested < pairs:
@@ -227,7 +229,7 @@ def lemma1_validate(m: UnimodalMap, pairs: int, n: int, seed: int = 0) -> Lemma1
         tested += 1
         wx, fx = itinerary(m, x, n)
         wy, fy = itinerary(m, y, n)
-        tx, ty = _parity_word(wx), _parity_word(wy)
+        tx, ty = parity_word(wx), parity_word(wy)
         d = next((i for i in range(n) if tx[i] != ty[i]), None)
         if d is None or not (all(fx[: d + 1]) and all(fy[: d + 1])):
             excluded += 1
@@ -266,7 +268,7 @@ def monotonicity_scan(r_grid, n: int) -> ScanReport:
         if k == 0:
             rows.append(ScanRow(r, None, 0))
             continue
-        digits = _parity_word(word[:k])
+        digits = parity_word(word[:k])
         tau = sum(int(c) / 2.0 ** (i + 1) for i, c in enumerate(digits))
         rows.append(ScanRow(r, tau, k))
     vals = [row.tau for row in rows if row.tau is not None]

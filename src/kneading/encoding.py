@@ -14,7 +14,10 @@ from kneading.symbolic import (
     PeriodicStream,
     SymbolStream,
     _MemoizedStream,
+    complement,
+    parity_word,
     shift,
+    unparity_word,
 )
 
 
@@ -24,53 +27,17 @@ class Order(enum.Enum):
     GT = 1
 
 
-def _parity_word(bits: str) -> str:
-    """Running parities t_k = s_1 ^ ... ^ s_k of a 0/1 word.
+class _EncodedStream(_MemoizedStream):
+    """A base stream read through parity_word or unparity_word, prefix by
+    prefix (both map a word's prefixes to the image's prefixes)."""
 
-    The word is read as one integer with s_1 as its top bit; prefix-xor
-    doubling (x ^= x >> 1, 2, 4, ...) leaves t_k in the place of s_k after
-    log2(n) big-integer steps, with no per-symbol Python work.
-    """
-    n = len(bits)
-    if not n:
-        return ""
-    x = int(bits, 2)
-    s = 1
-    while s < n:
-        x ^= x >> s
-        s <<= 1
-    return format(x, "b").zfill(n)
-
-
-def _unparity_word(bits: str) -> str:
-    """Inverse of _parity_word: s_k = t_k ^ t_(k-1), with t_0 = 0."""
-    n = len(bits)
-    if not n:
-        return ""
-    x = int(bits, 2)
-    return format(x ^ (x >> 1), "b").zfill(n)
-
-
-class _ParityStream(_MemoizedStream):
-    """Running-parity digits t_k of a base stream."""
-
-    def __init__(self, base: SymbolStream):
+    def __init__(self, base: SymbolStream, encode):
         super().__init__()
         self.base = base
+        self.encode = encode
 
     def _compute_prefix(self, n: int) -> str:
-        return _parity_word(self.base.prefix(n))
-
-
-class _UnparityStream(_MemoizedStream):
-    """Inverse of the parity encoding: s_k = t_k xor t_{k-1}."""
-
-    def __init__(self, base: SymbolStream):
-        super().__init__()
-        self.base = base
-
-    def _compute_prefix(self, n: int) -> str:
-        return _unparity_word(self.base.prefix(n))
+        return self.encode(self.base.prefix(n))
 
 
 def xi(s: SymbolStream) -> SymbolStream:
@@ -82,9 +49,9 @@ def xi(s: SymbolStream) -> SymbolStream:
     if isinstance(s, PeriodicStream):
         m, n = len(s.preperiod), len(s.period)
         span = n if s.period.count("1") % 2 == 0 else 2 * n
-        t = _parity_word(s.prefix(m + span))
+        t = parity_word(s.prefix(m + span))
         return PeriodicStream(t[:m], t[m:])
-    return _ParityStream(s)
+    return _EncodedStream(s, parity_word)
 
 
 def xi_inverse(t: SymbolStream) -> SymbolStream:
@@ -93,9 +60,9 @@ def xi_inverse(t: SymbolStream) -> SymbolStream:
         # s_{m+1} mixes the last preperiod digit with the cycle, so the
         # output preperiod can be one longer than the input's.
         m, n = len(t.preperiod), len(t.period)
-        w = _unparity_word(t.prefix(m + 1 + n))
+        w = unparity_word(t.prefix(m + 1 + n))
         return PeriodicStream(w[:m + 1], w[m + 1:])
-    return _UnparityStream(t)
+    return _EncodedStream(t, unparity_word)
 
 
 def epsilon(s: SymbolStream, k: int) -> int:
@@ -184,75 +151,64 @@ def word_order(u: str, v: str) -> Order:
     return Order.EQ_PREFIX
 
 
-def _distinct_shift_count(s: PeriodicStream) -> int:
-    return len(s.preperiod) + len(s.period)
+# shifts tried, and digits compared per shift, for generated streams
+_HORIZON = 4096
 
 
-def is_maximal(K: SymbolStream, horizon: int = 4096) -> bool | None:
-    """Whether every shift of K has tau <= tau(K).
+def _shifts_within(s: SymbolStream, first: int, upper: SymbolStream,
+                   lower: SymbolStream | None = None) -> bool | None:
+    """Whether every shift m >= first of s has digits <= upper (and >= lower).
 
-    Exact (True/False) for eventually periodic streams; for generated
-    streams the comparison runs to ``horizon`` digits per shift and may
-    return None (undetermined).
+    Shift m's digits are t[m:], t = xi(s), complemented when t_m = 1: one
+    slice of t or of its complement, compared with the references as a
+    string.  For eventually periodic input, past P (the largest preperiod
+    of t and the references) a window has period a = len(t.period) and a
+    reference b; by Fine and Wilf two such sequences that agree on
+    H = P + a + b digits are equal, so H digits decide exactly, over the
+    distinct shifts m <= preperiod + period of s.  Otherwise _HORIZON
+    shifts are compared to _HORIZON digits, and a tie over all of them
+    gives None (undetermined) unless some shift violates.
+
+    Digit order is value order here: no comparison meets the two
+    expansions w01^inf and w10^inf of one dyadic rational.  A shift m >= 1
+    of s is never the other expansion of s, as it would put the last digit
+    change of t at two positions.  A maximal K with a reference ending in a
+    constant ends in 0^inf, so is 0^inf or 10^inf (else its last 1 starts
+    a shift 10^inf, digits 1^inf > tau(K)), and the references 0^inf and
+    1^inf have one expansion each.
     """
-    if isinstance(K, PeriodicStream):
-        bound = stream_tau(K)
-        for m in range(1, _distinct_shift_count(K) + 1):
-            if stream_tau(shift(K, m)) > bound:
-                return False
-        return True
-    t = xi(K).prefix(2 * horizon)
-    tv = [int(c) for c in t]
-    undetermined = False
-    for m in range(1, horizon + 1):
-        pm = tv[m - 1]
-        for j in range(1, horizon + 1):
-            d = tv[m + j - 1] ^ pm
-            ref = tv[j - 1]
-            if d != ref:
-                if d > ref:
-                    return False
-                break
-        else:
-            undetermined = True
-    return None if undetermined else True
+    t_stream = xi(s)
+    refs = (upper,) if lower is None else (upper, lower)
+    if isinstance(s, PeriodicStream) and all(isinstance(r, PeriodicStream) for r in refs):
+        exact, last = True, len(s.preperiod) + len(s.period)
+        H = (max(len(x.preperiod) for x in (t_stream, *refs))
+             + len(t_stream.period) + max(len(r.period) for r in refs))
+    else:
+        exact, last, H = False, _HORIZON, _HORIZON
+    t = t_stream.prefix(last + H)
+    tc = complement(t)
+    # "" is below every window: no lower bound
+    hi, lo = upper.prefix(H), "" if lower is None else lower.prefix(H)
+    tied = False
+    for m in range(first, last + 1):
+        w = (tc if m and t[m - 1] == "1" else t)[m:m + H]
+        if w > hi or w < lo:
+            return False
+        tied = tied or w in (hi, lo)
+    return None if tied and not exact else True
 
 
-def admissible(s: SymbolStream, K: SymbolStream, horizon: int = 4096) -> bool | None:
+def is_maximal(K: SymbolStream) -> bool | None:
+    """Whether every shift of K has tau <= tau(K): exact for eventually
+    periodic K, possibly None (undetermined) for generated streams."""
+    return _shifts_within(K, 1, xi(K))
+
+
+def admissible(s: SymbolStream, K: SymbolStream) -> bool | None:
     """Two-sided admissibility of s relative to a maximal kneading stream K:
     tau(shift(K)) <= tau(shift(s, m)) <= tau(K) for every m >= 0.
 
-    Exact when both streams are eventually periodic, three-valued at the
-    horizon otherwise.
+    Exact when both streams are eventually periodic, possibly None
+    otherwise.  K must be maximal, for digit order to be value order.
     """
-    if isinstance(s, PeriodicStream) and isinstance(K, PeriodicStream):
-        hi = stream_tau(K)
-        lo = stream_tau(shift(K, 1))
-        for m in range(_distinct_shift_count(s) + 1):
-            v = stream_tau(shift(s, m))
-            if not lo <= v <= hi:
-                return False
-        return True
-    uv = [int(c) for c in xi(K).prefix(horizon)]
-    lv = [int(c) for c in xi(shift(K, 1)).prefix(horizon)]
-    tv = [int(c) for c in xi(s).prefix(2 * horizon)]
-    undetermined = False
-    for m in range(horizon + 1):
-        pm = tv[m - 1] if m else 0
-        for j in range(1, horizon + 1):
-            d = tv[m + j - 1] ^ pm
-            if d != uv[j - 1]:
-                if d > uv[j - 1]:
-                    return False
-                break
-        else:
-            undetermined = True
-        for j in range(1, horizon + 1):
-            d = tv[m + j - 1] ^ pm
-            if d != lv[j - 1]:
-                if d < lv[j - 1]:
-                    return False
-                break
-        else:
-            undetermined = True
-    return None if undetermined else True
+    return _shifts_within(s, 0, xi(K), xi(shift(K, 1)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from kneading.encoding import _parity_word, xi, tau_of_periodic
+from kneading.encoding import xi, tau_of_periodic
 from kneading.symbolic import (
     THUE_MORSE_RULE,
     FixedPointStream,
@@ -20,6 +20,7 @@ from kneading.symbolic import (
     complement,
     feigenbaum_limit,
     feigenbaum_stream,
+    parity_word,
 )
 
 # Pair coding of digit streams: two digits at a time, a=00 b=01 c=10 d=11.
@@ -281,7 +282,7 @@ def thue_morse_check(n: int) -> bool:
     the fixed point of 0 -> 01, 1 -> 10; verify the first n symbols."""
     u = feigenbaum_limit().prefix(max(n - 1, 0))
     tm = FixedPointStream(THUE_MORSE_RULE, "0").prefix(n)
-    return _parity_word("0" + u)[:n] == tm
+    return parity_word("0" + u)[:n] == tm
 
 
 def tau_from_kneading(j: int) -> Fraction:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .encoding import is_maximal, xi
-from .symbolic import SymbolStream, shift
+from .symbolic import SymbolStream, complement, shift, unparity_word
 
 MODES = ("core", "full-interval")
 
@@ -193,10 +193,6 @@ def forbidden_words(tdigits: SymbolStream, nmax: int) -> list[str]:
     """
     if nmax < 1:
         raise ValueError("nmax must be positive")
-    t = [int(c) for c in tdigits.prefix(nmax)]
-    s = [t[0]] + [t[k] ^ t[k - 1] for k in range(1, nmax)]
-    out = []
-    for j in range(1, nmax + 1):
-        if t[j - 1] == 0:
-            out.append("".join(str(b) for b in s[: j - 1]) + str(1 - s[j - 1]))
-    return out
+    t = tdigits.prefix(nmax)
+    s = unparity_word(t)
+    return [s[:j] + complement(s[j]) for j in range(nmax) if t[j] == "0"]

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .encoding import _parity_word, xi
-from .symbolic import PeriodicStream
+from .encoding import xi
+from .symbolic import PeriodicStream, parity_word
 
 __all__ = [
     "EntropyInconclusive",
@@ -117,7 +117,7 @@ _SIGN = {"0": 1, "1": -1}
 
 def _epsilon_prefix(stream, count: int) -> list:
     """eps_k = (-1)**(s_1 + ... + s_k) for k = 1..count."""
-    return list(map(_SIGN.__getitem__, _parity_word(stream.prefix(count))))
+    return list(map(_SIGN.__getitem__, parity_word(stream.prefix(count))))
 
 
 def kneading_determinant(K, N: int) -> IntSeries:

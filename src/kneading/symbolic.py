@@ -23,6 +23,33 @@ def complement(bits: str) -> str:
     return bits.translate(_FLIP)
 
 
+def parity_word(bits: str) -> str:
+    """Running parities t_k = s_1 ^ ... ^ s_k of a 0/1 word.
+
+    The word is read as one integer with s_1 as its top bit; prefix-xor
+    doubling (x ^= x >> 1, 2, 4, ...) leaves t_k in the place of s_k after
+    log2(n) big-integer steps, with no per-symbol Python work.
+    """
+    n = len(bits)
+    if not n:
+        return ""
+    x = int(bits, 2)
+    s = 1
+    while s < n:
+        x ^= x >> s
+        s <<= 1
+    return format(x, "b").zfill(n)
+
+
+def unparity_word(bits: str) -> str:
+    """Inverse of parity_word: s_k = t_k ^ t_(k-1), with t_0 = 0."""
+    n = len(bits)
+    if not n:
+        return ""
+    x = int(bits, 2)
+    return format(x ^ (x >> 1), "b").zfill(n)
+
+
 def minimal_period(word: str) -> str:
     """Shortest word whose repetition equals ``word``."""
     n = len(word)

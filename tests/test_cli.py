@@ -297,6 +297,8 @@ def test_usage_exit_codes(capsys):
     (["zeta", "--tau", "1/0"], 2, "error: zero denominator: 1/0\n"),
     (["zeta", "--tau", "6/7", "--entropy", "--tol", "1/0"], 2,
      "kneading zeta: error: argument --tol: invalid Fraction value: '1/0'\n"),
+    (["dyn", "lemma1", "--pairs", "-1"], 2, "error: pairs must be >= 0\n"),
+    (["zeta", "--tau", "feigenbaum:15"], 2, "error: level must be in 1..14\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
@@ -317,7 +319,8 @@ def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, cod
 # Every subcommand at its documented boundaries: each cap and one past it,
 # the smallest accepted value and one below, and malformed --tau.  Bad input
 # exits 2, never 3 (a bug here) or with an escaping exception.  The slowest
-# case, export zeta-roots at j = 11, takes under 2 s on a 2-core Xeon.
+# cases, export zeta-roots at j = 11 and zeta --entropy at feigenbaum:14,
+# take under 2 s on a 2-core Xeon.
 _EDGE_SECONDS = 10.0
 _EDGE_CASES = [line.split() for line in """\
 tau --j 0|tau --j 1|tau --j 20|tau --j 21|tau --j 3 --bits 0
@@ -348,6 +351,8 @@ export zeta-roots --j -1|export zeta-roots --j 0|export zeta-roots --j 11
 export zeta-roots --j 12|export bifurcation-scan --steps 1
 export bifurcation-scan --steps 2|export frequency-convergence --kmin 5 --kmax 4
 export frequency-convergence --kmin 0|export frequency-convergence --kmin 1 --kmax 1
+zeta --tau feigenbaum:14 --order 8 --counts --entropy|zeta --tau feigenbaum:15
+lang complexity --tau feigenbaum:15
 """.replace("\n", "|").split("|") if line] + [
     ["zeta", "--tau", ""], ["lang", "forbidden", "--tau", ""]]
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from kneading.encoding import (
     xi_inverse,
 )
 from kneading.symbolic import (
+    FunctionStream,
     PeriodicStream,
     feigenbaum_limit,
     feigenbaum_stream,
@@ -150,10 +152,23 @@ def test_in_lambda():
     assert in_lambda(Fraction(4, 5)) is True
 
 
+def all_streams(max_pre=3, max_per=5):
+    """Every eventually periodic stream with preperiod <= max_pre and
+    period <= max_per (416 of them at the defaults)."""
+    def words(lo, hi):
+        return ("".join(w) for n in range(lo, hi + 1)
+                for w in itertools.product("01", repeat=n))
+
+    return {PeriodicStream(a, b) for a in words(0, max_pre) for b in words(1, max_per)}
+
+
 def test_lambda_matches_maximality():
     rng = random.Random(41)
-    for _ in range(500):
-        s = rand_stream(rng, max_pre=0)
+    streams = all_streams()
+    assert len(streams) == 416
+    streams = list(streams) + [rand_stream(rng, max_pre=0) for _ in range(500)]
+    streams += [rand_stream(rng) for _ in range(500)]
+    for s in streams:
         q = stream_tau(s)
         assert in_lambda(q) == is_maximal(s)
 
@@ -184,7 +199,11 @@ def test_is_maximal_periodic():
 
 
 def test_is_maximal_generated():
-    assert is_maximal(feigenbaum_limit(), horizon=4096) is True
+    assert is_maximal(feigenbaum_limit()) is True
+    # a periodic stream seen only through its symbols: the shift by one
+    # period ties with K over every compared digit, so it stays undetermined
+    assert is_maximal(FunctionStream(feigenbaum_stream(3).at)) is None
+    assert is_maximal(FunctionStream(PeriodicStream("", "01").at)) is False
 
 
 def test_admissible_exact():
@@ -202,5 +221,24 @@ def test_admissible_exact():
 
 def test_admissible_word_level():
     limit = feigenbaum_limit()
-    assert admissible(limit, limit, horizon=256) in (True, None)
-    assert admissible(PeriodicStream("", "100"), limit, horizon=256) is False
+    assert admissible(limit, limit) in (True, None)
+    assert admissible(PeriodicStream("", "100"), limit) is False
+
+
+def test_admissible_matches_shift_values():
+    # oracle: the exact tau of each distinct shift against the two bounds
+    def oracle(s, K):
+        hi, lo = stream_tau(K), stream_tau(shift(K, 1))
+        shifts = range(len(s.preperiod) + len(s.period) + 1)
+        return all(lo <= stream_tau(shift(s, m)) <= hi for m in shifts)
+
+    rng = random.Random(17)
+    maximal = [K for K in all_streams() if in_lambda(stream_tau(K))]
+    maximal += [feigenbaum_stream(j) for j in range(1, 6)]
+    seen = set()
+    for _ in range(3000):
+        s, K = rand_stream(rng), rng.choice(maximal)
+        got = admissible(s, K)
+        assert got is oracle(s, K)
+        seen.add(got)
+    assert seen == {True, False}

@@ -175,6 +175,18 @@ def test_forbidden_words_first_cascade_level():
     assert [len(w) for w in fw] == [3, 4, 7, 8, 11, 12]
 
 
+@given(st.text(alphabet="01", max_size=5), st.text(alphabet="01", min_size=1, max_size=6),
+       st.integers(1, 30))
+@settings(max_examples=200, deadline=None)
+def test_forbidden_words_match_letter_loop(pre, per, nmax):
+    # reference: symbols s_k = t_k ^ t_(k-1) letter by letter, then for each
+    # zero digit t_j the word s_1 .. s_(j-1) with s_j flipped
+    t = [int(c) for c in PeriodicStream(pre, per).prefix(nmax)]
+    s = [t[0]] + [t[k] ^ t[k - 1] for k in range(1, nmax)]
+    want = ["".join(map(str, s[:j])) + str(1 - s[j]) for j in range(nmax) if t[j] == 0]
+    assert forbidden_words(PeriodicStream(pre, per), nmax) == want
+
+
 def test_forbidden_words_absent_from_language():
     cases = [
         (LanguageQuery(WINDOW, 12), Fraction(6, 7)),

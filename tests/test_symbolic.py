@@ -16,11 +16,13 @@ from kneading.symbolic import (
     feigenbaum_word,
     fixed_point_prefix,
     minimal_period,
+    parity_word,
     renormalize_seq,
     shift,
     stream_from_json,
     stream_to_json,
     substitute,
+    unparity_word,
 )
 
 # Frozen period words of the doubling cascade, levels 1..5.
@@ -200,3 +202,14 @@ def test_serialization_round_trip():
     g = feigenbaum_limit()
     g2 = stream_from_json(stream_to_json(g))
     assert g2.prefix(64) == g.prefix(64)
+
+
+@given(st.text(alphabet="01", max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_parity_word_matches_running_xor(bits):
+    t, acc = [], 0
+    for c in bits:
+        acc ^= int(c)
+        t.append(str(acc))
+    assert parity_word(bits) == "".join(t)
+    assert unparity_word(parity_word(bits)) == bits
