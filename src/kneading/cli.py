@@ -13,35 +13,9 @@ import tempfile
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cfrac import cf_of_enclosure, cf_of_rational, cf_table
-from .dynamics import (
-    OrbitEscapeError,
-    kneading as float_kneading,
-    lemma1_validate,
-    logistic_map,
-    monotonicity_scan,
-    tent_map,
-)
-from .encoding import is_maximal, kneading_from_tau, xi
-from .feigenbaum import _decimal_str, tau_infinity_enclosure, tau_level
-from .frequency import empirical_frequencies, letter_frequencies, pair_frequencies
-from .language import LanguageQuery, complexity, forbidden_words
-from .spectral import (
-    EntropyInconclusive,
-    entropy,
-    kneading_determinant,
-    orbit_counts,
-    series_of_rational,
-    xi_series,
-    zeta_series,
-)
-from .symbolic import (
-    FEIGENBAUM_RULE,
-    THUE_MORSE_RULE,
-    FixedPointStream,
-    feigenbaum_limit,
-    feigenbaum_stream,
-)
+# the layers load on first use (see the package docstring), so each command
+# runs only the ones it touches
+from . import cfrac, dynamics, encoding, feigenbaum, frequency, language, spectral, symbolic
 
 
 class _Result(NamedTuple):
@@ -122,15 +96,15 @@ _fraction.__name__ = "Fraction"  # argparse names the type in its messages
 def _tau_stream(spec: str):
     """Stream for a --tau argument: p/q, feigenbaum:j, or feigenbaum:inf."""
     if spec == "feigenbaum:inf":
-        return feigenbaum_limit()
+        return symbolic.feigenbaum_limit()
     if spec.startswith("feigenbaum:"):
         # zeta --entropy on level j strips a degree-2^j determinant: about
-        # 1.6 s at the cap on a 2-core Xeon, 2.5x that per level past it
+        # 0.3 s at the cap on a 2-core Xeon, 2.4x that per level past it
         j = int(spec.split(":", 1)[1])
         if not 1 <= j <= 14:
             raise ValueError("level must be in 1..14")
-        return feigenbaum_stream(j)
-    return kneading_from_tau(_fraction(spec))
+        return symbolic.feigenbaum_stream(j)
+    return encoding.kneading_from_tau(_fraction(spec))
 
 
 # ---------------------------------------------------------------- handlers
@@ -145,16 +119,23 @@ def _check_bits(bits: int):
         raise ValueError(f"bits must be in 1..{_MAX_BITS}")
 
 
+def _check_cap(name: str, value: int, cap: int):
+    """Upper bound of a costly option; its lower bound is checked where the
+    value is used."""
+    if value > cap:
+        raise ValueError(f"{name} must be at most {cap}")
+
+
 def _cmd_tau(args) -> _Result:
     _check_bits(args.bits)
     if args.infinity:
-        return _Result(tau_infinity_enclosure(args.bits).to_json())
+        return _Result(feigenbaum.tau_infinity_enclosure(args.bits).to_json())
     if not 1 <= args.j <= 20:
         raise ValueError("level must be in 1..20")
-    lvl = tau_level(args.j)
+    lvl = feigenbaum.tau_level(args.j)
     # p/q is in lowest terms; Fraction(p, q) would only repeat a gcd of
     # 2^(j-1)-bit integers, and str() refuses q past level 14
-    p, q = _decimal_str(lvl.p), _decimal_str(lvl.q)
+    p, q = feigenbaum._decimal_str(lvl.p), feigenbaum._decimal_str(lvl.q)
     return _Result({"j": lvl.j, "p": p, "q": q,
                     "tau": lvl.p / lvl.q if args.as_float else f"{p}/{q}",
                     "digits": lvl.period_digits},
@@ -166,13 +147,13 @@ def _cmd_cf(args) -> _Result:
     if args.what == "tau-level":
         if not 1 <= args.j <= 12:
             raise ValueError("level must be in 1..12")
-        q = list(cf_of_rational(tau_level(args.j).value).quotients)
+        q = list(cfrac.cf_of_rational(feigenbaum.tau_level(args.j).value).quotients)
         return _Result({"j": args.j, "quotients": q, "count": len(q)},
                        text=" ".join(map(str, q)))
     if args.what == "tau-infinity":
-        q = cf_of_enclosure(tau_infinity_enclosure(args.bits))
+        q = cfrac.cf_of_enclosure(feigenbaum.tau_infinity_enclosure(args.bits))
         return _Result({"bits": args.bits, "quotients": q, "count": len(q)})
-    rows = cf_table(args.jmax)
+    rows = cfrac.cf_table(args.jmax)
     return _Result([{"j": j, "quotients": q, "count": n} for j, q, n in rows],
                    (("j", "n_j", "quotients"),
                     [(j, n, " ".join(map(str, q))) for j, q, n in rows]))
@@ -184,25 +165,25 @@ def _cmd_zeta(args) -> _Result:
     if not 1 <= args.order <= 2048:
         raise ValueError("order must be in 1..2048")
     stream = _tau_stream(args.tau)
-    if (args.counts or args.entropy) and is_maximal(stream) is not True:
+    if (args.counts or args.entropy) and encoding.is_maximal(stream) is not True:
         raise ValueError("K is not a maximal stream")
-    det = kneading_determinant(stream, args.order)
-    zeta = zeta_series(stream, args.order)
+    det = spectral.kneading_determinant(stream, args.order)
+    zeta = spectral.zeta_series(stream, args.order)
     payload = {"tau": args.tau, "order": args.order,
                "determinant": list(det.coefficients), "zeta": list(zeta.coefficients)}
     if args.counts:
-        oc = orbit_counts(zeta)
+        oc = spectral.orbit_counts(zeta)
         payload["perCounts"] = {str(n): c for n, c in oc.per_counts.items()}
         payload["primeCounts"] = {str(n): c for n, c in oc.prime_counts.items()}
     if args.entropy:
         try:
-            res = entropy(stream, N=args.order, tol=args.tol)
+            res = spectral.entropy(stream, N=args.order, tol=args.tol)
             bracket = None
             if res.z_bracket is not None:
                 bracket = [_num(Fraction(b), args) for b in res.z_bracket]
             payload["entropy"] = {"lo": res.lo, "hi": res.hi, "method": res.method,
                                   "bracket": bracket}
-        except EntropyInconclusive as e:
+        except spectral.EntropyInconclusive as e:
             payload["entropy"] = {"error": str(e)}
     return _Result(payload)
 
@@ -210,28 +191,33 @@ def _cmd_zeta(args) -> _Result:
 def _cmd_lang(args) -> _Result:
     stream = _tau_stream(args.tau)
     if args.what == "complexity":
-        counts = complexity(LanguageQuery(stream, args.nmax, args.mode))
+        counts = language.complexity(language.LanguageQuery(stream, args.nmax, args.mode))
         return _Result({"tau": args.tau, "mode": args.mode, "counts": counts},
                        (("n", "p_n"), list(enumerate(counts, start=1))))
     return _Result({"tau": args.tau, "nmax": args.nmax,
-                    "forbidden": forbidden_words(xi(stream), args.nmax)})
+                    "forbidden": language.forbidden_words(encoding.xi(stream), args.nmax)})
 
 
 _FREQ_STREAMS = {
-    "feigenbaum": feigenbaum_limit,
-    "thue-morse": lambda: FixedPointStream(THUE_MORSE_RULE, "0"),
-    "tau-inf": lambda: xi(feigenbaum_limit()),
+    "feigenbaum": lambda: symbolic.feigenbaum_limit(),
+    "thue-morse": lambda: symbolic.FixedPointStream(symbolic.THUE_MORSE_RULE, "0"),
+    "tau-inf": lambda: encoding.xi(symbolic.feigenbaum_limit()),
 }
 
 
 def _cmd_freq(args) -> _Result:
+    # windows longer than 8 symbols are counted one at a time: about 1.3 s
+    # at both caps on a 2-core Xeon
+    _check_cap("block", args.block, 64)
+    _check_cap("prefix", args.prefix, 1 << 22)
     stream = _FREQ_STREAMS[args.stream]()
-    freqs = empirical_frequencies(stream, args.block, args.prefix, aligned=args.aligned)
+    freqs = frequency.empirical_frequencies(stream, args.block, args.prefix,
+                                            aligned=args.aligned)
     predicted = None
     if args.stream == "feigenbaum" and args.block == 1:
-        predicted = letter_frequencies(FEIGENBAUM_RULE)
+        predicted = frequency.letter_frequencies(symbolic.FEIGENBAUM_RULE)
     elif args.stream == "tau-inf" and args.block == 2 and args.aligned:
-        predicted = pair_frequencies()
+        predicted = frequency.pair_frequencies()
     payload = {"stream": args.stream, "block": args.block, "prefix": args.prefix,
                "aligned": args.aligned,
                "frequencies": {k: _num(v, args) for k, v in freqs.items()}}
@@ -242,17 +228,26 @@ def _cmd_freq(args) -> _Result:
 
 def _dyn_map(args):
     if args.family == "logistic":
-        return logistic_map(args.r, eta=args.eta)
-    return tent_map(args.slope, eta=args.eta)
+        return dynamics.logistic_map(args.r, eta=args.eta)
+    return dynamics.tent_map(args.slope, eta=args.eta)
+
+
+# float orbits carry no information past a few dozen symbols; the costs are
+# linear in --n times --steps or --pairs, at most about 2 s at the caps on a
+# 2-core Xeon
+_MAX_N = 256
+_MAX_POINTS = 4096
 
 
 def _scan(args) -> _Result:
     """`dyn scan` and `export bifurcation-scan`."""
     if args.steps < 2:
         raise ValueError("need at least two grid points")
+    _check_cap("steps", args.steps, _MAX_POINTS)
+    _check_cap("n", args.n, _MAX_N)
     grid = [args.lo + (args.hi - args.lo) * i / (args.steps - 1)
             for i in range(args.steps)]
-    rep = monotonicity_scan(grid, args.n)
+    rep = dynamics.monotonicity_scan(grid, args.n)
     rows = [(row.r, row.tau, row.reliable_prefix) for row in rep.rows]
     return _Result({"decreases": rep.decreases,
                     "rows": [{"r": r, "tau": t, "reliablePrefix": k} for r, t, k in rows]},
@@ -260,15 +255,17 @@ def _scan(args) -> _Result:
 
 
 def _cmd_dyn(args) -> _Result:
+    if args.what == "scan":
+        return _scan(args)
+    _check_cap("n", args.n, _MAX_N)
     if args.what == "kneading":
-        word, flags = float_kneading(_dyn_map(args), args.n)
+        word, flags = dynamics.kneading(_dyn_map(args), args.n)
         return _Result({"family": args.family,
                         "parameter": args.r if args.family == "logistic" else args.slope,
                         "n": args.n, "word": word,
                         "reliable": "".join("R" if f else "u" for f in flags)})
-    if args.what == "scan":
-        return _scan(args)
-    rep = lemma1_validate(_dyn_map(args), args.pairs, args.n, seed=args.seed)
+    _check_cap("pairs", args.pairs, _MAX_POINTS)
+    rep = dynamics.lemma1_validate(_dyn_map(args), args.pairs, args.n, seed=args.seed)
     return _Result({"pairsTested": rep.pairs_tested,
                     "pairsDecided": rep.pairs_decided,
                     "pairsExcluded": rep.pairs_excluded,
@@ -327,7 +324,7 @@ def _ints(text: str) -> list:
 def _target_tau_table():
     rows, ok = [], True
     for j, want in enumerate(_GOLDEN_TAU, start=1):
-        got = tau_level(j).value
+        got = feigenbaum.tau_level(j).value
         match = got == Fraction(want)
         ok = ok and match
         rows.append({"j": j, "want": want, "got": str(got), "match": match})
@@ -336,7 +333,7 @@ def _target_tau_table():
 
 def _target_cf_table():
     rows, ok = [], True
-    table = {j: q for j, q, _ in cf_table(8)}
+    table = {j: q for j, q, _ in cfrac.cf_table(8)}
     for j, want in _GOLDEN_CF.items():
         got = " ".join(map(str, table[j]))
         match = got == want
@@ -346,13 +343,13 @@ def _target_cf_table():
 
 
 def _target_nj_sequence():
-    got = tuple(n for _, _, n in cf_table(12))
+    got = tuple(n for _, _, n in cfrac.cf_table(12))
     ok = got == _GOLDEN_NJ
     return ok, f"counts {list(got)}", [{"want": list(_GOLDEN_NJ), "got": list(got)}]
 
 
 def _target_xi_series():
-    got = list(xi_series(16).coefficients)
+    got = list(spectral.xi_series(16).coefficients)
     ok = got == _ints(_GOLDEN_XI)
     return ok, "17 coefficients", [{"want": _ints(_GOLDEN_XI), "got": got}]
 
@@ -360,9 +357,11 @@ def _target_xi_series():
 def _target_frequencies():
     rows, ok = [], True
     checks = (
-        ("letters", letter_frequencies(FEIGENBAUM_RULE), _GOLDEN_LETTERS),
-        ("pairs", pair_frequencies(), _GOLDEN_PAIRS),
-        ("letters-64k", empirical_frequencies(feigenbaum_limit(), 1, 1 << 16),
+        ("letters", frequency.letter_frequencies(symbolic.FEIGENBAUM_RULE),
+         _GOLDEN_LETTERS),
+        ("pairs", frequency.pair_frequencies(), _GOLDEN_PAIRS),
+        ("letters-64k",
+         frequency.empirical_frequencies(symbolic.feigenbaum_limit(), 1, 1 << 16),
          _GOLDEN_LETTERS_64K),
     )
     for name, got, want in checks:
@@ -376,8 +375,8 @@ def _target_frequencies():
 def _target_zeta_examples():
     rows, ok = [], True
     for spec, num, den in _GOLDEN_ZETA:
-        got = zeta_series(kneading_from_tau(Fraction(spec)), 30)
-        want = series_of_rational(_ints(num), _ints(den), 30)
+        got = spectral.zeta_series(encoding.kneading_from_tau(Fraction(spec)), 30)
+        want = spectral.series_of_rational(_ints(num), _ints(den), 30)
         match = got.coefficients == want.coefficients
         ok = ok and match
         rows.append({"tau": spec, "numerator": num, "denominator": den,
@@ -391,13 +390,13 @@ def _target_entropy_examples():
             ("5/6", math.log(2.0) / 2.0),
             ("6/7", math.log((1.0 + math.sqrt(5.0)) / 2.0)))
     for spec, ref in refs:
-        res = entropy(kneading_from_tau(Fraction(spec)))
+        res = spectral.entropy(encoding.kneading_from_tau(Fraction(spec)))
         good = res.lo <= ref <= res.hi and res.hi - res.lo <= 1.1e-10
         ok = ok and good
         rows.append({"tau": spec, "lo": res.lo, "hi": res.hi,
                      "method": res.method, "match": good})
     for j in range(1, 7):
-        res = entropy(feigenbaum_stream(j))
+        res = spectral.entropy(symbolic.feigenbaum_stream(j))
         good = res.lo == 0.0 == res.hi
         ok = ok and good
         rows.append({"tau": f"feigenbaum:{j}", "lo": res.lo, "hi": res.hi,
@@ -472,12 +471,15 @@ def _export_zeta_roots(args) -> _Result:
 def _export_frequency_convergence(args) -> _Result:
     if args.kmin < 1 or args.kmin > args.kmax:
         raise ValueError("need 1 <= kmin <= kmax")
-    stream = feigenbaum_limit()
-    predicted = letter_frequencies(FEIGENBAUM_RULE)
+    # the prefixes add up to 2^(kmax+1) symbols: about 1.2 s and 180 MB at
+    # the cap on a 2-core Xeon
+    _check_cap("kmax", args.kmax, 25)
+    stream = symbolic.feigenbaum_limit()
+    predicted = frequency.letter_frequencies(symbolic.FEIGENBAUM_RULE)
     rows = []
     for k in range(args.kmin, args.kmax + 1):
         n = 1 << k
-        obs = empirical_frequencies(stream, 1, n)
+        obs = frequency.empirical_frequencies(stream, 1, n)
         dev = max(abs(obs.get(b, Fraction(0)) - predicted[b]) for b in "01")
         rows.append((k, n, str(dev)))
     return _Result([{"k": k, "n": n, "deviation": d} for k, n, d in rows],
@@ -599,7 +601,7 @@ def main(argv=None) -> int:
         # reproduce prints its own PASS/FAIL lines; every other handler
         # returns a _Result for the one emitter
         return res if isinstance(res, int) else _emit(args, res)
-    except (ValueError, OrbitEscapeError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

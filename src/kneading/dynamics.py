@@ -15,8 +15,9 @@ from .symbolic import parity_word
 _BOUNDARY_TOL = 1e-12
 
 
-class OrbitEscapeError(RuntimeError):
-    """The orbit left [0, 1]; the parameter is outside the family's range."""
+class OrbitEscapeError(RuntimeError, ValueError):
+    """The orbit left [0, 1]; the parameter is outside the family's range.
+    That is bad input, so it is a ValueError too."""
 
 
 class NotRenormalizableError(RuntimeError):

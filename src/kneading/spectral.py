@@ -281,25 +281,21 @@ def _try_divide(poly: list, e: int, sign: int = 1):
     return q
 
 
-def _strip_unit_factors(poly: list):
-    """Divide out every factor (1 +- z^(2^i)); their roots all lie on |z| = 1."""
-    stripped = []
-    changed = True
-    while changed:
-        changed = False
-        e = 1
-        while e <= len(poly) - 1:
-            for sign in (1, -1):
-                q = _try_divide(poly, e, sign)
-                if q is not None:
-                    poly = q
-                    stripped.append(sign * e)
-                    changed = True
-                    break
-            if changed:
-                break
-            e *= 2
-    return poly, stripped
+def _strip_unit_factors(poly: list) -> list:
+    """Divide out every factor (1 +- z^(2^i)); their roots all lie on |z| = 1.
+
+    One ascending pass over e = 1, 2, 4, ...: each (1 - z^e) and (1 + z^e)
+    is divided out as often as the division is exact.  A factor that does
+    not divide a polynomial divides none of its divisors, so no later
+    division lets a factor of an earlier level divide again.
+    """
+    e = 1
+    while e < len(poly):
+        for sign in (1, -1):
+            while (q := _try_divide(poly, e, sign)) is not None:
+                poly = q
+        e *= 2
+    return poly
 
 
 def _interval_eval(coeffs: list, a: Fraction, b: Fraction):
@@ -380,7 +376,7 @@ def entropy(K, N: int = 256, tol=Fraction(1, 10 ** 10)) -> EntropyResult:
     if isinstance(K, PeriodicStream):
         poly = _exact_determinant_poly(K)
         tail = None
-        poly, _ = _strip_unit_factors(poly)
+        poly = _strip_unit_factors(poly)
         if poly == [1]:
             return EntropyResult(0.0, 0.0, "unit-root-factors")
     else:

@@ -319,8 +319,8 @@ def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, cod
 # Every subcommand at its documented boundaries: each cap and one past it,
 # the smallest accepted value and one below, and malformed --tau.  Bad input
 # exits 2, never 3 (a bug here) or with an escaping exception.  The slowest
-# cases, export zeta-roots at j = 11 and zeta --entropy at feigenbaum:14,
-# take under 2 s on a 2-core Xeon.
+# cases, export zeta-roots at j = 11 and zeta --order 2048 --counts, take
+# under 2 s on a 2-core Xeon.
 _EDGE_SECONDS = 10.0
 _EDGE_CASES = [line.split() for line in """\
 tau --j 0|tau --j 1|tau --j 20|tau --j 21|tau --j 3 --bits 0
@@ -353,6 +353,11 @@ export bifurcation-scan --steps 2|export frequency-convergence --kmin 5 --kmax 4
 export frequency-convergence --kmin 0|export frequency-convergence --kmin 1 --kmax 1
 zeta --tau feigenbaum:14 --order 8 --counts --entropy|zeta --tau feigenbaum:15
 lang complexity --tau feigenbaum:15
+freq --prefix 4194304|freq --prefix 4194305|freq --block 64|freq --block 65
+export frequency-convergence --kmax 25|export frequency-convergence --kmax 26
+dyn kneading --n 256|dyn kneading --n 257|dyn scan --steps 4096|dyn scan --steps 4097
+dyn lemma1 --pairs 4096|dyn lemma1 --pairs 4097|export bifurcation-scan --n 256
+export bifurcation-scan --n 257
 """.replace("\n", "|").split("|") if line] + [
     ["zeta", "--tau", ""], ["lang", "forbidden", "--tau", ""]]
 

@@ -1,0 +1,93 @@
+"""The package surface: layers load on first use, once, under one lock."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import kneading
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(kneading.__file__)))
+
+
+def _fresh(script: str, *argv: str) -> str:
+    """stdout of ``script`` run in a fresh interpreter that imports this
+    checkout of the package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_RAN = """
+import contextlib, io, sys
+import kneading, kneading.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = kneading.cli.main(sys.argv[1:])
+print(rc, *sorted(name for name in kneading._EXPORTS
+                  if type(sys.modules["kneading." + name]) is not kneading._Layer))
+"""
+
+
+@pytest.mark.parametrize("argv, ran", [
+    ("dyn kneading --n 20", "dynamics symbolic"),
+    ("dyn scan --steps 3", "dynamics symbolic"),
+    ("tau --j 3", "encoding feigenbaum symbolic"),
+    ("lang complexity --tau 5/6 --nmax 6", "encoding language symbolic"),
+    ("zeta --tau 5/6 --order 8 --counts --entropy", "encoding spectral symbolic"),
+    ("cf tau-level --j 4", "cfrac encoding feigenbaum symbolic"),
+    ("freq --prefix 1024", "encoding feigenbaum frequency symbolic"),
+    ("export zeta-roots --j 2", ""),
+    ("reproduce all", "cfrac encoding feigenbaum frequency spectral symbolic"),
+])
+def test_command_runs_only_its_layers(argv, ran):
+    assert _fresh(_RAN, *argv.split()).split() == ["0", *ran.split()]
+
+
+_THREADS = """
+import json, sys, threading
+import kneading
+from kneading import cfrac, feigenbaum
+assert type(cfrac) is kneading._Layer
+barrier = threading.Barrier(8)
+got = []
+
+def first_use():
+    barrier.wait()
+    try:
+        got.append(cfrac.cf_of_rational(feigenbaum.tau_level(5).value).quotients)
+    except Exception as e:
+        got.append(repr(e))
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first_use) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+    assert not t.is_alive()
+print(json.dumps(got))
+"""
+
+
+def test_first_use_from_many_threads():
+    # every thread waits for the one that runs the layer, then finds it whole
+    got = json.loads(_fresh(_THREADS))
+    assert got == [[1, 4, 1, 2, 2, 6, 2, 1, 2, 9, 1, 2]] * 8
+
+
+def test_exports_resolve_to_their_layer():
+    assert set(kneading.__all__) <= set(dir(kneading))
+    namespace = {}
+    exec("from kneading import *", namespace)
+    for layer, names in kneading._EXPORTS.items():
+        module = sys.modules[f"kneading.{layer}"]
+        for name in names:
+            assert namespace[name] is getattr(module, name) is getattr(kneading, name)
+    assert len(kneading.__all__) == 1 + sum(map(len, kneading._EXPORTS.values()))
+    with pytest.raises(AttributeError):
+        kneading.no_such_name

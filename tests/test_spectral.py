@@ -13,6 +13,9 @@ from kneading.feigenbaum import tau_infinity_digit, tau_infinity_enclosure
 from kneading.spectral import (
     EntropyInconclusive,
     IntSeries,
+    _exact_determinant_poly,
+    _strip_unit_factors,
+    _try_divide,
     entropy,
     feigenbaum_zeta,
     kneading_determinant,
@@ -287,3 +290,48 @@ def test_entropy_generated_stream_matches_exact():
 def test_entropy_generated_inconclusive():
     with pytest.raises(EntropyInconclusive):
         entropy(feigenbaum_limit(), N=64, tol=Fraction(1, 10 ** 6))
+
+
+def _strip_unit_factors_restarting(poly):
+    """The earlier loop, kept as the oracle: divide out one factor
+    (1 -+ z^(2^i)) at a time, restarting the scan at e = 1 after each."""
+    changed = True
+    while changed:
+        changed = False
+        e = 1
+        while e <= len(poly) - 1:
+            for sign in (1, -1):
+                q = _try_divide(poly, e, sign)
+                if q is not None:
+                    poly = q
+                    changed = True
+                    break
+            if changed:
+                break
+            e *= 2
+    return poly
+
+
+def _times_unit_factor(poly, e, sign):
+    """poly * (1 - sign z^e)."""
+    out = list(poly) + [0] * e
+    for k, c in enumerate(poly):
+        out[k + e] -= sign * c
+    return out
+
+
+def test_strip_unit_factors_matches_restarting_loop():
+    rng = random.Random(11)
+    for _ in range(300):
+        poly = [1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 6))]
+        for _ in range(rng.randint(0, 8)):
+            poly = _times_unit_factor(poly, 1 << rng.randint(0, 5), rng.choice((1, -1)))
+        while len(poly) > 1 and poly[-1] == 0:
+            poly.pop()
+        got = _strip_unit_factors(poly)
+        assert got == _strip_unit_factors_restarting(poly)
+        assert all(_try_divide(got, 1 << i, s) is None
+                   for i in range(len(got).bit_length()) for s in (1, -1))
+    for j in range(1, 15):
+        poly = _exact_determinant_poly(feigenbaum_stream(j))
+        assert _strip_unit_factors(poly) == _strip_unit_factors_restarting(poly) == [1]
