@@ -1,5 +1,6 @@
 """Zeta series, kneading determinants, orbit counts, entropy enclosures."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kneading.encoding import kneading_from_tau, stream_tau
+from kneading.encoding import is_maximal, kneading_from_tau, stream_tau
 from kneading.feigenbaum import tau_infinity_digit, tau_infinity_enclosure
 from kneading.spectral import (
     EntropyInconclusive,
@@ -290,6 +291,39 @@ def test_entropy_generated_stream_matches_exact():
 def test_entropy_generated_inconclusive():
     with pytest.raises(EntropyInconclusive):
         entropy(feigenbaum_limit(), N=64, tol=Fraction(1, 10 ** 6))
+
+
+# sha256 of the repr of every EntropyResult (or EntropyInconclusive message)
+# over _entropy_golden_cases, recorded before the entropy certificate moved
+# from Fraction interval boxes to integer signs and Descartes' rule
+ENTROPY_GOLDEN_SHA256 = "4102998eb43be58d9909129ae0dc262e9d782f69ed375683a5c27f19dce462b9"
+
+
+def _entropy_golden_cases():
+    for q in range(1, 65):
+        for p in range(1, q + 1):
+            if math.gcd(p, q) == 1:
+                K = kneading_from_tau(Fraction(p, q))
+                if is_maximal(K):
+                    yield lambda K=K: entropy(K)
+    for j in range(1, 11):
+        yield lambda j=j: entropy(feigenbaum_stream(j))
+    for N in (64, 256):
+        yield lambda N=N: entropy(feigenbaum_limit(), N=N)
+    for tau, N in (("1", 256), ("5/6", 256), ("6/7", 256), ("4/5", 64), ("14/17", 64)):
+        K = kneading_from_tau(Fraction(tau))
+        yield lambda K=K, N=N: entropy(FunctionStream(K.at), N=N)
+
+
+def test_entropy_golden_hash():
+    h = hashlib.sha256()
+    for run in _entropy_golden_cases():
+        try:
+            out = repr(run())
+        except EntropyInconclusive as e:
+            out = "EntropyInconclusive: " + str(e)
+        h.update(out.encode() + b"\n")
+    assert h.hexdigest() == ENTROPY_GOLDEN_SHA256
 
 
 def _strip_unit_factors_restarting(poly):
