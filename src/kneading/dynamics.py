@@ -6,6 +6,7 @@ marking orbit points that came within eta of the critical point.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -270,7 +271,8 @@ def monotonicity_scan(r_grid, n: int) -> ScanReport:
             rows.append(ScanRow(r, None, 0))
             continue
         digits = parity_word(word[:k])
-        tau = sum(int(c) / 2.0 ** (i + 1) for i, c in enumerate(digits))
+        # ldexp, not division by 2.0 ** (i + 1), which overflows from i = 1023
+        tau = sum(math.ldexp(int(c), -(i + 1)) for i, c in enumerate(digits))
         rows.append(ScanRow(r, tau, k))
     vals = [row.tau for row in rows if row.tau is not None]
     decreases = sum(1 for u, v in zip(vals, vals[1:]) if v < u)

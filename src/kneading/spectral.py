@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 from .encoding import xi
@@ -113,6 +114,8 @@ class EntropyResult:
 
 
 _SIGN = {"0": 1, "1": -1}
+# half-width added around an entropy computed from an exact bracket in float
+_PAD = 1e-12
 
 
 def _epsilon_prefix(stream, count: int) -> list:
@@ -298,166 +301,157 @@ def _strip_unit_factors(poly: list) -> list:
     return poly
 
 
-def _interval_eval(coeffs: list, a: Fraction, b: Fraction):
-    """Enclosure of the polynomial on [a, b], 0 <= a <= b, by interval Horner."""
-    lo = hi = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        products = (lo * a, lo * b, hi * a, hi * b)
-        lo, hi = min(products) + c, max(products) + c
-    return lo, hi
+def _sign(poly: list, x) -> int:
+    """Sign of poly at x = a/b: that of the integer sum c_i a^i b^(d-i)."""
+    a, b = x.numerator, x.denominator
+    v, bk = 0, 1
+    for c in reversed(poly):
+        v = v * a + c * bk
+        bk *= b
+    return (v > 0) - (v < 0)
 
 
-def _certify_positive(coeffs, a, b, tail=None, max_boxes=20000):
-    """Prove the polynomial (minus an optional tail bound) is > 0 on [a, b]."""
-    a, b = Fraction(a), Fraction(b)
-    if a >= b:
-        return True
-    floor = (b - a) / (1 << 24)
-    stack = [(a, b)]
-    boxes = 0
+def _taylor_shift(q: list) -> list:
+    """Coefficients of q(t + 1): d synthetic divisions by t - 1, each a run of
+    partial sums from the leading coefficient down."""
+    q = q[::-1]
+    for n in range(len(q), 1, -1):
+        q[:n] = accumulate(q[:n])
+    return q[::-1]
+
+
+def _certify_positive(poly: list, x) -> bool:
+    """True only if poly > 0 on [0, x]; False when that cannot be shown.
+
+    q(t) = b^d poly(a t / b) carries [0, x = a/b] to [0, 1].  The positive
+    roots of T(t) = (1 + t)^d q(1 / (1 + t)) (q reversed, then shifted by 1)
+    are the roots of q in (0, 1), so by Descartes' rule T has none when its
+    coefficients show no sign change, V = 0 (Collins and Akritas, SYMSAC
+    1976).  T(0) = q(1) and the leading coefficient of T, q(0), are kept
+    positive (both ends at the top, each midpoint before a split), so V is
+    even, and V = 0 means no coefficient of T is negative; it holds once no
+    root lies in the disc with the interval as diameter.  Otherwise the
+    interval is halved, into 2^d q(t / 2) and its shift by 1.  A tangent
+    root keeps V even and nonzero, so bisection stops at depth 24, a width
+    of 2^-24 of [0, x].
+    """
+    if _sign(poly, 0) <= 0 or _sign(poly, x) <= 0:
+        return False
+    a, b = x.numerator, x.denominator
+    d = len(poly) - 1
+    stack = [([c * a ** i * b ** (d - i) for i, c in enumerate(poly)], 0)]
     while stack:
-        x0, x1 = stack.pop()
-        boxes += 1
-        if boxes > max_boxes or x1 - x0 < floor:
-            return False
-        lo, hi = _interval_eval(coeffs, x0, x1)
-        if tail is not None:
-            lo -= tail(x1)
-        if lo > 0:
+        q, depth = stack.pop()
+        if min(_taylor_shift(q[::-1])) >= 0:
             continue
-        if hi <= 0:
+        if depth == 24:
             return False
-        mid = (x0 + x1) / 2
-        stack.append((x0, mid))
-        stack.append((mid, x1))
+        left = [c << (d - i) for i, c in enumerate(q)]
+        right = _taylor_shift(left)
+        if right[0] <= 0:
+            return False
+        stack += ((left, depth + 1), (right, depth + 1))
     return True
 
 
-def _divide_out_root(poly: list, x: Fraction) -> list:
-    """Exact quotient poly / (1 - z/x) for a known rational root x."""
-    deg = len(poly) - 1
-    q = [Fraction(0)] * deg
-    for k in range(deg):
-        q[k] = poly[k] + (q[k - 1] / x if k else Fraction(0))
-    if poly[deg] + q[deg - 1] / x != 0:
-        raise ArithmeticError(f"{x} is not a root")
-    return q
+def _exact_root(poly: list, x: Fraction, failure: str) -> EntropyResult:
+    """Result for the root x = a/b of poly, certified as the smallest.
 
-
-def _certified_sign(poly, x, tail):
-    """Sign of the (tail-perturbed) polynomial at x, or None if uncertifiable."""
-    v = Fraction(0)
-    for c in reversed(poly):
-        v = v * x + c
-    if tail is None:
-        return 0 if v == 0 else (1 if v > 0 else -1)
-    e = tail(x)
-    if v > e:
-        return 1
-    if v < -e:
-        return -1
-    return None
+    a - b z is primitive, so by Gauss's lemma it divides poly over Z and the
+    quotient is exact.  1 - z/x = (a - b z)/a with a > 0, so the quotient has
+    the sign of poly / (1 - z/x) on [0, x).
+    """
+    a, b = x.numerator, x.denominator
+    quotient, prev = [], 0
+    for c in poly[:-1]:
+        prev = (c + b * prev) // a
+        quotient.append(prev)
+    if not _certify_positive(quotient, x):
+        raise EntropyInconclusive(failure)
+    h = -math.log(x)
+    return EntropyResult(max(0.0, h - _PAD), h + _PAD, "exact-rational-root", (x, x))
 
 
 def entropy(K, N: int = 256, tol=Fraction(1, 10 ** 10)) -> EntropyResult:
     """Certified enclosure for the entropy h = -log z* of a kneading stream.
 
-    z* is the smallest root of the kneading determinant in (0, 1); when the
-    determinant provably has no such root the entropy is 0.  Periodic and
-    eventually periodic streams are handled exactly; generated streams use
-    the order-N truncation with the tail bound x^(N+1)/(1-x), and raise
-    EntropyInconclusive when that bound cannot settle a needed sign.
+    z* is the smallest root of the kneading determinant D in (0, 1); when D
+    provably has no such root the entropy is 0.  Periodic and eventually
+    periodic streams give one polynomial with the sign of D, upper = lower.
+    A generated stream gives the order-N truncation P, and |D - P| is at
+    most x^(N+1)/(1-x) on [0, 1).  Multiplying by 1 - x > 0, D(x) > 0 once
+    P(x) > x^(N+1)/(1-x), that is once upper = P (1 - z) - z^(N+1) is
+    positive at x, and D(x) < 0 once P(x) < -x^(N+1)/(1-x), that is once
+    lower = P (1 - z) + z^(N+1) is negative.  EntropyInconclusive is raised
+    when a sign that neither settles blocks the certificate.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    pad = 1e-12
 
     if isinstance(K, PeriodicStream):
-        poly = _exact_determinant_poly(K)
-        tail = None
-        poly = _strip_unit_factors(poly)
-        if poly == [1]:
+        upper = lower = _strip_unit_factors(_exact_determinant_poly(K))
+        if upper == [1]:
             return EntropyResult(0.0, 0.0, "unit-root-factors")
     else:
         if N < 8:
             raise ValueError("order too small for a meaningful tail bound")
         poly = list(kneading_determinant(K, N).coefficients)
-        tail = lambda x: Fraction(x) ** (N + 1) / (1 - Fraction(x))
+        upper, lower = ([c - p for c, p in zip(poly + [e], [0] + poly)] for e in (-1, 1))
+    exact = upper is lower
+
+    def probe(x) -> int:
+        # 1 or -1 where certified; 0 at an exact root or where the tail
+        # bound leaves the sign open
+        s = _sign(upper, x)
+        if s > 0 or exact:
+            return s
+        return -1 if _sign(lower, x) < 0 else 0
 
     # scan for the leftmost certified sign change (the grid includes 1 only
     # in the exact case; the tail bound diverges there)
-    grid_hi = 64 if tail is None else 63
-    points = [Fraction(k, 64) for k in range(0, grid_hi + 1)]
-    bracket = None
-    exact_root = None
     last_pos = Fraction(0)
-    for x in points[1:]:
-        s = _certified_sign(poly, x, tail)
-        if s is None:
-            continue
-        if s == 0:
-            exact_root = x
+    for x in (Fraction(k, 64) for k in range(1, 65 if exact else 64)):
+        s = probe(x)
+        if s == 0 and exact:
+            return _exact_root(upper, x, "rational root found but smallest-root "
+                                         "certificate failed; increase N")
+        if s < 0:
             break
         if s > 0:
             last_pos = x
-            continue
-        bracket = (last_pos, x)
-        break
+    else:
+        # no certified sign change: try to push a no-root certificate to a
+        # cutoff close enough to 1 that the residual entropy fits inside tol
+        cutoff = 1 - Fraction(3, 4) * tol
+        if _certify_positive(upper, cutoff):
+            h_hi = -math.log(float(cutoff)) + _PAD
+            return EntropyResult(0.0, h_hi, "no-root-below", (cutoff, Fraction(1)))
+        raise EntropyInconclusive(
+            f"no root isolated and no-root certificate failed at order {N}; increase N"
+        )
 
-    if exact_root is not None:
-        reduced = _divide_out_root(poly, exact_root)
-        if not _certify_positive(reduced, 0, exact_root, tail=None):
-            raise EntropyInconclusive(
-                "rational root found but smallest-root certificate failed; increase N"
-            )
-        h = -math.log(exact_root)
-        return EntropyResult(max(0.0, h - pad), h + pad, "exact-rational-root",
-                             (exact_root, exact_root))
-
-    if bracket is not None:
-        a, b = bracket
-        if not _certify_positive(poly, 0, a, tail=tail):
-            raise EntropyInconclusive(
-                "sign change found but positivity left of it failed; increase N"
-            )
-        while (b - a) / a > Fraction(4, 5) * tol:
-            progressed = False
-            # the midpoint may sit on the root itself and resist signing
-            # under the tail bound; fall back to off-center probes before
-            # declaring the whole strip uncertifiable
-            for num, den in ((1, 2), (3, 7), (4, 7), (2, 7), (5, 7)):
-                mid = a + (b - a) * Fraction(num, den)
-                s = _certified_sign(poly, mid, tail)
-                if s == 0 and tail is None:
-                    reduced = _divide_out_root(poly, mid)
-                    if not _certify_positive(reduced, 0, mid, tail=None):
-                        raise EntropyInconclusive("smallest-root certificate failed")
-                    h = -math.log(mid)
-                    return EntropyResult(max(0.0, h - pad), h + pad,
-                                         "exact-rational-root", (mid, mid))
-                if s is None:
-                    continue
-                if s > 0:
-                    a = mid
-                else:
-                    b = mid
-                progressed = True
+    a, b = last_pos, x
+    if not _certify_positive(upper, a):
+        raise EntropyInconclusive(
+            "sign change found but positivity left of it failed; increase N"
+        )
+    while (b - a) / a > Fraction(4, 5) * tol:
+        # the midpoint may sit on the root itself and resist signing under
+        # the tail bound; fall back to off-center probes before declaring the
+        # whole strip uncertifiable
+        for num, den in ((1, 2), (3, 7), (4, 7), (2, 7), (5, 7)):
+            mid = a + (b - a) * Fraction(num, den)
+            s = probe(mid)
+            if s == 0 and exact:
+                return _exact_root(upper, mid, "smallest-root certificate failed")
+            if s:
+                a, b = (mid, b) if s > 0 else (a, mid)
                 break
-            if not progressed:
-                raise EntropyInconclusive(
-                    f"tail bound at order {N} cannot sign any probe; increase N"
-                )
-        h_lo = max(0.0, -math.log(float(b)) - pad)
-        h_hi = -math.log(float(a)) + pad
-        return EntropyResult(h_lo, h_hi, "bisection", (a, b))
-
-    # no certified sign change: try to push a no-root certificate to a cutoff
-    # close enough to 1 that the residual entropy fits inside tol
-    cutoff = 1 - Fraction(3, 4) * tol
-    if _certify_positive(poly, 0, cutoff, tail=tail):
-        h_hi = -math.log(float(cutoff)) + pad
-        return EntropyResult(0.0, h_hi, "no-root-below", (cutoff, Fraction(1)))
-    raise EntropyInconclusive(
-        f"no root isolated and no-root certificate failed at order {N}; increase N"
-    )
+        else:
+            raise EntropyInconclusive(
+                f"tail bound at order {N} cannot sign any probe; increase N"
+            )
+    h_lo = max(0.0, -math.log(float(b)) - _PAD)
+    h_hi = -math.log(float(a)) + _PAD
+    return EntropyResult(h_lo, h_hi, "bisection", (a, b))

@@ -358,6 +358,7 @@ export frequency-convergence --kmax 25|export frequency-convergence --kmax 26
 dyn kneading --n 256|dyn kneading --n 257|dyn scan --steps 4096|dyn scan --steps 4097
 dyn lemma1 --pairs 4096|dyn lemma1 --pairs 4097|export bifurcation-scan --n 256
 export bifurcation-scan --n 257
+zeta --tau feigenbaum:inf --order 2048 --entropy
 """.replace("\n", "|").split("|") if line] + [
     ["zeta", "--tau", ""], ["lang", "forbidden", "--tau", ""]]
 

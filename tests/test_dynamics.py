@@ -237,3 +237,11 @@ def test_monotonicity_scan():
         monotonicity_scan([3.5, 4.1], 24)
     with pytest.raises(ValueError):
         monotonicity_scan([], 24)
+
+
+def test_monotonicity_scan_past_1023_digits():
+    # each term is a power of two: 2.0 ** 1024 overflowed once the reliable
+    # prefix reached 1024 symbols, and the float sum is settled long before
+    long = monotonicity_scan([3.2], 1100).rows[0]
+    assert long.reliable_prefix > 1024
+    assert long.tau == monotonicity_scan([3.2], 1000).rows[0].tau

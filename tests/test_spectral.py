@@ -14,6 +14,7 @@ from kneading.feigenbaum import tau_infinity_digit, tau_infinity_enclosure
 from kneading.spectral import (
     EntropyInconclusive,
     IntSeries,
+    _certify_positive,
     _exact_determinant_poly,
     _strip_unit_factors,
     _try_divide,
@@ -291,6 +292,48 @@ def test_entropy_generated_stream_matches_exact():
 def test_entropy_generated_inconclusive():
     with pytest.raises(EntropyInconclusive):
         entropy(feigenbaum_limit(), N=64, tol=Fraction(1, 10 ** 6))
+
+
+def _poly_product(factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, u in enumerate(out):
+            for j, v in enumerate(f):
+                prod[i + j] += u * v
+        out = prod
+    return out
+
+
+# (a, b, root positive?, multiplicity)
+_linear = st.tuples(st.integers(1, 12), st.integers(1, 12), st.booleans(), st.integers(1, 2))
+# m z^2 + p z + q with p^2 < 4 m q: no real root, positive everywhere
+_quadratic = st.tuples(st.integers(1, 6), st.integers(-12, 12), st.integers(1, 12)).filter(
+    lambda t: t[1] ** 2 < 4 * t[0] * t[2])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_linear, max_size=4), st.lists(_quadratic, max_size=3),
+       st.fractions(Fraction(1, 64), Fraction(2)), st.sampled_from((0, 1, 2)),
+       st.sampled_from(([1], [-1], [0, 1])))
+def test_certify_positive_against_root_locations(linear, quadratic, x, at_root, unit):
+    # a - b z (root a/b > 0) or a + b z (root -a/b < 0): every factor is
+    # positive at 0, and so is the product unless unit is -1 or z.  x may sit
+    # on the first root, or put it on the first midpoint of the bisection.
+    if at_root and linear and linear[0][2]:
+        x = at_root * Fraction(linear[0][0], linear[0][1])
+    factors = [[a, -b] if pos else [a, b] for a, b, pos, k in linear for _ in range(k)]
+    poly = _poly_product(factors + [[q, p, m] for m, p, q in quadratic] + [unit])
+    not_positive = unit != [1] or any(pos and Fraction(a, b) <= x for a, b, pos, _ in linear)
+    # the disc with diameter [0, x] holds a root r iff |r|^2 <= x Re r: for
+    # the quadratic's roots, q/m <= -x p / (2m)
+    in_disc = not_positive or any(2 * q + x * p <= 0 for m, p, q in quadratic)
+    certified = _certify_positive(poly, x)
+    if not_positive:
+        assert not certified
+    if not in_disc:
+        # the one-circle theorem: no sign change after the Moebius map
+        assert certified
 
 
 # sha256 of the repr of every EntropyResult (or EntropyInconclusive message)
