@@ -85,8 +85,8 @@ class _Layer(types.ModuleType):
     complete.  ``importlib.util.LazyLoader`` makes the module plain before
     running it and takes no lock, so on Python 3.11 a second thread can read
     a half-run module and miss its names.  Reads made while the module runs
-    (the loader's, or ``dataclass`` reading ``sys.modules[...].__dict__``)
-    come from the thread that holds the lock and fall through.
+    (the loader's, such as ``exec_module`` fetching ``__dict__``) come from
+    the thread that holds the lock and fall through.
     """
 
     def __getattribute__(self, name):

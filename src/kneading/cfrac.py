@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .feigenbaum import tau_level
+from .symbolic import _Record
 
 __all__ = [
     "ContinuedFraction",
@@ -19,8 +19,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(_Record):
     """Canonical expansion [a1, a2, ..., an] of a rational in (0, 1]."""
 
     quotients: tuple
@@ -46,8 +45,7 @@ class ContinuedFraction:
         return len(self.quotients)
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(_Record):
     """Truncation r/s of an expansion after `index` quotients."""
 
     r: int
@@ -58,8 +56,7 @@ class Convergent:
         return Fraction(self.r, self.s)
 
 
-@dataclass(frozen=True)
-class ContinuationReport:
+class ContinuationReport(_Record):
     """How the expansion at level j + 1 extends the expansion at level j."""
 
     j: int

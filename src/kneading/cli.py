@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from typing import NamedTuple
 
 # the layers load on first use (see the package docstring), so each command
@@ -29,6 +27,7 @@ class _Result(NamedTuple):
 
 def _num(x, args):
     """Exact string for a Fraction unless --float was passed."""
+    from fractions import Fraction
     if isinstance(x, Fraction):
         return float(x) if args.as_float else str(x)
     return x
@@ -41,6 +40,7 @@ def _emit(args, res: _Result) -> int:
     if args.format == "text" and res.text is not None:
         text = res.text + "\n"
     elif args.format != "json" and res.table is not None:
+        import csv
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(res.table[0])
@@ -81,9 +81,10 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
     """Fraction(text), with a zero denominator reported as bad input
     (ValueError, exit 2) like any other malformed number."""
+    from fractions import Fraction
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -180,7 +181,7 @@ def _cmd_zeta(args) -> _Result:
             res = spectral.entropy(stream, N=args.order, tol=args.tol)
             bracket = None
             if res.z_bracket is not None:
-                bracket = [_num(Fraction(b), args) for b in res.z_bracket]
+                bracket = [_num(b, args) for b in res.z_bracket]
             payload["entropy"] = {"lo": res.lo, "hi": res.hi, "method": res.method,
                                   "bracket": bracket}
         except spectral.EntropyInconclusive as e:
@@ -325,7 +326,7 @@ def _target_tau_table():
     rows, ok = [], True
     for j, want in enumerate(_GOLDEN_TAU, start=1):
         got = feigenbaum.tau_level(j).value
-        match = got == Fraction(want)
+        match = got == _fraction(want)
         ok = ok and match
         rows.append({"j": j, "want": want, "got": str(got), "match": match})
     return ok, f"{len(rows)} exact parameters", rows
@@ -375,7 +376,7 @@ def _target_frequencies():
 def _target_zeta_examples():
     rows, ok = [], True
     for spec, num, den in _GOLDEN_ZETA:
-        got = spectral.zeta_series(encoding.kneading_from_tau(Fraction(spec)), 30)
+        got = spectral.zeta_series(encoding.kneading_from_tau(_fraction(spec)), 30)
         want = spectral.series_of_rational(_ints(num), _ints(den), 30)
         match = got.coefficients == want.coefficients
         ok = ok and match
@@ -390,7 +391,7 @@ def _target_entropy_examples():
             ("5/6", math.log(2.0) / 2.0),
             ("6/7", math.log((1.0 + math.sqrt(5.0)) / 2.0)))
     for spec, ref in refs:
-        res = spectral.entropy(encoding.kneading_from_tau(Fraction(spec)))
+        res = spectral.entropy(encoding.kneading_from_tau(_fraction(spec)))
         good = res.lo <= ref <= res.hi and res.hi - res.lo <= 1.1e-10
         ok = ok and good
         rows.append({"tau": spec, "lo": res.lo, "hi": res.hi,
@@ -480,7 +481,7 @@ def _export_frequency_convergence(args) -> _Result:
     for k in range(args.kmin, args.kmax + 1):
         n = 1 << k
         obs = frequency.empirical_frequencies(stream, 1, n)
-        dev = max(abs(obs.get(b, Fraction(0)) - predicted[b]) for b in "01")
+        dev = max(abs(obs.get(b, 0) - predicted[b]) for b in "01")
         rows.append((k, n, str(dev)))
     return _Result([{"k": k, "n": n, "deviation": d} for k, n, d in rows],
                    (("k", "n", "deviation"), rows))
@@ -500,97 +501,99 @@ def _add_common(p):
                    help="emit floats instead of exact fraction strings")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """Every subcommand with its help line, but options only for those named
+    in ``argv``: argparse runs one of those, so it parses and words its
+    messages as the full parser would."""
     parser = argparse.ArgumentParser(
         prog="kneading",
         description="Exact kneading-theory tables, series, and scans.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tau", help="period-doubling parameter levels")
-    _add_common(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--j", type=int)
-    g.add_argument("--infinity", action="store_true")
-    p.add_argument("--bits", "--precision-bits", dest="bits", type=int, default=128)
-    p.set_defaults(handler=_cmd_tau)
+    def command(name: str, summary: str):
+        p = sub.add_parser(name, help=summary)
+        if name in argv:
+            _add_common(p)
+            return p
 
-    p = sub.add_parser("cf", help="continued-fraction expansions")
-    _add_common(p)
-    p.add_argument("what", choices=("tau-level", "tau-infinity", "table"))
-    p.add_argument("--j", type=int, default=1)
-    p.add_argument("--bits", "--precision-bits", dest="bits", type=int, default=4096)
-    p.add_argument("--jmax", type=int, default=8)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_cf)
+    if p := command("tau", "period-doubling parameter levels"):
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--j", type=int)
+        g.add_argument("--infinity", action="store_true")
+        p.add_argument("--bits", "--precision-bits", dest="bits", type=int, default=128)
+        p.set_defaults(handler=_cmd_tau)
 
-    p = sub.add_parser("zeta", help="kneading determinant and zeta series")
-    _add_common(p)
-    p.add_argument("--tau", required=True,
-                   help="p/q, feigenbaum:j, or feigenbaum:inf")
-    p.add_argument("--order", type=int, default=30)
-    p.add_argument("--counts", action="store_true")
-    p.add_argument("--entropy", action="store_true")
-    p.add_argument("--tol", type=_fraction, default=Fraction(1, 10 ** 10))
-    p.set_defaults(handler=_cmd_zeta)
+    if p := command("cf", "continued-fraction expansions"):
+        p.add_argument("what", choices=("tau-level", "tau-infinity", "table"))
+        p.add_argument("--j", type=int, default=1)
+        p.add_argument("--bits", "--precision-bits", dest="bits", type=int, default=4096)
+        p.add_argument("--jmax", type=int, default=8)
+        p.add_argument("--out")
+        p.set_defaults(handler=_cmd_cf)
 
-    p = sub.add_parser("lang", help="admissible-word language")
-    _add_common(p)
-    p.add_argument("what", choices=("complexity", "forbidden"))
-    p.add_argument("--tau", required=True)
-    p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--mode", choices=("core", "full-interval"), default="core")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_lang)
+    if p := command("zeta", "kneading determinant and zeta series"):
+        p.add_argument("--tau", required=True,
+                       help="p/q, feigenbaum:j, or feigenbaum:inf")
+        p.add_argument("--order", type=int, default=30)
+        p.add_argument("--counts", action="store_true")
+        p.add_argument("--entropy", action="store_true")
+        p.add_argument("--tol", type=_fraction, default="1/10000000000")
+        p.set_defaults(handler=_cmd_zeta)
 
-    p = sub.add_parser("freq", help="block frequencies of symbol streams")
-    _add_common(p)
-    p.add_argument("--stream", choices=sorted(_FREQ_STREAMS), default="feigenbaum")
-    p.add_argument("--block", type=int, default=1)
-    p.add_argument("--prefix", type=int, default=1 << 16)
-    p.add_argument("--aligned", action="store_true")
-    p.set_defaults(handler=_cmd_freq)
+    if p := command("lang", "admissible-word language"):
+        p.add_argument("what", choices=("complexity", "forbidden"))
+        p.add_argument("--tau", required=True)
+        p.add_argument("--nmax", type=int, default=12)
+        p.add_argument("--mode", choices=("core", "full-interval"), default="core")
+        p.add_argument("--out")
+        p.set_defaults(handler=_cmd_lang)
 
-    p = sub.add_parser("dyn", help="floating-point unimodal dynamics")
-    _add_common(p)
-    p.add_argument("what", choices=("kneading", "scan", "lemma1"))
-    p.add_argument("--family", choices=("logistic", "tent"), default="logistic")
-    p.add_argument("--r", type=float, default=3.9)
-    p.add_argument("--slope", type=float, default=2.0)
-    p.add_argument("--eta", type=float, default=1e-9)
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--from", dest="lo", type=float, default=3.5)
-    p.add_argument("--to", dest="hi", type=float, default=4.0)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--pairs", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_dyn)
+    if p := command("freq", "block frequencies of symbol streams"):
+        p.add_argument("--stream", choices=sorted(_FREQ_STREAMS), default="feigenbaum")
+        p.add_argument("--block", type=int, default=1)
+        p.add_argument("--prefix", type=int, default=1 << 16)
+        p.add_argument("--aligned", action="store_true")
+        p.set_defaults(handler=_cmd_freq)
 
-    p = sub.add_parser("reproduce", help="regenerate reference tables and diff")
-    _add_common(p)
-    p.add_argument("target", choices=sorted(_TARGETS) + ["all"])
-    p.add_argument("--out", help="directory for per-target JSON reports")
-    p.set_defaults(handler=_cmd_reproduce)
+    if p := command("dyn", "floating-point unimodal dynamics"):
+        p.add_argument("what", choices=("kneading", "scan", "lemma1"))
+        p.add_argument("--family", choices=("logistic", "tent"), default="logistic")
+        p.add_argument("--r", type=float, default=3.9)
+        p.add_argument("--slope", type=float, default=2.0)
+        p.add_argument("--eta", type=float, default=1e-9)
+        p.add_argument("--n", type=int, default=64)
+        p.add_argument("--from", dest="lo", type=float, default=3.5)
+        p.add_argument("--to", dest="hi", type=float, default=4.0)
+        p.add_argument("--steps", type=int, default=100)
+        p.add_argument("--pairs", type=int, default=1000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out")
+        p.set_defaults(handler=_cmd_dyn)
 
-    p = sub.add_parser("export", help="plot-ready data files")
-    _add_common(p)
-    p.add_argument("kind", choices=("zeta-roots", "bifurcation-scan",
-                                    "frequency-convergence"))
-    p.add_argument("--j", type=int, default=6)
-    p.add_argument("--from", dest="lo", type=float, default=3.5)
-    p.add_argument("--to", dest="hi", type=float, default=4.0)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--n", type=int, default=24)
-    p.add_argument("--kmin", type=int, default=10)
-    p.add_argument("--kmax", type=int, default=20)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_export)
+    if p := command("reproduce", "regenerate reference tables and diff"):
+        p.add_argument("target", choices=sorted(_TARGETS) + ["all"])
+        p.add_argument("--out", help="directory for per-target JSON reports")
+        p.set_defaults(handler=_cmd_reproduce)
+
+    if p := command("export", "plot-ready data files"):
+        p.add_argument("kind", choices=("zeta-roots", "bifurcation-scan",
+                                        "frequency-convergence"))
+        p.add_argument("--j", type=int, default=6)
+        p.add_argument("--from", dest="lo", type=float, default=3.5)
+        p.add_argument("--to", dest="hi", type=float, default=4.0)
+        p.add_argument("--steps", type=int, default=100)
+        p.add_argument("--n", type=int, default=24)
+        p.add_argument("--kmin", type=int, default=10)
+        p.add_argument("--kmax", type=int, default=20)
+        p.add_argument("--out")
+        p.set_defaults(handler=_cmd_export)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable
 
-from .symbolic import parity_word
+from .symbolic import _Record, parity_word
 
 _BOUNDARY_TOL = 1e-12
 
@@ -25,8 +24,7 @@ class NotRenormalizableError(RuntimeError):
     """The map has no admissible (a, b) geometry for renormalization."""
 
 
-@dataclass(frozen=True)
-class UnimodalMap:
+class UnimodalMap(_Record):
     family: str
     parameter: float
     fn: Callable[[float], float]
@@ -78,16 +76,18 @@ def itinerary(m: UnimodalMap, x: float, n: int) -> tuple[str, tuple[bool, ...]]:
     """
     if n < 1:
         raise ValueError("need at least one symbol")
-    if not -_BOUNDARY_TOL <= x <= 1 + _BOUNDARY_TOL:
+    lo, hi = -_BOUNDARY_TOL, 1 + _BOUNDARY_TOL
+    if not lo <= x <= hi:
         raise ValueError("starting point outside [0, 1]")
+    fn, c0, eta = m.fn, m.c0, m.eta
     u = min(max(x, 0.0), 1.0)
     symbols = []
     flags = []
     for i in range(n):
-        symbols.append("1" if u >= m.c0 else "0")
-        flags.append(abs(u - m.c0) >= m.eta)
-        u = m.fn(u)
-        if not -_BOUNDARY_TOL <= u <= 1 + _BOUNDARY_TOL:
+        symbols.append("1" if u >= c0 else "0")
+        flags.append(abs(u - c0) >= eta)
+        u = fn(u)
+        if not lo <= u <= hi:
             raise OrbitEscapeError(f"orbit left [0, 1] at step {i + 1}: {u!r}")
         u = min(max(u, 0.0), 1.0)
     return "".join(symbols), tuple(flags)
@@ -204,8 +204,7 @@ def band_merging_parameter(lo: float = 3.6, hi: float = 3.7,
     return _bisect(g, lo, hi, tol)
 
 
-@dataclass(frozen=True)
-class Lemma1Report:
+class Lemma1Report(_Record):
     pairs_tested: int
     pairs_decided: int
     pairs_excluded: int
@@ -242,15 +241,13 @@ def lemma1_validate(m: UnimodalMap, pairs: int, n: int, seed: int = 0) -> Lemma1
     return Lemma1Report(tested, decided, excluded, violations)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(_Record):
     r: float
     tau: float | None
     reliable_prefix: int
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Record):
     rows: tuple[ScanRow, ...]
     decreases: int
 

@@ -7,7 +7,6 @@ sequence; tau_infinity is its limit at the accumulation point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from kneading.encoding import xi, tau_of_periodic
@@ -17,6 +16,7 @@ from kneading.symbolic import (
     PeriodicStream,
     SubstitutionRule,
     SymbolStream,
+    _Record,
     complement,
     feigenbaum_limit,
     feigenbaum_stream,
@@ -74,8 +74,7 @@ def _decimal_str(n: int) -> str:
     return str(convert(n, len(powers) - 1))
 
 
-@dataclass(frozen=True)
-class DyadicEnclosure:
+class DyadicEnclosure(_Record):
     """Interval [lo, hi] with dyadic endpoints and certified width."""
 
     lo: Fraction
@@ -111,8 +110,7 @@ class DyadicEnclosure:
         return {"lo": dyadic(self.lo), "hi": dyadic(self.hi), "bits": self.bits}
 
 
-@dataclass(frozen=True)
-class TauLevel:
+class TauLevel(_Record):
     """Level j of the tau hierarchy: exact value p/q and its digit period."""
 
     j: int

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .feigenbaum import PAIR_RULE, PAIR_TO_DIGITS
-from .symbolic import SubstitutionRule, SymbolStream, feigenbaum_limit
+from .symbolic import SubstitutionRule, SymbolStream, _Record, feigenbaum_limit
 from .encoding import xi
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(_Record):
     """Counts entries[i][j] of alphabet[i] inside the image of alphabet[j]."""
 
     alphabet: tuple[str, ...]
@@ -288,8 +286,7 @@ def _lane_block_counts(text: str, b: int, step: int) -> dict[str, int] | None:
     return counts
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(_Record):
     """Aligned pair statistics of the limit parameter's digits."""
 
     prefix_len: int

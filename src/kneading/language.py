@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .encoding import is_maximal, xi
-from .symbolic import SymbolStream, complement, shift, unparity_word
+from .symbolic import SymbolStream, _Record, complement, shift, unparity_word
 
 MODES = ("core", "full-interval")
 
@@ -16,8 +14,7 @@ ENUM_LIMIT = 24
 WORD_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class LanguageQuery:
+class LanguageQuery(_Record):
     """A language to enumerate: kneading stream, max word length, criterion.
 
     core mode keeps words compatible with the two-sided bound on every

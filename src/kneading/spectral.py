@@ -4,13 +4,12 @@ periodic-point counts, and certified entropy enclosures."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
 from .encoding import xi
-from .symbolic import PeriodicStream, parity_word
+from .symbolic import PeriodicStream, _Record, parity_word
 
 __all__ = [
     "EntropyInconclusive",
@@ -31,8 +30,7 @@ class EntropyInconclusive(RuntimeError):
     """Raised when root isolation cannot be certified at the given order."""
 
 
-@dataclass(frozen=True)
-class IntSeries:
+class IntSeries(_Record):
     """Power series with integer coefficients c0..cN, truncated at order N."""
 
     coefficients: tuple
@@ -88,16 +86,14 @@ class IntSeries:
         return v
 
 
-@dataclass(frozen=True)
-class OrbitCounts:
+class OrbitCounts(_Record):
     """Periodic-point counts per period and prime-orbit counts per prime period."""
 
     per_counts: dict
     prime_counts: dict
 
 
-@dataclass(frozen=True)
-class EntropyResult:
+class EntropyResult(_Record):
     """Certified enclosure [lo, hi] for the topological entropy.
 
     method is one of "unit-root-factors" (determinant is a product of
@@ -388,6 +384,9 @@ def entropy(K, N: int = 256, tol=Fraction(1, 10 ** 10)) -> EntropyResult:
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if tol >= Fraction(4, 3):
+        # the no-root cutoff 1 - 3 tol / 4 must stay above 0
+        raise ValueError("tolerance must be below 4/3")
 
     if isinstance(K, PeriodicStream):
         upper = lower = _strip_unit_factors(_exact_determinant_poly(K))

@@ -12,6 +12,47 @@ import threading
 _FLIP = str.maketrans("01", "10")
 
 
+class _Record:
+    """Base of the layers' frozen records: ``dataclass(frozen=True)`` without
+    importing ``dataclasses``, which pulls ``inspect`` and ``ast`` into start-up.
+    The fields are the class annotations in order and a class value is a
+    field's default; ``__post_init__`` runs last and may set a field with
+    ``object.__setattr__``.  ``==`` holds only within one class."""
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls.__annotations__
+        given = dict(zip(fields, args), **kwargs)
+        if len(given) < len(args) + len(kwargs) or not given.keys() <= fields.keys():
+            raise TypeError(f"{cls.__name__}() got unexpected or repeated arguments")
+        for name in fields:
+            if name not in given and name not in cls.__dict__:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            self.__dict__[name] = given.get(name, cls.__dict__.get(name))
+        if hasattr(cls, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, type(self).__annotations__))
+
+    def __repr__(self):
+        fields = zip(type(self).__annotations__, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def check_word(bits: str) -> str:
     """Validate a finite binary word; returns it unchanged."""
     if not isinstance(bits, str) or set(bits) - {"0", "1"}:

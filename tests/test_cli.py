@@ -1,7 +1,9 @@
 """End-to-end command surface: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -268,6 +270,90 @@ def test_usage_exit_codes(capsys):
     capsys.readouterr()
 
 
+# The parser's text, pinned before the parser began to add options only for
+# the subcommands named on the command line: every help page and parse error
+# stays byte-identical to a parser that has all of them.  argparse words its
+# text differently across Python versions; the digests are Python 3.11's.
+_ALL_COMMANDS = ["tau", "cf", "zeta", "lang", "freq", "dyn", "reproduce", "export"]
+_PARSER_TEXT_SHA256 = {
+    "--help":
+        "3e48191616546d2215ad9aa62fcd228a3f3ee8f79dd008057fff344119995017",
+    "--bogus tau --j 1":
+        "66b9c20104489d020b7603177b94916c8148b5814db1c1d31670186ebc9b056c",
+    "tau --j x":
+        "4e369eb73c9c0d0ee581be6ea428d2e979b81cfb7b5906a13003102eb4746481",
+    "tau --help":
+        "9041375d2b0ce858d950aa8e1a99342db92851f6e4d0c100cf98de12b90f1d42",
+    "cf --help":
+        "eba6aa990279bd0efef558eec3feafbb919add8218ca95db1b4cdf0e2e302811",
+    "zeta --help":
+        "5beb380dfed5fc1b354e72643cdbfc61fd891d4afcae3b4588d67a1df0b87d8c",
+    "lang --help":
+        "aeadc24048afcbb962c47cb8702f0fd029cb54ba3457388402a80fe14e851c60",
+    "freq --help":
+        "b5c59fdd07eb69f8ee88b74b0eb36e2218168e9824219c617796841fa04f407a",
+    "dyn --help":
+        "e2fc78861c8d0dffa4ea7c9ac5b31db66f6975d3fb7d478b9fad7c8f1eacacbf",
+    "reproduce --help":
+        "2538e94504e9b4bc0129d0df0b052a2a6dd35a76c271173ab885892b6b5dde6a",
+    "export --help":
+        "fecd40b34ed1e604bf7e76ed5617c75e21ed044ac97e6521749661d9ce536caa",
+    "":
+        "f1b8aee4f18ff29c30eb06ebfc3953a0bc6414a550f23e8223b5401be234fcfc",
+    "nonsense":
+        "2e8412e47d9d76429c2e845e9171b6867bbcad6cbe34ec4d15cfa8e6247a1aa5",
+    "tau --bogus":
+        "24063cecf72d3e44c62eaa4dbb5b6b381f40af2496f3071f0b945e2e58255842",
+    "cf --bogus":
+        "ca90e879787abbdcb53134094f8f1d15f0cbaf48fe02a5230df0ea8eaf71aabe",
+    "zeta --bogus":
+        "588ce580be4a5239674b1107db4f702932d19a881dec1f5c40af96c5d90ed1ed",
+    "lang --bogus":
+        "515e199a6d50306991fbf7ac95d7d0e81a80cbd3942115c15f841e8e3c895f33",
+    "freq --bogus":
+        "66b9c20104489d020b7603177b94916c8148b5814db1c1d31670186ebc9b056c",
+    "dyn --bogus":
+        "dcac54604ba8537748a5b1c91ada448752bb28fa273e4edec7fdbc97fd155d00",
+    "reproduce --bogus":
+        "08ce68fce3bca325e65588ee483f2accebbb965bd2157e11372c299db4acbf48",
+    "export --bogus":
+        "de139c3825776c6d35207b06cd738b87e32e9b82610a23cd496491623152ffa1",
+    "tau --j 1 --bogus":
+        "66b9c20104489d020b7603177b94916c8148b5814db1c1d31670186ebc9b056c",
+    "cf table --bogus":
+        "66b9c20104489d020b7603177b94916c8148b5814db1c1d31670186ebc9b056c",
+    "zeta --tau 1 --bogus":
+        "66b9c20104489d020b7603177b94916c8148b5814db1c1d31670186ebc9b056c",
+    "lang complexity --tau 1 --bogus":
+        "66b9c20104489d020b7603177b94916c8148b5814db1c1d31670186ebc9b056c",
+    "freq --bogus":
+        "66b9c20104489d020b7603177b94916c8148b5814db1c1d31670186ebc9b056c",
+    "dyn kneading --bogus":
+        "66b9c20104489d020b7603177b94916c8148b5814db1c1d31670186ebc9b056c",
+    "reproduce all --bogus":
+        "66b9c20104489d020b7603177b94916c8148b5814db1c1d31670186ebc9b056c",
+    "export zeta-roots --bogus":
+        "66b9c20104489d020b7603177b94916c8148b5814db1c1d31670186ebc9b056c",
+}
+
+
+def _parser_text(capsys, argv) -> str:
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    return json.dumps([rc, captured.out, captured.err])
+
+
+@pytest.mark.parametrize("argv", list(_PARSER_TEXT_SHA256))
+def test_parser_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    text = _parser_text(capsys, argv.split())
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda _: build(_ALL_COMMANDS))
+    assert _parser_text(capsys, argv.split()) == text
+    if sys.version_info[:2] == (3, 11):
+        assert hashlib.sha256(text.encode()).hexdigest() == _PARSER_TEXT_SHA256[argv]
+
+
 @pytest.mark.parametrize("argv, code, err", [
     (["zeta", "--tau", "feigenbaum:3", "--order", "16", "--entropy"], 0, ""),
     (["zeta", "--tau", "0", "--order", "8", "--entropy"], 0, ""),
@@ -299,6 +385,8 @@ def test_usage_exit_codes(capsys):
      "kneading zeta: error: argument --tol: invalid Fraction value: '1/0'\n"),
     (["dyn", "lemma1", "--pairs", "-1"], 2, "error: pairs must be >= 0\n"),
     (["zeta", "--tau", "feigenbaum:15"], 2, "error: level must be in 1..14\n"),
+    (["zeta", "--tau", "feigenbaum:inf", "--order", "64", "--entropy", "--tol", "4/3"], 2,
+     "error: tolerance must be below 4/3\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
@@ -360,7 +448,9 @@ dyn lemma1 --pairs 4096|dyn lemma1 --pairs 4097|export bifurcation-scan --n 256
 export bifurcation-scan --n 257
 zeta --tau feigenbaum:inf --order 2048 --entropy
 """.replace("\n", "|").split("|") if line] + [
-    ["zeta", "--tau", ""], ["lang", "forbidden", "--tau", ""]]
+    ["zeta", "--tau", ""], ["lang", "forbidden", "--tau", ""],
+    "zeta --tau feigenbaum:inf --order 64 --entropy --tol 4/3".split(),
+    "zeta --tau feigenbaum:inf --order 64 --entropy --tol 2".split()]
 
 
 @pytest.mark.parametrize("argv", _EDGE_CASES, ids=" ".join)

@@ -48,6 +48,37 @@ def test_command_runs_only_its_layers(argv, ran):
     assert _fresh(_RAN, *argv.split()).split() == ["0", *ran.split()]
 
 
+# Start-up modules a command may not load: dataclasses and inspect (about
+# 10 ms of imports) never; fractions only where exact numbers are computed,
+# csv only where a table is written.  Modules the interpreter had already
+# loaded before the package was imported do not count.
+_LOADED = """
+import contextlib, io, sys
+before = set(sys.modules)
+import kneading.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = kneading.cli.main(sys.argv[1:])
+print(rc, *sorted({"csv", "dataclasses", "fractions", "inspect"} & set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ("dyn kneading --n 20", ""),
+    ("dyn scan --steps 3", ""),
+    ("dyn lemma1 --pairs 10 --n 10", ""),
+    ("dyn scan --steps 3 --format csv", "csv"),
+    ("tau --j 3", "fractions"),
+    ("cf tau-level --j 4", "fractions"),
+    ("zeta --tau 5/6 --order 8 --counts --entropy", "fractions"),
+    ("lang complexity --tau 5/6 --nmax 6", "fractions"),
+    ("freq --prefix 1024", "fractions"),
+    ("export zeta-roots --j 2", ""),
+    ("reproduce nj-sequence", "fractions"),
+])
+def test_command_loads_no_idle_modules(argv, loaded):
+    assert _fresh(_LOADED, *argv.split()).split() == ["0", *loaded.split()]
+
+
 _THREADS = """
 import json, sys, threading
 import kneading

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,8 @@ from kneading.symbolic import (
     substitute,
     unparity_word,
 )
+from kneading import cfrac, dynamics, feigenbaum, frequency, language, spectral
+from kneading.symbolic import _Record
 
 # Frozen period words of the doubling cascade, levels 1..5.
 CASCADE_WORDS = {
@@ -213,3 +217,95 @@ def test_parity_word_matches_running_xor(bits):
         t.append(str(acc))
     assert parity_word(bits) == "".join(t)
     assert unparity_word(parity_word(bits)) == bits
+
+
+# === frozen records ====================================================
+
+def _tent(x):
+    return 2.0 * x if x < 0.5 else 2.0 * (1.0 - x)
+
+
+# every record class, with valid arguments, then argument lists that its
+# __post_init__ rejects
+_RECORDS = [
+    (cfrac.ContinuedFraction, ([1, 4, 1, 2],), [((),), ((1, 0),), ((2, 1),)]),
+    (cfrac.Convergent, (1, 2, 3), []),
+    (cfrac.ContinuationReport, (1, 2, "1 4", "1 4 1", False), []),
+    (dynamics.UnimodalMap, ("tent", 2.0, _tent, 0.5), [
+        ("tent", 2.0, _tent, 1.0), ("tent", 2.0, _tent, 0.5, 0.0),
+        ("tent", 2.0, lambda x: 1.0, 0.5)]),
+    (dynamics.Lemma1Report, (10, 8, 2, 0), []),
+    (dynamics.ScanRow, (3.5, 0.75, 12), []),
+    (dynamics.ScanReport, ((dynamics.ScanRow(3.5, None, 0),), 0), []),
+    (feigenbaum.DyadicEnclosure, (Fraction(1, 4), Fraction(1, 2), 1), [
+        (Fraction(1, 3), Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 4), 1),
+        (Fraction(1, 4), Fraction(1, 2), 3)]),
+    (feigenbaum.TauLevel, (2, 4, 5, "1100"), []),
+    (frequency.IncidenceMatrix, (("0", "1"), ((0, 1), (2, 1))), [
+        (("0", "1"), ((0, 1),)), (("0", "1"), ((0, -1), (2, 1)))]),
+    (frequency.NormalityReport,
+     (4, {"00": Fraction(1, 2)}, Fraction(1, 4), Fraction(1, 8)), []),
+    (language.LanguageQuery, (PeriodicStream("", "10"), 6), [
+        (PeriodicStream("", "10"), 0), (PeriodicStream("", "10"), 6, "all")]),
+    (spectral.IntSeries, ((1, -1, 0),), [((),)]),
+    (spectral.OrbitCounts, ({1: 2}, {1: 2}), []),
+    (spectral.EntropyResult, (0.0, 0.5, "bisection"), []),
+]
+
+
+def _dataclass_twin(cls):
+    """``cls`` as ``dataclass(frozen=True)`` builds it from the same
+    annotations, defaults, __post_init__ and methods."""
+    twin = type(cls.__name__, (), dict(vars(cls)))
+    twin.__qualname__ = cls.__qualname__
+    return dataclasses.dataclass(frozen=True)(twin)
+
+
+def test_every_record_class_is_checked():
+    assert {cls for cls, _, _ in _RECORDS} == set(_Record.__subclasses__())
+
+
+@pytest.mark.parametrize("cls, args, bad", _RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in _RECORDS])
+def test_record_matches_frozen_dataclass(cls, args, bad):
+    twin = _dataclass_twin(cls)
+    names = [f.name for f in dataclasses.fields(twin)]
+    required = [f.name for f in dataclasses.fields(twin)
+                if f.default is dataclasses.MISSING]
+    a, b = cls(*args), twin(*args)
+    assert repr(a) == repr(b)
+    assert list(vars(a).items()) == list(vars(b).items())
+    assert repr(cls(**dict(zip(names, args)))) == repr(a)
+    # a record class built from the same body is another class: never equal
+    lookalike = type(cls.__name__, (_Record,), dict(vars(cls)))(*args)
+    assert repr(lookalike) == repr(a)
+    for x, y, other in ((a, cls(*args), b), (b, twin(*args), a), (a, cls(*args), lookalike)):
+        assert (x == y, x != y, x == other, x != other, x == args, x != args) == (
+            True, False, False, True, False, True)
+    try:
+        h = hash(b)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == h
+    for obj in (a, b):
+        for name in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    # missing, extra, unknown and repeated arguments
+    too_many = (*args, *[0] * (len(names) - len(args) + 1))
+    for call_args, call_kwargs in (((), {}), (too_many, {}), (args, {"extra": 0}),
+                                   (args, {names[0]: args[0]})):
+        for make in (cls, twin):
+            with pytest.raises(TypeError):
+                make(*call_args, **call_kwargs)
+    assert repr(cls(*args[:len(required)])) == repr(twin(*args[:len(required)]))
+    for bad_args in bad:
+        with pytest.raises(ValueError) as mine:
+            cls(*bad_args)
+        with pytest.raises(ValueError) as theirs:
+            twin(*bad_args)
+        assert str(mine.value) == str(theirs.value)
