@@ -1,10 +1,13 @@
 """Float itineraries, renormalization geometry, and symbolic cross-checks."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneading.dynamics import (
     Lemma1Report,
@@ -245,3 +248,88 @@ def test_monotonicity_scan_past_1023_digits():
     long = monotonicity_scan([3.2], 1100).rows[0]
     assert long.reliable_prefix > 1024
     assert long.tau == monotonicity_scan([3.2], 1000).rows[0].tau
+
+
+# sha256 over the repr of every result (or exception type and message) in
+# _dynamics_golden_cases, recorded before the orbit kernel in itinerary was
+# rewritten to iterate the orbit first and read symbols and flags after
+DYNAMICS_GOLDEN_SHA256 = "05cc3d187a506bb17f6be26103912c6267ae04aa43839498b698b3dafb0fff65"
+
+_GOLDEN_STARTS = (0.0, 1.0, 1e-13, -1e-13, 1 - 1e-13, 1 + 1e-13, 0.3, 0.5, 0.9, -2e-12, 1.5)
+_GOLDEN_NS = (1, 20, 62, 256)
+
+
+def _golden_maps():
+    for r in (2.5, 3.2, 3.5, 3.5699456, 3.6785735104283, 3.8318740552843, 3.9,
+              4.0, 4.0 + 1e-15, 4.0000001, 4.1, 4.3):
+        yield logistic_map(r)
+    for slope in (0.5, 1.0, 1.5, 1.99, 2.0, 2.0 + 1e-12, 2.0 + 4e-12, 2.3):
+        yield tent_map(slope)
+    yield logistic_map(3.7, eta=1e-3)
+    yield skew_tent_map(0.3)
+    yield renormalize_map(logistic_map(3.5))
+
+
+def _dynamics_golden_cases():
+    for m in _golden_maps():
+        for n in _GOLDEN_NS:
+            yield lambda m=m, n=n: kneading(m, n)
+            for x in _GOLDEN_STARTS:
+                yield lambda m=m, x=x, n=n: itinerary(m, x, n)
+    for seed in (0, 1, 7):
+        for m in (logistic_map(3.9), tent_map(), logistic_map(4.1)):
+            yield lambda m=m, seed=seed: lemma1_validate(m, 200, 40, seed=seed)
+    grid = [2.9 + 1.1 * i / 199 for i in range(200)]
+    for n in _GOLDEN_NS:
+        yield lambda n=n: monotonicity_scan(grid, n)
+
+
+def test_dynamics_golden_hash():
+    h = hashlib.sha256()
+    for run in _dynamics_golden_cases():
+        try:
+            out = repr(run())
+        except (ValueError, RuntimeError) as e:
+            out = f"{type(e).__name__}: {e}"
+        h.update(out.encode() + b"\n")
+    assert h.hexdigest() == DYNAMICS_GOLDEN_SHA256
+
+
+def _itinerary_per_step(m, x, n):
+    """The earlier loop, kept as the oracle: read each point's symbol and
+    flag, then step, check for escape and clamp."""
+    if n < 1:
+        raise ValueError("need at least one symbol")
+    lo, hi = -1e-12, 1 + 1e-12
+    if not lo <= x <= hi:
+        raise ValueError("starting point outside [0, 1]")
+    u = min(max(x, 0.0), 1.0)
+    symbols, flags = [], []
+    for i in range(n):
+        symbols.append("1" if u >= m.c0 else "0")
+        flags.append(abs(u - m.c0) >= m.eta)
+        u = m.fn(u)
+        if not lo <= u <= hi:
+            raise OrbitEscapeError(f"orbit left [0, 1] at step {i + 1}: {u!r}")
+        u = min(max(u, 0.0), 1.0)
+    return "".join(symbols), tuple(flags)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+_edge_points = st.sampled_from([0.0, 1.0, 0.5, -1e-12, 1 + 1e-12, -1e-13, 1 + 1e-13])
+_starts = st.one_of(_edge_points, st.floats(-2e-12, 1 + 2e-12),
+                    st.floats(-2e-12, 2e-12), st.floats(1 - 2e-12, 1 + 2e-12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(logistic=st.booleans(), r=st.floats(0.2, 4.3), slope=st.floats(0.1, 2.3),
+       x=_starts, n=st.integers(1, 256), eta=st.sampled_from([1e-9, 1e-4, 0.1]))
+def test_itinerary_matches_per_step_loop(logistic, r, slope, x, n, eta):
+    m = logistic_map(r, eta) if logistic else tent_map(slope, eta)
+    assert _outcome(itinerary, m, x, n) == _outcome(_itinerary_per_step, m, x, n)
