@@ -80,17 +80,21 @@ def itinerary(m: UnimodalMap, x: float, n: int) -> tuple[str, tuple[bool, ...]]:
     if not lo <= x <= hi:
         raise ValueError("starting point outside [0, 1]")
     fn, c0, eta = m.fn, m.c0, m.eta
-    u = min(max(x, 0.0), 1.0)
-    symbols = []
-    flags = []
-    for i in range(n):
-        symbols.append("1" if u >= c0 else "0")
-        flags.append(abs(u - c0) >= eta)
+    u = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+    # the orbit first, then symbols and flags in one pass each; fn runs n
+    # times, so an escape on the last step still raises, and that point is
+    # dropped
+    pts = [u]
+    for step in range(1, n + 1):
         u = fn(u)
-        if not lo <= u <= hi:
-            raise OrbitEscapeError(f"orbit left [0, 1] at step {i + 1}: {u!r}")
-        u = min(max(u, 0.0), 1.0)
-    return "".join(symbols), tuple(flags)
+        if not 0.0 <= u <= 1.0:
+            if not lo <= u <= hi:
+                raise OrbitEscapeError(f"orbit left [0, 1] at step {step}: {u!r}")
+            u = 0.0 if u < 0.0 else 1.0
+        pts.append(u)
+    pts.pop()
+    return ("".join(["1" if p >= c0 else "0" for p in pts]),
+            tuple([abs(p - c0) >= eta for p in pts]))
 
 
 def kneading(m: UnimodalMap, n: int) -> tuple[str, tuple[bool, ...]]:
@@ -261,15 +265,17 @@ def monotonicity_scan(r_grid, n: int) -> ScanReport:
     rows = []
     for r in grid:
         word, flags = kneading(logistic_map(r), n)
-        k = 0
-        while k < n and flags[k]:
-            k += 1
+        k = flags.index(False) if False in flags else n
         if k == 0:
             rows.append(ScanRow(r, None, 0))
             continue
         digits = parity_word(word[:k])
+        # the first 53 terms in one exact ldexp (each partial sum of at most
+        # 53 dyadic bits is a float), the rest added in order as before;
         # ldexp, not division by 2.0 ** (i + 1), which overflows from i = 1023
-        tau = sum(math.ldexp(int(c), -(i + 1)) for i, c in enumerate(digits))
+        head = min(k, 53)
+        tau = sum((math.ldexp(int(c), -(i + 1)) for i, c in enumerate(digits[head:], head)),
+                  math.ldexp(int(digits[:head], 2), -head))
         rows.append(ScanRow(r, tau, k))
     vals = [row.tau for row in rows if row.tau is not None]
     decreases = sum(1 for u, v in zip(vals, vals[1:]) if v < u)
