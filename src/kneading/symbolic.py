@@ -22,13 +22,17 @@ class _Record:
     def __init__(self, *args, **kwargs):
         cls = type(self)
         fields = cls.__annotations__
-        given = dict(zip(fields, args), **kwargs)
-        if len(given) < len(args) + len(kwargs) or not given.keys() <= fields.keys():
-            raise TypeError(f"{cls.__name__}() got unexpected or repeated arguments")
-        for name in fields:
-            if name not in given and name not in cls.__dict__:
-                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-            self.__dict__[name] = given.get(name, cls.__dict__.get(name))
+        if not kwargs and len(args) == len(fields):
+            # every field given in order: the common call, bound directly
+            self.__dict__.update(zip(fields, args))
+        else:
+            given = dict(zip(fields, args), **kwargs)
+            if len(given) < len(args) + len(kwargs) or not given.keys() <= fields.keys():
+                raise TypeError(f"{cls.__name__}() got unexpected or repeated arguments")
+            for name in fields:
+                if name not in given and name not in cls.__dict__:
+                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+                self.__dict__[name] = given.get(name, cls.__dict__.get(name))
         if hasattr(cls, "__post_init__"):
             self.__post_init__()
 

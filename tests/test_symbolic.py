@@ -303,6 +303,23 @@ def test_record_matches_frozen_dataclass(cls, args, bad):
             with pytest.raises(TypeError):
                 make(*call_args, **call_kwargs)
     assert repr(cls(*args[:len(required)])) == repr(twin(*args[:len(required)]))
+    # positional, keyword and mixed calls bind the same fields in order; one
+    # required field left out, or one unknown keyword, is a TypeError
+    for split in range(len(args) + 1):
+        kw = dict(zip(names[split:], args[split:]))
+        x = cls(*args[:split], **kw)
+        assert x == a and list(vars(x).items()) == list(vars(b).items())
+        for name in set(kw) & set(required):
+            for make in (cls, twin):
+                with pytest.raises(TypeError):
+                    make(*args[:split], **{k: v for k, v in kw.items() if k != name})
+        for make in (cls, twin):
+            with pytest.raises(TypeError):
+                make(*args[:split], **kw, extra=0)
+    if required:
+        for make in (cls, twin):
+            with pytest.raises(TypeError):
+                make(*args[:len(required) - 1])
     for bad_args in bad:
         with pytest.raises(ValueError) as mine:
             cls(*bad_args)
