@@ -34,10 +34,10 @@ class UnimodalMap(_Record):
     def __post_init__(self):
         if not 0 < self.c0 < 1:
             raise ValueError("critical point must lie in (0, 1)")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("reliability band must be positive")
         for e in (0.0, 1.0):
-            if abs(self.fn(e)) > 1e-9:
+            if not abs(self.fn(e)) <= 1e-9:
                 raise ValueError("endpoints must map to 0")
 
 
@@ -260,7 +260,7 @@ def monotonicity_scan(r_grid, n: int) -> ScanReport:
     """Truncated tau along a logistic parameter grid; decreases are counted,
     not asserted away (plateaux and short reliable prefixes are expected)."""
     grid = list(r_grid)
-    if not grid or min(grid) < 2.9 or max(grid) > 4.0:
+    if not grid or not all(2.9 <= r <= 4.0 for r in grid):
         raise ValueError("grid must stay within [2.9, 4.0]")
     rows = []
     for r in grid:

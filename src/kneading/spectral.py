@@ -424,7 +424,9 @@ def entropy(K, N: int = 256, tol=Fraction(1, 10 ** 10)) -> EntropyResult:
         # cutoff close enough to 1 that the residual entropy fits inside tol
         cutoff = 1 - Fraction(3, 4) * tol
         if _certify_positive(upper, cutoff):
-            h_hi = -math.log(float(cutoff)) + _PAD
+            # a cutoff below the smallest float is logged from its parts
+            h_hi = (-math.log(float(cutoff)) if float(cutoff) else
+                    math.log(cutoff.denominator) - math.log(cutoff.numerator)) + _PAD
             return EntropyResult(0.0, h_hi, "no-root-below", (cutoff, Fraction(1)))
         raise EntropyInconclusive(
             f"no root isolated and no-root certificate failed at order {N}; increase N"

@@ -387,6 +387,11 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
     (["zeta", "--tau", "feigenbaum:15"], 2, "error: level must be in 1..14\n"),
     (["zeta", "--tau", "feigenbaum:inf", "--order", "64", "--entropy", "--tol", "4/3"], 2,
      "error: tolerance must be below 4/3\n"),
+    (["dyn", "kneading", "--eta", "nan"], 2, "error: reliability band must be positive\n"),
+    (["dyn", "kneading", "--r", "nan"], 2, "error: endpoints must map to 0\n"),
+    (["dyn", "kneading", "--family", "tent", "--slope", "nan"], 2,
+     "error: endpoints must map to 0\n"),
+    (["dyn", "scan", "--from", "nan"], 2, "error: grid must stay within [2.9, 4.0]\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
@@ -450,7 +455,11 @@ zeta --tau feigenbaum:inf --order 2048 --entropy
 """.replace("\n", "|").split("|") if line] + [
     ["zeta", "--tau", ""], ["lang", "forbidden", "--tau", ""],
     "zeta --tau feigenbaum:inf --order 64 --entropy --tol 4/3".split(),
-    "zeta --tau feigenbaum:inf --order 64 --entropy --tol 2".split()]
+    "zeta --tau feigenbaum:inf --order 64 --entropy --tol 2".split(),
+    "dyn kneading --eta nan".split(), "dyn kneading --r nan".split(),
+    "dyn kneading --family tent --slope nan".split(), "dyn scan --from nan".split(),
+    ["zeta", "--tau", "feigenbaum:inf", "--order", "64", "--entropy", "--tol",
+     f"{4 * 10 ** 400 - 3}/{3 * 10 ** 400}"]]
 
 
 @pytest.mark.parametrize("argv", _EDGE_CASES, ids=" ".join)

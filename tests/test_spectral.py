@@ -294,6 +294,17 @@ def test_entropy_generated_inconclusive():
         entropy(feigenbaum_limit(), N=64, tol=Fraction(1, 10 ** 6))
 
 
+def test_entropy_cutoff_below_smallest_float():
+    # tol just below 4/3 puts the no-root cutoff 1 - 3 tol / 4 = 3 / (4 10^400)
+    # under the smallest float; its log comes from numerator and denominator
+    tol = Fraction(4 * 10 ** 400 - 3, 3 * 10 ** 400)
+    r = entropy(feigenbaum_limit(), N=64, tol=tol)
+    assert r.method == "no-root-below"
+    assert r.z_bracket == (Fraction(3, 4 * 10 ** 400), 1)
+    assert r.lo == 0.0
+    assert r.hi == pytest.approx(400 * math.log(10) + math.log(4 / 3), rel=1e-15)
+
+
 def _poly_product(factors):
     out = [1]
     for f in factors:
