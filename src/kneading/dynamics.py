@@ -271,10 +271,11 @@ def monotonicity_scan(r_grid, n: int) -> ScanReport:
             continue
         digits = parity_word(word[:k])
         # the first 53 terms in one exact ldexp (each partial sum of at most
-        # 53 dyadic bits is a float), the rest added in order as before;
-        # ldexp, not division by 2.0 ** (i + 1), which overflows from i = 1023
+        # 53 dyadic bits is a float), the nonzero rest added in order as
+        # before (adding 0.0 leaves a sum unchanged); ldexp, not division by
+        # 2.0 ** i, which overflows from i = 1024
         head = min(k, 53)
-        tau = sum((math.ldexp(int(c), -(i + 1)) for i, c in enumerate(digits[head:], head)),
+        tau = sum([math.ldexp(1.0, -i) for i in range(head + 1, k + 1) if digits[i - 1] == "1"],
                   math.ldexp(int(digits[:head], 2), -head))
         rows.append(ScanRow(r, tau, k))
     vals = [row.tau for row in rows if row.tau is not None]
