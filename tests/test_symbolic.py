@@ -10,6 +10,7 @@ from kneading.symbolic import (
     FEIGENBAUM_RULE,
     THUE_MORSE_RULE,
     FixedPointStream,
+    FunctionStream,
     PeriodicStream,
     SubstitutionRule,
     complement,
@@ -26,7 +27,7 @@ from kneading.symbolic import (
     substitute,
     unparity_word,
 )
-from kneading import cfrac, dynamics, feigenbaum, frequency, language, spectral
+from kneading import cfrac, dynamics, encoding, feigenbaum, frequency, language, spectral
 from kneading.symbolic import _Record
 
 # Frozen period words of the doubling cascade, levels 1..5.
@@ -198,6 +199,48 @@ def test_renormalize_seq_random_cross_check():
         out = renormalize_seq(s)
         ref = complement(s.prefix(60)[1::2])
         assert out.prefix(30) == ref
+
+
+# both sides of a memoized stream's first 64-symbol buffer
+_EDGE_LENGTHS = (1, 63, 64, 65, 200)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="01", max_size=5), st.text(alphabet="01", min_size=1, max_size=7),
+       st.integers(0, 9))
+def test_generated_branches_match_periodic(pre, per, m):
+    # each stream operation reads a generated stream (the periodic stream
+    # hidden behind its symbol function) as it reads the periodic one
+    s = PeriodicStream(pre, per)
+    ops = [lambda x: shift(x, m), encoding.xi, encoding.xi_inverse,
+           renormalize_seq, feigenbaum.renormalize_tau]
+    for op in ops:
+        want = op(s)
+        got = op(FunctionStream(s.at))
+        assert [got.prefix(n) for n in _EDGE_LENGTHS] == [
+            want.prefix(n) for n in _EDGE_LENGTHS]
+        for k in _EDGE_LENGTHS:
+            # a fresh stream each time, so at() also runs on an empty buffer
+            assert op(FunctionStream(s.at)).at(k) == want.at(k)
+            assert got.at(k) == want.at(k)
+
+
+def _renormalize_word_loop(word, flags=None):
+    n = len(word) // 2
+    out = "".join("1" if word[2 * i + 1] == "0" else "0" for i in range(n))
+    if flags is None:
+        return out
+    return out, tuple(flags[2 * i + 1] for i in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 41))
+def test_renormalize_word_matches_index_loop(data, n):
+    word = data.draw(st.text(alphabet="01", min_size=n, max_size=n))
+    flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    assert dynamics.renormalize_word(word) == _renormalize_word_loop(word)
+    for f in (tuple(flags), flags):
+        assert dynamics.renormalize_word(word, f) == _renormalize_word_loop(word, f)
 
 
 def test_serialization_round_trip():
