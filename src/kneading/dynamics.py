@@ -10,7 +10,7 @@ import math
 import random
 from typing import Callable
 
-from .symbolic import _Record, parity_word
+from .symbolic import _Record, complement, parity_word
 
 _BOUNDARY_TOL = 1e-12
 
@@ -112,11 +112,10 @@ def renormalize_word(word: str, flags=None):
     orientation, so the renormalized symbols are the complemented
     even-position symbols; odd positions carry no information.
     """
-    n = len(word) // 2
-    out = "".join("1" if word[2 * i + 1] == "0" else "0" for i in range(n))
+    out = complement(word[1::2])
     if flags is None:
         return out
-    return out, tuple(flags[2 * i + 1] for i in range(n))
+    return out, tuple(flags[1:2 * len(out):2])
 
 
 def _bisect(g: Callable[[float], float], lo: float, hi: float,

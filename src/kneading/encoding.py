@@ -13,7 +13,7 @@ from fractions import Fraction
 from kneading.symbolic import (
     PeriodicStream,
     SymbolStream,
-    _MemoizedStream,
+    _DerivedStream,
     complement,
     parity_word,
     shift,
@@ -27,19 +27,6 @@ class Order(enum.Enum):
     GT = 1
 
 
-class _EncodedStream(_MemoizedStream):
-    """A base stream read through parity_word or unparity_word, prefix by
-    prefix (both map a word's prefixes to the image's prefixes)."""
-
-    def __init__(self, base: SymbolStream, encode):
-        super().__init__()
-        self.base = base
-        self.encode = encode
-
-    def _compute_prefix(self, n: int) -> str:
-        return self.encode(self.base.prefix(n))
-
-
 def xi(s: SymbolStream) -> SymbolStream:
     """Digit stream t of s: t_k is the parity of s_1..s_k.
 
@@ -51,7 +38,7 @@ def xi(s: SymbolStream) -> SymbolStream:
         span = n if s.period.count("1") % 2 == 0 else 2 * n
         t = parity_word(s.prefix(m + span))
         return PeriodicStream(t[:m], t[m:])
-    return _EncodedStream(s, parity_word)
+    return _DerivedStream(s, parity_word)
 
 
 def xi_inverse(t: SymbolStream) -> SymbolStream:
@@ -62,7 +49,7 @@ def xi_inverse(t: SymbolStream) -> SymbolStream:
         m, n = len(t.preperiod), len(t.period)
         w = unparity_word(t.prefix(m + 1 + n))
         return PeriodicStream(w[:m + 1], w[m + 1:])
-    return _EncodedStream(t, unparity_word)
+    return _DerivedStream(t, unparity_word)
 
 
 def epsilon(s: SymbolStream, k: int) -> int:

@@ -13,10 +13,10 @@ from kneading.encoding import xi, tau_of_periodic
 from kneading.symbolic import (
     THUE_MORSE_RULE,
     FixedPointStream,
-    PeriodicStream,
     SubstitutionRule,
     SymbolStream,
     _Record,
+    _every_second,
     complement,
     feigenbaum_limit,
     feigenbaum_stream,
@@ -253,26 +253,7 @@ def tau_infinity_enclosure(bits: int, method: str = "digit-sum") -> DyadicEnclos
 
 def renormalize_tau(t: SymbolStream) -> SymbolStream:
     """Digit renormalization: keep every second digit (t_2 t_4 t_6 ...)."""
-    if isinstance(t, PeriodicStream):
-        m = len(t.preperiod)
-        n = len(t.period)
-        pre_len = (m + 1) // 2
-        per_len = n if n % 2 else n // 2
-        raw = t.prefix(2 * (pre_len + per_len))[1::2]
-        return PeriodicStream(raw[:pre_len], raw[pre_len:pre_len + per_len])
-    return _EvenKeepStream(t)
-
-
-class _EvenKeepStream(SymbolStream):
-    def __init__(self, base: SymbolStream):
-        self.base = base
-
-    def at(self, k: int) -> int:
-        self._check_index(k)
-        return self.base.at(2 * k)
-
-    def prefix(self, n: int) -> str:
-        return self.base.prefix(2 * n)[1::2]
+    return _every_second(t, flip=False)
 
 
 def thue_morse_check(n: int) -> bool:

@@ -282,33 +282,6 @@ class FixedPointStream(_MemoizedStream):
         return f"FixedPointStream({self.rule!r}, {self.letter!r})"
 
 
-class _ShiftedStream(SymbolStream):
-    def __init__(self, base: SymbolStream, m: int):
-        self.base = base
-        self.m = m
-
-    def at(self, k: int) -> int:
-        self._check_index(k)
-        return self.base.at(k + self.m)
-
-    def prefix(self, n: int) -> str:
-        return self.base.prefix(n + self.m)[self.m:]
-
-
-class _EvenComplementStream(SymbolStream):
-    """k-th symbol is the complement of the base stream's 2k-th symbol."""
-
-    def __init__(self, base: SymbolStream):
-        self.base = base
-
-    def at(self, k: int) -> int:
-        self._check_index(k)
-        return 1 - self.base.at(2 * k)
-
-    def prefix(self, n: int) -> str:
-        return complement(self.base.prefix(2 * n)[1::2])
-
-
 class FunctionStream(_MemoizedStream):
     """Stream defined by a 1-based symbol function."""
 
@@ -318,6 +291,23 @@ class FunctionStream(_MemoizedStream):
 
     def _compute_prefix(self, n: int) -> str:
         return "".join(str(self.fn(k)) for k in range(1, n + 1))
+
+
+class _DerivedStream(_MemoizedStream):
+    """Stream read off a base stream prefix by prefix: its first n symbols
+    are derive(base.prefix(stretch * n + skip))[:n].  Shifts, the
+    every-second-symbol renormalizations and the parity recodings of
+    generated streams are all of this form."""
+
+    def __init__(self, base: SymbolStream, derive, stretch: int = 1, skip: int = 0):
+        super().__init__()
+        self.base = base
+        self.derive = derive
+        self.stretch = stretch
+        self.skip = skip
+
+    def _compute_prefix(self, n: int) -> str:
+        return self.derive(self.base.prefix(self.stretch * n + self.skip))[:n]
 
 
 def shift(s: SymbolStream, m: int = 1) -> SymbolStream:
@@ -332,7 +322,7 @@ def shift(s: SymbolStream, m: int = 1) -> SymbolStream:
             return PeriodicStream(pre[m:], per)
         r = (m - len(pre)) % len(per)
         return PeriodicStream("", per[r:] + per[:r])
-    return _ShiftedStream(s, m)
+    return _DerivedStream(s, lambda w: w[m:], skip=m)
 
 
 def fixed_point_prefix(rule: SubstitutionRule, letter: str, n: int) -> str:
@@ -340,18 +330,26 @@ def fixed_point_prefix(rule: SubstitutionRule, letter: str, n: int) -> str:
     return FixedPointStream(rule, letter).prefix(n)
 
 
+def _every_second(s: SymbolStream, flip: bool) -> SymbolStream:
+    """s_2 s_4 s_6 ..., complemented when ``flip``: the period-doubling
+    renormalization of kneading sequences (flip) and of digit streams."""
+    def derive(w: str) -> str:
+        return complement(w[1::2]) if flip else w[1::2]
+
+    if isinstance(s, PeriodicStream):
+        # the preperiod halves (rounding up); an even period halves, an odd
+        # one is read twice over before it repeats
+        n = len(s.period)
+        pre_len = (len(s.preperiod) + 1) // 2
+        out = derive(s.prefix(2 * pre_len + (2 * n if n % 2 else n)))
+        return PeriodicStream(out[:pre_len], out[pre_len:])
+    return _DerivedStream(s, derive, stretch=2)
+
+
 def renormalize_seq(s: SymbolStream) -> SymbolStream:
     """Sequence renormalization: k-th output symbol is the complemented
     2k-th input symbol."""
-    if isinstance(s, PeriodicStream):
-        m = len(s.preperiod)
-        n = len(s.period)
-        pre_len = (m + 1) // 2
-        per_len = n if n % 2 else n // 2
-        raw = s.prefix(2 * (pre_len + per_len))
-        out = complement(raw[1::2])
-        return PeriodicStream(out[:pre_len], out[pre_len:pre_len + per_len])
-    return _EvenComplementStream(s)
+    return _every_second(s, flip=True)
 
 
 _FEIGENBAUM_METHODS = ("duplicate-flip", "index-doubling", "substitution")
