@@ -165,6 +165,10 @@ def _cmd_zeta(args) -> _Result:
     # integers: --counts at order 2000 takes about 2 s on a 2-core Xeon
     if not 1 <= args.order <= 2048:
         raise ValueError("order must be in 1..2048")
+    # entropy costs more as tol shrinks: --order 2048 on feigenbaum:inf
+    # takes about 1.2 s at this floor and 7.2 s at 1/10^300 on a 2-core Xeon
+    if args.entropy and 0 < args.tol and args.tol * 10 ** 100 < 1:
+        raise ValueError("tolerance must be at least 1/10^100")
     stream = _tau_stream(args.tau)
     if (args.counts or args.entropy) and encoding.is_maximal(stream) is not True:
         raise ValueError("K is not a maximal stream")
@@ -190,6 +194,10 @@ def _cmd_zeta(args) -> _Result:
 
 
 def _cmd_lang(args) -> _Result:
+    if args.what == "forbidden":
+        # one word of up to nmax symbols per zero digit: at the cap about
+        # 4 MB of output in 0.15 s
+        _check_cap("nmax", args.nmax, 4096)
     stream = _tau_stream(args.tau)
     if args.what == "complexity":
         counts = language.complexity(language.LanguageQuery(stream, args.nmax, args.mode))

@@ -392,6 +392,10 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
     (["dyn", "kneading", "--family", "tent", "--slope", "nan"], 2,
      "error: endpoints must map to 0\n"),
     (["dyn", "scan", "--from", "nan"], 2, "error: grid must stay within [2.9, 4.0]\n"),
+    (["lang", "forbidden", "--tau", "6/7", "--nmax", "4097"], 2,
+     "error: nmax must be at most 4096\n"),
+    (["zeta", "--tau", "feigenbaum:inf", "--order", "64", "--entropy", "--tol",
+      f"1/{10 ** 100 + 1}"], 2, "error: tolerance must be at least 1/10^100\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
@@ -459,7 +463,13 @@ zeta --tau feigenbaum:inf --order 2048 --entropy
     "dyn kneading --eta nan".split(), "dyn kneading --r nan".split(),
     "dyn kneading --family tent --slope nan".split(), "dyn scan --from nan".split(),
     ["zeta", "--tau", "feigenbaum:inf", "--order", "64", "--entropy", "--tol",
-     f"{4 * 10 ** 400 - 3}/{3 * 10 ** 400}"]]
+     f"{4 * 10 ** 400 - 3}/{3 * 10 ** 400}"],
+    "lang forbidden --tau 6/7 --nmax 4096".split(),
+    "lang forbidden --tau 6/7 --nmax 4097".split(),
+    ["zeta", "--tau", "feigenbaum:inf", "--order", "64", "--entropy", "--tol",
+     f"1/{10 ** 100}"],
+    ["zeta", "--tau", "feigenbaum:inf", "--order", "64", "--entropy", "--tol",
+     f"1/{10 ** 100 + 1}"]]
 
 
 @pytest.mark.parametrize("argv", _EDGE_CASES, ids=" ".join)

@@ -122,3 +122,18 @@ def test_exports_resolve_to_their_layer():
     assert len(kneading.__all__) == 1 + sum(map(len, kneading._EXPORTS.values()))
     with pytest.raises(AttributeError):
         kneading.no_such_name
+
+
+def test_stream_classes_live_in_symbolic():
+    # every stream type, derived streams included, is one of symbolic's
+    from kneading.symbolic import SymbolStream
+
+    for layer in kneading._EXPORTS:
+        vars(sys.modules[f"kneading.{layer}"])  # runs the layer
+    found, todo = [], [SymbolStream]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    ours = [c for c in found if c.__module__.split(".")[0] == "kneading"]
+    assert {c.__module__ for c in ours} == {"kneading.symbolic"}, ours
