@@ -32,15 +32,12 @@ _EXPORTS = {
         "feigenbaum_stream", "feigenbaum_limit", "stream_to_json", "stream_from_json",
     ),
     "encoding": (
-        "Order", "xi", "xi_inverse", "epsilon", "tau_of_periodic", "stream_tau",
-        "binary_digits", "kneading_from_tau", "tent", "in_lambda", "word_order",
-        "is_maximal", "admissible",
+        "xi", "xi_inverse", "epsilon", "tau_of_periodic", "stream_tau",
+        "binary_digits", "kneading_from_tau", "is_maximal", "admissible",
     ),
     "feigenbaum": (
         "PAIR_RULE", "PAIR_TO_DIGITS", "DyadicEnclosure", "TauLevel", "tau_level",
-        "tau_difference", "tau_infinity_digit", "tau_infinity_digits",
-        "tau_infinity_enclosure", "renormalize_tau", "thue_morse_check",
-        "tau_from_kneading",
+        "tau_infinity_digits", "tau_infinity_enclosure", "renormalize_tau",
     ),
     "cfrac": (
         "ContinuedFraction", "Convergent", "ContinuationReport", "cf_of_rational",

@@ -7,7 +7,6 @@ points on the interval, and conjugates the shift to the tent map.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 
 from kneading.symbolic import (
@@ -19,12 +18,6 @@ from kneading.symbolic import (
     shift,
     unparity_word,
 )
-
-
-class Order(enum.Enum):
-    LT = -1
-    EQ_PREFIX = 0
-    GT = 1
 
 
 def xi(s: SymbolStream) -> SymbolStream:
@@ -100,42 +93,6 @@ def binary_digits(x: Fraction) -> PeriodicStream:
 def kneading_from_tau(x: Fraction) -> PeriodicStream:
     """Symbol stream whose digit stream is the binary expansion of x."""
     return xi_inverse(binary_digits(x))
-
-
-def tent(x: Fraction) -> Fraction:
-    """Full tent map on [0, 1]."""
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError(f"value out of [0, 1]: {x}")
-    return 2 * x if x < Fraction(1, 2) else 2 * (1 - x)
-
-
-def in_lambda(x: Fraction) -> bool:
-    """Whether every tent iterate of x stays <= x (exact, rationals only).
-
-    The orbit of p/q under the tent map lives in the finite set k/q, so
-    the decision terminates.
-    """
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError(f"value out of [0, 1]: {x}")
-    seen = set()
-    y = x
-    while y not in seen:
-        seen.add(y)
-        y = tent(y)
-        if y > x:
-            return False
-    return True
-
-
-def word_order(u: str, v: str) -> Order:
-    """Compare two digit words as binary expansions, shorter-prefix aware."""
-    n = min(len(u), len(v))
-    for i in range(n):
-        if u[i] != v[i]:
-            return Order.LT if u[i] < v[i] else Order.GT
-    return Order.EQ_PREFIX
 
 
 # shifts tried, and digits compared per shift, for generated streams

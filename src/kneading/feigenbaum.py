@@ -9,18 +9,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from kneading.encoding import xi, tau_of_periodic
+from kneading.encoding import xi
 from kneading.symbolic import (
-    THUE_MORSE_RULE,
-    FixedPointStream,
     SubstitutionRule,
     SymbolStream,
     _Record,
     _every_second,
     complement,
     feigenbaum_limit,
-    feigenbaum_stream,
-    parity_word,
 )
 
 # Pair coding of digit streams: two digits at a time, a=00 b=01 c=10 d=11.
@@ -126,22 +122,6 @@ class TauLevel(_Record):
         return {"j": self.j, "p": self.p, "q": self.q, "digits": self.period_digits}
 
 
-_TAU_METHODS = ("digit-rule", "pair-substitution", "pq-recursion", "closed-form")
-
-
-def _digits_from_value(p: int, q: int, n: int) -> str:
-    """Digit period of length n for p/q, where q divides 2^n - 1."""
-    full = 2 ** n - 1
-    if full % q:
-        raise ValueError(f"{q} does not divide 2^{n}-1")
-    return format(p * (full // q), f"0{n}b")
-
-
-def _level_from_word(j: int, word: str) -> TauLevel:
-    v = Fraction(int(word, 2), 2 ** len(word) - 1)
-    return TauLevel(j, v.numerator, v.denominator, word)
-
-
 def _closed_form_pq(j: int) -> tuple[int, int]:
     """p and q of tau_j in lowest terms, with no gcd and no division.
 
@@ -160,110 +140,34 @@ def _closed_form_pq(j: int) -> tuple[int, int]:
     return q - prod, q
 
 
-def tau_level(j: int, method: str = "digit-rule") -> TauLevel:
-    """tau_j by any of four equivalent constructions.
-
-    digit-rule: rewrite the digit period w -> w' of doubled length; p/q
-    from the closed form (the word is 2^j digits long, and reducing
-    w / (2^(2^j) - 1) would cost a gcd of 2^j-bit integers).
-    pair-substitution: expand the pair coding under PAIR_RULE and reduce
-    the word's value.
-    pq-recursion: p' = 2 + p(q-2), q' = 2 + q(q-2) from (2, 3).
-    closed-form: q = 2^(2^(j-1)) + 1 and a product formula for p.
-    """
+def tau_level(j: int) -> TauLevel:
+    """tau_j by the digit rule: rewrite the digit period w -> w' of doubled
+    length; p/q from the closed form (the word is 2^j digits long, and
+    reducing w / (2^(2^j) - 1) would cost a gcd of 2^j-bit integers)."""
     if j < 1:
         raise ValueError("level must be >= 1")
-    if method not in _TAU_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "digit-rule":
-        w = "10"
-        for _ in range(j - 1):
-            w = w[:-1] + complement(w[-1]) + complement(w[:-1]) + w[-1]
-        return TauLevel(j, *_closed_form_pq(j), w)
-    if method == "pair-substitution":
-        w = "c"
-        for _ in range(j - 1):
-            w = PAIR_RULE.apply(w)
-        return _level_from_word(j, "".join(PAIR_TO_DIGITS[c] for c in w))
-    if method == "pq-recursion":
-        p, q = 2, 3
-        for _ in range(j - 1):
-            p, q = 2 + p * (q - 2), 2 + q * (q - 2)
-        return TauLevel(j, p, q, _digits_from_value(p, q, 2 ** j))
-    # closed-form
-    p, q = _closed_form_pq(j)
-    return TauLevel(j, p, q, _digits_from_value(p, q, 2 ** j))
-
-
-def tau_difference(j: int) -> Fraction:
-    """Exact gap tau_{j+1} - tau_j, cross-checked against the closed form
-    2 (1 - tau_j) / (2^(2^j) + 1)."""
-    a = tau_level(j, "closed-form").value
-    b = tau_level(j + 1, "closed-form").value
-    gap = b - a
-    if gap != 2 * (1 - a) / (2 ** (2 ** j) + 1):
-        raise ArithmeticError(f"gap formula mismatch at level {j}")
-    return gap
-
-
-def tau_infinity_digit(k: int) -> int:
-    """k-th digit of tau_infinity: write k = p 2^l with p odd; the digit
-    is the bit-sum parity of p."""
-    if k < 1:
-        raise IndexError("digit indices are 1-based")
-    p = k >> ((k & -k).bit_length() - 1)
-    return p.bit_count() % 2
+    w = "10"
+    for _ in range(j - 1):
+        w = w[:-1] + complement(w[-1]) + complement(w[:-1]) + w[-1]
+    return TauLevel(j, *_closed_form_pq(j), w)
 
 
 def tau_infinity_digits() -> SymbolStream:
     """The digit stream of tau_infinity (memoized): the running parities of
-    the limit kneading sequence, built by substitution and one parity pass
-    instead of one tau_infinity_digit call per index."""
+    the limit kneading sequence, built by substitution and one parity pass."""
     return xi(feigenbaum_limit())
 
 
-def tau_infinity_enclosure(bits: int, method: str = "digit-sum") -> DyadicEnclosure:
-    """Two-sided dyadic enclosure of tau_infinity of width <= 2^-bits.
-
-    digit-sum: partial sum of the digits, plus a one-ulp tail.
-    product-formula: partial product of 1 - 1/2 prod (1 - 2^-2^k), with a
-    rigorous bound on the discarded factors.
-    """
+def tau_infinity_enclosure(bits: int) -> DyadicEnclosure:
+    """Two-sided dyadic enclosure of tau_infinity of width <= 2^-bits: the
+    partial sum of the digits, plus a one-ulp tail."""
     if bits < 1:
         raise ValueError("bits must be >= 1")
-    if method == "digit-sum":
-        n = bits
-        lo = Fraction(int(tau_infinity_digits().prefix(n), 2), 2 ** n)
-        return DyadicEnclosure(lo, lo + Fraction(1, 2 ** n), bits)
-    if method == "product-formula":
-        # Partial product P_K over k <= K; the tail factor lies in
-        # [1 - 2^(1 - 2^(K+1)), 1], so the value 1 - P/2 lies in
-        # [1 - P_K/2, 1 - P_K/2 + P_K 2^-2^(K+1)].
-        K = 0
-        while 2 ** (K + 1) < bits + 1:
-            K += 1
-        prod = Fraction(1)
-        for k in range(K + 1):
-            prod *= 1 - Fraction(1, 2 ** (2 ** k))
-        lo = 1 - prod / 2
-        hi = lo + prod * Fraction(1, 2 ** (2 ** (K + 1)))
-        return DyadicEnclosure(lo, hi, bits)
-    raise ValueError(f"unknown method {method!r}")
+    lo = Fraction(int(tau_infinity_digits().prefix(bits), 2), 2 ** bits)
+    return DyadicEnclosure(lo, lo + Fraction(1, 2 ** bits), bits)
 
 
 def renormalize_tau(t: SymbolStream) -> SymbolStream:
     """Digit renormalization: keep every second digit (t_2 t_4 t_6 ...)."""
     return _every_second(t, flip=False)
 
-
-def thue_morse_check(n: int) -> bool:
-    """Prepending 0 to the cascade limit and encoding it digit-wise gives
-    the fixed point of 0 -> 01, 1 -> 10; verify the first n symbols."""
-    u = feigenbaum_limit().prefix(max(n - 1, 0))
-    tm = FixedPointStream(THUE_MORSE_RULE, "0").prefix(n)
-    return parity_word("0" + u)[:n] == tm
-
-
-def tau_from_kneading(j: int) -> Fraction:
-    """tau_j obtained independently from the kneading word via xi."""
-    return tau_of_periodic(xi(feigenbaum_stream(j)))

@@ -77,14 +77,6 @@ class IntSeries(_Record):
             out.append(-c0 * sum(map(mul, c[1:k + 1], reversed(out))))
         return IntSeries(tuple(out))
 
-    def evaluate(self, x) -> Fraction:
-        """Exact Horner evaluation of the truncation at a rational point."""
-        x = Fraction(x)
-        v = Fraction(0)
-        for c in reversed(self.coefficients):
-            v = v * x + c
-        return v
-
 
 class OrbitCounts(_Record):
     """Periodic-point counts per period and prime-orbit counts per prime period."""

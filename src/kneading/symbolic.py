@@ -352,34 +352,23 @@ def renormalize_seq(s: SymbolStream) -> SymbolStream:
     return _every_second(s, flip=True)
 
 
-_FEIGENBAUM_METHODS = ("duplicate-flip", "index-doubling", "substitution")
-
-
-def feigenbaum_word(j: int, method: str = "duplicate-flip") -> str:
+def feigenbaum_word(j: int) -> str:
     """Period word of the j-th kneading sequence in the doubling cascade.
 
     Level 1 is "1"; level j has length 2^(j-1) and an odd number of 1s.
-    The three constructions are equivalent; "duplicate-flip" is the
-    reference one.
+    Each level is the previous word twice over, its last symbol flipped.
     """
     if j < 1:
         raise ValueError("level must be >= 1")
-    if method not in _FEIGENBAUM_METHODS:
-        raise ValueError(f"unknown method {method!r}")
     w = "1"
     for _ in range(j - 1):
-        if method == "duplicate-flip":
-            w = w + w[:-1] + complement(w[-1])
-        elif method == "index-doubling":
-            w = "".join("1" + complement(c) for c in w)
-        else:
-            w = FEIGENBAUM_RULE.apply(w)
+        w = w + w[:-1] + complement(w[-1])
     return w
 
 
-def feigenbaum_stream(j: int, method: str = "duplicate-flip") -> PeriodicStream:
+def feigenbaum_stream(j: int) -> PeriodicStream:
     """The j-th cascade kneading sequence as a periodic stream."""
-    return PeriodicStream("", feigenbaum_word(j, method))
+    return PeriodicStream("", feigenbaum_word(j))
 
 
 def feigenbaum_limit() -> FixedPointStream:

@@ -1,0 +1,227 @@
+"""Independent constructions that the tests cross-check the library against.
+
+The package keeps one code path per quantity.  The second, third and fourth
+constructions of tau_j, tau_infinity and the cascade words live here, with
+the exact tent-map checks and the word order they rest on, so that a test
+can compare two constructions that share no code.  ``tau_level_via``,
+``tau_infinity_enclosure_via`` and ``feigenbaum_word_via`` take the method
+names the acceptance criteria use; each hands its reference method to the
+library.
+"""
+
+from __future__ import annotations
+
+import enum
+from fractions import Fraction
+
+from kneading.encoding import tau_of_periodic, xi
+from kneading.feigenbaum import (
+    PAIR_RULE,
+    PAIR_TO_DIGITS,
+    DyadicEnclosure,
+    TauLevel,
+    _closed_form_pq,
+    tau_infinity_enclosure,
+    tau_level,
+)
+from kneading.symbolic import (
+    FEIGENBAUM_RULE,
+    THUE_MORSE_RULE,
+    FixedPointStream,
+    complement,
+    feigenbaum_limit,
+    feigenbaum_stream,
+    feigenbaum_word,
+    parity_word,
+)
+
+
+# === tent map and word order ===========================================
+
+class Order(enum.Enum):
+    LT = -1
+    EQ_PREFIX = 0
+    GT = 1
+
+
+def tent(x: Fraction) -> Fraction:
+    """Full tent map on [0, 1]."""
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise ValueError(f"value out of [0, 1]: {x}")
+    return 2 * x if x < Fraction(1, 2) else 2 * (1 - x)
+
+
+def in_lambda(x: Fraction) -> bool:
+    """Whether every tent iterate of x stays <= x (exact, rationals only).
+
+    The orbit of p/q under the tent map lives in the finite set k/q, so
+    the decision terminates.
+    """
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise ValueError(f"value out of [0, 1]: {x}")
+    seen = set()
+    y = x
+    while y not in seen:
+        seen.add(y)
+        y = tent(y)
+        if y > x:
+            return False
+    return True
+
+
+def word_order(u: str, v: str) -> Order:
+    """Compare two digit words as binary expansions, shorter-prefix aware."""
+    n = min(len(u), len(v))
+    for i in range(n):
+        if u[i] != v[i]:
+            return Order.LT if u[i] < v[i] else Order.GT
+    return Order.EQ_PREFIX
+
+
+# === tau_j ============================================================
+
+_TAU_METHODS = ("digit-rule", "pair-substitution", "pq-recursion", "closed-form")
+
+
+def _digits_from_value(p: int, q: int, n: int) -> str:
+    """Digit period of length n for p/q, where q divides 2^n - 1."""
+    full = 2 ** n - 1
+    if full % q:
+        raise ValueError(f"{q} does not divide 2^{n}-1")
+    return format(p * (full // q), f"0{n}b")
+
+
+def _level_from_word(j: int, word: str) -> TauLevel:
+    v = Fraction(int(word, 2), 2 ** len(word) - 1)
+    return TauLevel(j, v.numerator, v.denominator, word)
+
+
+def tau_level_via(j: int, method: str = "digit-rule") -> TauLevel:
+    """tau_j by any of four equivalent constructions.
+
+    digit-rule: the library's ``tau_level``.
+    pair-substitution: expand the pair coding under PAIR_RULE and reduce
+    the word's value.
+    pq-recursion: p' = 2 + p(q-2), q' = 2 + q(q-2) from (2, 3).
+    closed-form: q = 2^(2^(j-1)) + 1 and a product formula for p.
+    """
+    if j < 1:
+        raise ValueError("level must be >= 1")
+    if method not in _TAU_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "digit-rule":
+        return tau_level(j)
+    if method == "pair-substitution":
+        w = "c"
+        for _ in range(j - 1):
+            w = PAIR_RULE.apply(w)
+        return _level_from_word(j, "".join(PAIR_TO_DIGITS[c] for c in w))
+    if method == "pq-recursion":
+        p, q = 2, 3
+        for _ in range(j - 1):
+            p, q = 2 + p * (q - 2), 2 + q * (q - 2)
+        return TauLevel(j, p, q, _digits_from_value(p, q, 2 ** j))
+    # closed-form
+    p, q = _closed_form_pq(j)
+    return TauLevel(j, p, q, _digits_from_value(p, q, 2 ** j))
+
+
+def tau_difference(j: int) -> Fraction:
+    """Exact gap tau_{j+1} - tau_j, cross-checked against the closed form
+    2 (1 - tau_j) / (2^(2^j) + 1)."""
+    a = tau_level_via(j, "closed-form").value
+    b = tau_level_via(j + 1, "closed-form").value
+    gap = b - a
+    if gap != 2 * (1 - a) / (2 ** (2 ** j) + 1):
+        raise ArithmeticError(f"gap formula mismatch at level {j}")
+    return gap
+
+
+def tau_from_kneading(j: int) -> Fraction:
+    """tau_j obtained independently from the kneading word via xi."""
+    return tau_of_periodic(xi(feigenbaum_stream(j)))
+
+
+# === tau_infinity =====================================================
+
+def tau_infinity_digit(k: int) -> int:
+    """k-th digit of tau_infinity: write k = p 2^l with p odd; the digit
+    is the bit-sum parity of p."""
+    if k < 1:
+        raise IndexError("digit indices are 1-based")
+    p = k >> ((k & -k).bit_length() - 1)
+    return p.bit_count() % 2
+
+
+def tau_infinity_enclosure_via(bits: int, method: str = "digit-sum") -> DyadicEnclosure:
+    """Two-sided dyadic enclosure of tau_infinity of width <= 2^-bits.
+
+    digit-sum: the library's ``tau_infinity_enclosure``.
+    product-formula: partial product of 1 - 1/2 prod (1 - 2^-2^k), with a
+    rigorous bound on the discarded factors.
+    """
+    if bits < 1:
+        raise ValueError("bits must be >= 1")
+    if method == "digit-sum":
+        return tau_infinity_enclosure(bits)
+    if method == "product-formula":
+        # Partial product P_K over k <= K; the tail factor lies in
+        # [1 - 2^(1 - 2^(K+1)), 1], so the value 1 - P/2 lies in
+        # [1 - P_K/2, 1 - P_K/2 + P_K 2^-2^(K+1)].
+        K = 0
+        while 2 ** (K + 1) < bits + 1:
+            K += 1
+        prod = Fraction(1)
+        for k in range(K + 1):
+            prod *= 1 - Fraction(1, 2 ** (2 ** k))
+        lo = 1 - prod / 2
+        hi = lo + prod * Fraction(1, 2 ** (2 ** (K + 1)))
+        return DyadicEnclosure(lo, hi, bits)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def thue_morse_check(n: int) -> bool:
+    """Prepending 0 to the cascade limit and encoding it digit-wise gives
+    the fixed point of 0 -> 01, 1 -> 10; verify the first n symbols."""
+    u = feigenbaum_limit().prefix(max(n - 1, 0))
+    tm = FixedPointStream(THUE_MORSE_RULE, "0").prefix(n)
+    return parity_word("0" + u)[:n] == tm
+
+
+# === cascade words ====================================================
+
+_FEIGENBAUM_METHODS = ("duplicate-flip", "index-doubling", "substitution")
+
+
+def feigenbaum_word_via(j: int, method: str = "duplicate-flip") -> str:
+    """Period word of the j-th kneading sequence in the doubling cascade.
+
+    The three constructions are equivalent; "duplicate-flip" is the
+    library's ``feigenbaum_word``.
+    """
+    if j < 1:
+        raise ValueError("level must be >= 1")
+    if method not in _FEIGENBAUM_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "duplicate-flip":
+        return feigenbaum_word(j)
+    w = "1"
+    for _ in range(j - 1):
+        if method == "index-doubling":
+            w = "".join("1" + complement(c) for c in w)
+        else:
+            w = FEIGENBAUM_RULE.apply(w)
+    return w
+
+
+# === series ===========================================================
+
+def evaluate_series(series, x) -> Fraction:
+    """Exact Horner evaluation of the truncation at a rational point."""
+    x = Fraction(x)
+    v = Fraction(0)
+    for c in reversed(series.coefficients):
+        v = v * x + c
+    return v

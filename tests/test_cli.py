@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 import kneading.cli as cli
-from kneading.feigenbaum import tau_infinity_digit, tau_level
+from kneading.feigenbaum import tau_level
 from kneading.spectral import feigenbaum_zeta
+from oracles import tau_infinity_digit
 
 
 def run(capsys, *argv):

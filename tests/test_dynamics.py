@@ -26,8 +26,9 @@ from kneading.dynamics import (
     superstable_parameter,
     tent_map,
 )
-from kneading.encoding import kneading_from_tau, tent
+from kneading.encoding import kneading_from_tau
 from kneading.symbolic import feigenbaum_stream, feigenbaum_word
+from oracles import tent
 
 
 def digit_word(word):

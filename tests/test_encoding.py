@@ -7,17 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneading.encoding import (
-    Order,
     admissible,
     binary_digits,
     epsilon,
-    in_lambda,
     is_maximal,
     kneading_from_tau,
     stream_tau,
     tau_of_periodic,
-    tent,
-    word_order,
     xi,
     xi_inverse,
 )
@@ -28,6 +24,7 @@ from kneading.symbolic import (
     feigenbaum_stream,
     shift,
 )
+from oracles import Order, in_lambda, tent, word_order
 
 periodic_streams = st.builds(
     PeriodicStream,

@@ -7,16 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kneading.encoding import (
-    Order,
-    binary_digits,
-    in_lambda,
-    kneading_from_tau,
-    word_order,
-    xi,
-)
+from kneading.encoding import binary_digits, kneading_from_tau, xi
 from kneading.language import LanguageQuery, complexity, forbidden_words, language_words
 from kneading.symbolic import PeriodicStream, feigenbaum_stream, shift
+from oracles import Order, in_lambda, word_order
 
 WINDOW = PeriodicStream("", "101")  # tau = 6/7
 

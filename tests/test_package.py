@@ -137,3 +137,25 @@ def test_stream_classes_live_in_symbolic():
         todo.extend(cls.__subclasses__())
     ours = [c for c in found if c.__module__.split(".")[0] == "kneading"]
     assert {c.__module__ for c in ours} == {"kneading.symbolic"}, ours
+
+
+def test_oracles_stay_out_of_the_package():
+    # the tests' independent constructions are not shipped: no public name
+    # that tests/oracles.py defines is exported by, or bound in, a layer
+    import ast
+
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracles.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {name for name in defined if not name.startswith("_")}
+    assert public
+    assert not public & set(kneading.__all__)
+    for layer in kneading._EXPORTS:
+        module = sys.modules[f"kneading.{layer}"]
+        assert not {name for name in public if hasattr(module, name)}, layer

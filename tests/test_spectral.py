@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneading.encoding import is_maximal, kneading_from_tau, stream_tau
-from kneading.feigenbaum import tau_infinity_digit, tau_infinity_enclosure
+from kneading.feigenbaum import tau_infinity_enclosure
 from kneading.spectral import (
     EntropyInconclusive,
     IntSeries,
@@ -33,6 +33,7 @@ from kneading.symbolic import (
     feigenbaum_stream,
     shift,
 )
+from oracles import evaluate_series, tau_infinity_digit
 
 # signs of the product expansion prod (1 - z^(2^n)) for k = 1..16
 XI_SIGNS = (-1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1, -1)
@@ -87,7 +88,7 @@ def test_series_arithmetic_and_reciprocal():
     assert (f * g).coefficients == (1, 0, -1, 0)
     assert (f + g).coefficients == (2, 0, 0, 0)
     assert (f - g).coefficients == (0, -2, 0, 0)
-    assert f.evaluate(Fraction(1, 2)) == Fraction(1, 2)
+    assert evaluate_series(f, Fraction(1, 2)) == Fraction(1, 2)
 
 
 def _fraction_log(zeta):
@@ -181,7 +182,7 @@ def test_functional_equation_residual_is_zero(N):
 
 def test_xi_half_evaluation_hits_limit_parameter():
     N = 200
-    s = xi_series(N).evaluate(Fraction(1, 2))
+    s = evaluate_series(xi_series(N), Fraction(1, 2))
     err = Fraction(1, 2 ** N)
     lo, hi = 1 - (s + err) / 2, 1 - (s - err) / 2
     enc = tau_infinity_enclosure(200)
