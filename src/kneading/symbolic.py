@@ -177,6 +177,10 @@ class SymbolStream:
         if k < 1:
             raise IndexError(f"stream indices are 1-based, got {k}")
 
+    def _check_length(self, n: int) -> None:
+        if n < 0:
+            raise ValueError(f"prefix length must be >= 0, got {n}")
+
 
 class PeriodicStream(SymbolStream):
     """Eventually periodic stream, stored in canonical form.
@@ -207,6 +211,7 @@ class PeriodicStream(SymbolStream):
         return int(self.period[(k - m - 1) % len(self.period)])
 
     def prefix(self, n: int) -> str:
+        self._check_length(n)
         m = len(self.preperiod)
         if n <= m:
             return self.preperiod[:n]
@@ -240,6 +245,7 @@ class _MemoizedStream(SymbolStream):
         raise NotImplementedError
 
     def prefix(self, n: int) -> str:
+        self._check_length(n)
         if len(self._buf) < n:
             with self._lock:
                 if len(self._buf) < n:

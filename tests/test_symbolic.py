@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,9 @@ from kneading.symbolic import (
     substitute,
     unparity_word,
 )
+import kneading
 from kneading import cfrac, dynamics, encoding, feigenbaum, frequency, language, spectral
-from kneading.symbolic import _Record
+from kneading.symbolic import SymbolStream, _DerivedStream, _MemoizedStream, _Record
 from oracles import feigenbaum_word_via
 
 # Frozen period words of the doubling cascade, levels 1..5.
@@ -242,6 +244,76 @@ def test_renormalize_word_matches_index_loop(data, n):
     assert dynamics.renormalize_word(word) == _renormalize_word_loop(word)
     for f in (tuple(flags), flags):
         assert dynamics.renormalize_word(word, f) == _renormalize_word_loop(word, f)
+
+
+_periodic = st.builds(PeriodicStream, st.text(alphabet="01", max_size=5),
+                      st.text(alphabet="01", min_size=1, max_size=7))
+
+
+@st.composite
+def _fixed_points(draw):
+    # the letter's image starts with it and is longer, so the iteration grows
+    letter = draw(st.sampled_from("01"))
+    other = "10"["01".index(letter)]
+    images = {letter: letter + draw(st.text(alphabet="01", min_size=1, max_size=3)),
+              other: draw(st.text(alphabet="01", min_size=1, max_size=3))}
+    return FixedPointStream(SubstitutionRule(images), letter)
+
+
+_generated = st.one_of(_periodic.map(lambda s: FunctionStream(s.at)), _fixed_points())
+_derived_ops = st.sampled_from([
+    lambda s, m: shift(s, m + 1), lambda s, m: encoding.xi(s),
+    lambda s, m: encoding.xi_inverse(s), lambda s, m: renormalize_seq(s),
+    lambda s, m: feigenbaum.renormalize_tau(s)])
+
+# how to build each concrete stream class; _MemoizedStream is abstract
+_STREAMS = {
+    PeriodicStream: _periodic,
+    FixedPointStream: _fixed_points(),
+    FunctionStream: _periodic.map(lambda s: FunctionStream(s.at)),
+    _DerivedStream: st.builds(lambda op, s, m: op(s, m), _derived_ops, _generated,
+                              st.integers(0, 9)),
+}
+
+
+def _stream_classes():
+    for layer in kneading._EXPORTS:
+        vars(sys.modules[f"kneading.{layer}"])  # runs the layer
+    found, todo = [], list(SymbolStream.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        if cls.__module__.split(".")[0] == "kneading" and cls is not _MemoizedStream:
+            found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stream_prefix_contract(data):
+    # every stream class of the package, so a new one needs a builder here
+    for cls in _stream_classes():
+        s = data.draw(_STREAMS[cls], label=cls.__name__)
+        assert type(s) is cls
+        n = data.draw(st.integers(0, 63), label="n")
+        m = data.draw(st.integers(64, 200), label="n + m") - n
+        with pytest.raises(ValueError):
+            s.prefix(-1)  # before the buffer grows
+        with pytest.raises(ValueError):
+            encoding.epsilon(s, -1)
+        head = s.prefix(n)
+        # a memoized buffer grows to 64 symbols first, then geometrically
+        longer = s.prefix(n + m)
+        assert len(head) == n and len(longer) == n + m
+        assert longer[:n] == head == s.prefix(n)
+        for k in range(n + m + 1):
+            assert len(s.prefix(k)) == k
+            if k >= 1:
+                assert s.at(k) == int(s.prefix(k)[k - 1]) == int(longer[k - 1])
+        with pytest.raises(ValueError):
+            s.prefix(-1)  # after it grew
+        with pytest.raises(ValueError):
+            encoding.epsilon(s, -1)
 
 
 def test_serialization_round_trip():
