@@ -260,19 +260,18 @@ def _fixed_points(draw):
     return FixedPointStream(SubstitutionRule(images), letter)
 
 
-_generated = st.one_of(_periodic.map(lambda s: FunctionStream(s.at)), _fixed_points())
-_derived_ops = st.sampled_from([
-    lambda s, m: shift(s, m + 1), lambda s, m: encoding.xi(s),
-    lambda s, m: encoding.xi_inverse(s), lambda s, m: renormalize_seq(s),
-    lambda s, m: feigenbaum.renormalize_tau(s)])
+_functions = _periodic.map(lambda s: FunctionStream(s.at))
+_generated = st.one_of(_functions, _fixed_points())
 
 # how to build each concrete stream class; _MemoizedStream is abstract
 _STREAMS = {
     PeriodicStream: _periodic,
     FixedPointStream: _fixed_points(),
-    FunctionStream: _periodic.map(lambda s: FunctionStream(s.at)),
-    _DerivedStream: st.builds(lambda op, s, m: op(s, m), _derived_ops, _generated,
-                              st.integers(0, 9)),
+    FunctionStream: _functions,
+    _DerivedStream: st.one_of(
+        st.builds(shift, _generated, st.integers(1, 10)),
+        *(st.builds(op, _generated) for op in (encoding.xi, encoding.xi_inverse,
+                                                renormalize_seq, feigenbaum.renormalize_tau))),
 }
 
 
