@@ -290,7 +290,7 @@ def _stream_classes():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_stream_prefix_contract(data):
-    # every stream class of the package, so a new one needs a builder here
+    # every stream class of the package, so a new one needs an entry in _STREAMS
     for cls in _stream_classes():
         s = data.draw(_STREAMS[cls], label=cls.__name__)
         assert type(s) is cls
