@@ -222,6 +222,9 @@ def lemma1_validate(m: UnimodalMap, pairs: int, n: int, seed: int = 0) -> Lemma1
     """
     if pairs < 0:
         raise ValueError("pairs must be >= 0")
+    if n < 1:
+        # with no pairs itinerary never runs, so n is checked here
+        raise ValueError("need at least one symbol")
     rng = random.Random(seed)
     tested = decided = excluded = violations = 0
     while tested < pairs:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import mul, sub
 
 from .encoding import xi
 from .symbolic import PeriodicStream, _Record, parity_word
@@ -36,7 +36,7 @@ class IntSeries(_Record):
     coefficients: tuple
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.coefficients)
+        c = tuple(map(int, self.coefficients))
         if not c:
             raise ValueError("need at least the constant coefficient")
         object.__setattr__(self, "coefficients", c)
@@ -67,14 +67,18 @@ class IntSeries(_Record):
         return IntSeries(tuple(out))
 
     def reciprocal(self) -> "IntSeries":
-        """Multiplicative inverse, defined over the integers iff c0 = 1 or -1."""
+        """Multiplicative inverse, defined over the integers iff c0 = 1 or -1.
+
+        Only c_1..c_d up to the last nonzero coefficient enter the
+        convolution, so a polynomial of degree d costs O(N d) products.
+        """
         c0 = self[0]
         if c0 not in (1, -1):
             raise ArithmeticError(f"reciprocal needs constant term 1 or -1, got {c0}")
-        c = self.coefficients
+        tail = _trimmed(self.coefficients[1:])
         out = [c0]
-        for k in range(1, self.order + 1):
-            out.append(-c0 * sum(map(mul, c[1:k + 1], reversed(out))))
+        for _ in range(self.order):
+            out.append(-c0 * sum(map(mul, tail, reversed(out))))
         return IntSeries(tuple(out))
 
 
@@ -131,17 +135,36 @@ def kneading_determinant(K, N: int) -> IntSeries:
 
 
 def zeta_series(K, N: int) -> IntSeries:
-    """Zeta series 1 / ((1 - z) * determinant), truncated at N."""
+    """Zeta series 1 / ((1 - z) * determinant), truncated at N.
+
+    An eventually periodic stream expands its rational form.  Its digit
+    period p and the polynomial Q of _exact_determinant_poly give
+    D = Q / (1 - z^p) when K has a preperiod and D = Q otherwise, so the
+    series costs O(N deg Q) products, deg Q <= m + p.
+    """
+    if isinstance(K, PeriodicStream):
+        if N < 1:
+            raise ValueError("order must be >= 1")
+        Q = _exact_determinant_poly(K)
+        num = [1] + [0] * (len(xi(K).period) - 1) + [-1] if K.preperiod else [1]
+        return series_of_rational(num, [a - b for a, b in zip(Q + [0], [0] + Q)], N)
     D = kneading_determinant(K, N)
     one_minus_z = IntSeries((1, -1) + (0,) * (N - 1))
     return (one_minus_z * D).reciprocal()
 
 
 def series_of_rational(numerator, denominator, N: int) -> IntSeries:
-    """Series of a rational function from integer coefficient lists."""
+    """Series of a rational function from integer coefficient lists.
+
+    The truncated pair rides on the result outside its fields (repr, == and
+    hash ignore it), for orbit_counts; any other series lacks it.
+    """
     num = tuple(numerator) + (0,) * (N + 1 - len(numerator))
     den = tuple(denominator) + (0,) * (N + 1 - len(denominator))
-    return IntSeries(num[: N + 1]) * IntSeries(den[: N + 1]).reciprocal()
+    num, den = IntSeries(num[: N + 1]), IntSeries(den[: N + 1])
+    out = num * den.reciprocal()
+    object.__setattr__(out, "_fraction", (num.coefficients, den.coefficients))
+    return out
 
 
 def xi_series(N: int) -> IntSeries:
@@ -190,20 +213,35 @@ def orbit_counts(zeta: IntSeries) -> OrbitCounts:
         #Per_n = n c_n - sum_{i<n} #Per_i c_{n-i}.
 
     It involves only integers and no division, so every #Per_n of an integer
-    series is an integer and only its sign needs checking.  The recurrence
-    costs O(N^2) integer products at order N.  Negative counts, or prime
-    counts that fail divisibility or sign, mean the input is not a
-    truncation of a topological zeta function and raise immediately.
+    series is an integer and only its sign needs checking.
+
+    A series from series_of_rational knows its fraction zeta = num / den,
+    so z zeta'/zeta = z num'/num - z den'/den = s(den) - s(num), where
+    s(f) = -z f'/f = sum s_n z^n.  With f normalised to f_0 = 1,
+    -z f' = f s(f) compared at z^n is the Newton identity of f's power
+    sums, s_n = -n f_n - sum_{i=1}^{min(n-1, deg f)} f_i s_{n-i}: the same
+    integers, in O(N (deg num + deg den)) products instead of O(N^2).
+    Negative counts, or prime counts that fail divisibility or sign, mean
+    the input is not a truncation of a topological zeta function and raise;
+    the first negative #Per_n is the one reported either way.
     """
     if zeta[0] != 1:
         raise ValueError("zeta series must have constant term 1")
-    c = zeta.coefficients
-    per = []
-    for n in range(1, zeta.order + 1):
-        v = n * c[n] - sum(map(mul, per, c[n - 1:0:-1]))
-        if v < 0:
-            raise ArithmeticError(f"#Per_{n} = {v} is not a nonnegative integer")
-        per.append(v)
+    fraction = getattr(zeta, "_fraction", None)
+    if fraction is None:
+        c = zeta.coefficients
+        per = []
+        for n in range(1, zeta.order + 1):
+            v = n * c[n] - sum(map(mul, per, c[n - 1:0:-1]))
+            if v < 0:
+                raise ArithmeticError(f"#Per_{n} = {v} is not a nonnegative integer")
+            per.append(v)
+    else:
+        num, den = (_power_sums(f, zeta.order) for f in fraction)
+        per = list(map(sub, den, num))
+        for n, v in enumerate(per, start=1):
+            if v < 0:
+                raise ArithmeticError(f"#Per_{n} = {v} is not a nonnegative integer")
     # Moebius inversion p N(p) = sum_{d | p} mu(d) #Per_{p/d}, over one table
     # of mu (mu(m) = -sum of mu(d) over proper divisors d of m) and a loop
     # over multiples: O(N log N) steps
@@ -225,6 +263,23 @@ def orbit_counts(zeta: IntSeries) -> OrbitCounts:
         if prime[p] < 0:
             raise ArithmeticError(f"orbit count N({p}) = {prime[p]} is negative")
     return OrbitCounts(dict(enumerate(per[1:], start=1)), prime)
+
+
+def _trimmed(c) -> tuple:
+    """c without its trailing zeros."""
+    d = len(c)
+    while d and not c[d - 1]:
+        d -= 1
+    return c[:d]
+
+
+def _power_sums(f, N: int) -> list:
+    """s_1..s_N of -z f'/f for f_0 = +-1 (see orbit_counts)."""
+    a = [f[0] * x for x in _trimmed(f[1:])]  # f / f_0, as 1/f_0 = f_0
+    s = []
+    for n in range(1, N + 1):
+        s.append((-n * a[n - 1] if n <= len(a) else 0) - sum(map(mul, a, reversed(s))))
+    return s
 
 
 # ---------------------------------------------------------------------------

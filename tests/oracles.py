@@ -225,3 +225,15 @@ def evaluate_series(series, x) -> Fraction:
     for c in reversed(series.coefficients):
         v = v * x + c
     return v
+
+
+def reciprocal_untrimmed(series) -> tuple:
+    """Coefficients of 1/f by the full convolution c_1..c_k at every order k,
+    trailing zeros included; IntSeries.reciprocal stops at the last nonzero
+    coefficient."""
+    c = series.coefficients
+    c0 = c[0]
+    out = [c0]
+    for k in range(1, len(c)):
+        out.append(-c0 * sum(c[i] * out[k - i] for i in range(1, k + 1)))
+    return tuple(out)

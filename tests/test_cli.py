@@ -397,6 +397,7 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
      "error: nmax must be at most 4096\n"),
     (["zeta", "--tau", "feigenbaum:inf", "--order", "64", "--entropy", "--tol",
       f"1/{10 ** 100 + 1}"], 2, "error: tolerance must be at least 1/10^100\n"),
+    (["dyn", "lemma1", "--pairs", "0", "--n", "0"], 2, "error: need at least one symbol\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
@@ -444,6 +445,7 @@ dyn kneading --n 0|dyn kneading --n 1|dyn kneading --r 4|dyn kneading --r 4.1
 dyn kneading --eta 0|dyn kneading --family tent --slope 0
 dyn scan --steps 1|dyn scan --steps 2|dyn scan --steps 2 --from 2.8
 dyn lemma1 --pairs 0|dyn lemma1 --pairs 1|dyn lemma1 --n 0
+dyn lemma1 --pairs 0 --n 0
 reproduce all|reproduce nj-sequence
 export zeta-roots --j -1|export zeta-roots --j 0|export zeta-roots --j 11
 export zeta-roots --j 12|export bifurcation-scan --steps 1

@@ -33,7 +33,7 @@ from kneading.symbolic import (
     feigenbaum_stream,
     shift,
 )
-from oracles import evaluate_series, tau_infinity_digit
+from oracles import evaluate_series, reciprocal_untrimmed, tau_infinity_digit
 
 # signs of the product expansion prod (1 - z^(2^n)) for k = 1..16
 XI_SIGNS = (-1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1, -1)
@@ -135,6 +135,50 @@ def test_orbit_counts_match_fraction_log(K, N):
         assert "is negative" in str(e)
         return
     assert oc.per_counts == per
+
+
+def _series_and_counts(z):
+    # an exception, by type and message, stands for the counts
+    try:
+        return z.coefficients, orbit_counts(z)
+    except ArithmeticError as e:
+        return z.coefficients, (type(e), str(e))
+
+
+def _assert_matches_generic(K, N):
+    # the expansion without the rational form, and the plain Newton identity
+    # on a series that carries no fraction
+    generic = (_one_minus_z(N) * kneading_determinant(K, N)).reciprocal()
+    assert (_series_and_counts(zeta_series(K, N))
+            == _series_and_counts(IntSeries(generic.coefficients)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.builds(
+        PeriodicStream,
+        st.text(alphabet="01", min_size=0, max_size=6),
+        st.text(alphabet="01", min_size=1, max_size=9),
+    ),
+    st.integers(min_value=1, max_value=200),
+)
+def test_rational_zeta_matches_generic_expansion(K, N):
+    _assert_matches_generic(K, N)
+
+
+@pytest.mark.parametrize("j", range(1, 11))
+def test_cascade_zeta_matches_generic_expansion(j):
+    for N in (1, 5, 100, 700):
+        _assert_matches_generic(feigenbaum_stream(j), N)
+
+
+def test_trimmed_reciprocal_matches_untrimmed():
+    rng = random.Random(12)
+    for _ in range(200):
+        poly = [rng.choice((1, -1))] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 8))]
+        f = IntSeries(tuple(poly) + (0,) * rng.randint(0, 40))
+        assert f.reciprocal().coefficients == reciprocal_untrimmed(f)
+    assert IntSeries((-1, 0, 0)).reciprocal().coefficients == (-1, 0, 0)
 
 
 def test_determinant_cases():
