@@ -26,27 +26,16 @@ import platform
 import statistics
 import sys
 import time
-from fractions import Fraction
 
 RUNS = 5
-
-
-def _stream(tau: str):
-    """The kneading stream of a ``--tau`` argument, as the CLI builds it."""
-    from kneading import encoding, symbolic
-
-    if tau == "feigenbaum:inf":
-        return symbolic.feigenbaum_limit()
-    if tau.startswith("feigenbaum:"):
-        return symbolic.feigenbaum_stream(int(tau.split(":", 1)[1]))
-    return encoding.kneading_from_tau(Fraction(tau))
 
 
 def zeta_counts(tau: str, order: int):
     """Zeta series and orbit counts, the work of ``zeta --counts``."""
     from kneading import spectral
+    from kneading.cli import _tau_stream
 
-    z = spectral.zeta_series(_stream(tau), order)
+    z = spectral.zeta_series(_tau_stream(tau), order)
     return z, spectral.orbit_counts(z)
 
 

@@ -75,7 +75,7 @@ class IntSeries(_Record):
         c0 = self[0]
         if c0 not in (1, -1):
             raise ArithmeticError(f"reciprocal needs constant term 1 or -1, got {c0}")
-        tail = _trimmed(self.coefficients[1:])
+        tail = _trimmed(self.coefficients)[1:]
         out = [c0]
         for _ in range(self.order):
             out.append(-c0 * sum(map(mul, tail, reversed(out))))
@@ -145,8 +145,8 @@ def zeta_series(K, N: int) -> IntSeries:
     if isinstance(K, PeriodicStream):
         if N < 1:
             raise ValueError("order must be >= 1")
-        Q = _exact_determinant_poly(K)
-        num = [1] + [0] * (len(xi(K).period) - 1) + [-1] if K.preperiod else [1]
+        Q, p = _exact_determinant_poly(K)
+        num = [1] + [0] * (p - 1) + [-1] if K.preperiod else [1]
         return series_of_rational(num, [a - b for a, b in zip(Q + [0], [0] + Q)], N)
     D = kneading_determinant(K, N)
     one_minus_z = IntSeries((1, -1) + (0,) * (N - 1))
@@ -215,37 +215,28 @@ def orbit_counts(zeta: IntSeries) -> OrbitCounts:
     It involves only integers and no division, so every #Per_n of an integer
     series is an integer and only its sign needs checking.
 
-    A series from series_of_rational knows its fraction zeta = num / den,
-    so z zeta'/zeta = z num'/num - z den'/den = s(den) - s(num), where
-    s(f) = -z f'/f = sum s_n z^n.  With f normalised to f_0 = 1,
-    -z f' = f s(f) compared at z^n is the Newton identity of f's power
-    sums, s_n = -n f_n - sum_{i=1}^{min(n-1, deg f)} f_i s_{n-i}: the same
-    integers, in O(N (deg num + deg den)) products instead of O(N^2).
+    For zeta = num / den, z zeta'/zeta = z num'/num - z den'/den =
+    s(den) - s(num), where s(f) = -z f'/f = sum s_n z^n.  With f normalised
+    to f_0 = 1, -z f' = f s(f) compared at z^n is the Newton identity of
+    f's power sums, s_n = -n f_n - sum_{i=1}^{min(n-1, deg f)} f_i s_{n-i}.
+    A series from series_of_rational carries its fraction, and the counts
+    cost O(N (deg num + deg den)) products.  Any other series is read as
+    zeta / 1, where -s(zeta) is the identity above, at O(N^2) products.
     Negative counts, or prime counts that fail divisibility or sign, mean
     the input is not a truncation of a topological zeta function and raise;
-    the first negative #Per_n is the one reported either way.
+    the first negative #Per_n is the one reported.
     """
     if zeta[0] != 1:
         raise ValueError("zeta series must have constant term 1")
-    fraction = getattr(zeta, "_fraction", None)
-    if fraction is None:
-        c = zeta.coefficients
-        per = []
-        for n in range(1, zeta.order + 1):
-            v = n * c[n] - sum(map(mul, per, c[n - 1:0:-1]))
-            if v < 0:
-                raise ArithmeticError(f"#Per_{n} = {v} is not a nonnegative integer")
-            per.append(v)
-    else:
-        num, den = (_power_sums(f, zeta.order) for f in fraction)
-        per = list(map(sub, den, num))
-        for n, v in enumerate(per, start=1):
-            if v < 0:
-                raise ArithmeticError(f"#Per_{n} = {v} is not a nonnegative integer")
+    N = zeta.order
+    num, den = getattr(zeta, "_fraction", (zeta.coefficients, (1,)))
+    per = list(map(sub, _power_sums(den, N), _power_sums(num, N)))
+    for n, v in enumerate(per, start=1):
+        if v < 0:
+            raise ArithmeticError(f"#Per_{n} = {v} is not a nonnegative integer")
     # Moebius inversion p N(p) = sum_{d | p} mu(d) #Per_{p/d}, over one table
     # of mu (mu(m) = -sum of mu(d) over proper divisors d of m) and a loop
     # over multiples: O(N log N) steps
-    N = zeta.order
     per = [0] + per
     mu = [0, 1] + [0] * (N - 1)
     acc = [0] * (N + 1)
@@ -265,17 +256,17 @@ def orbit_counts(zeta: IntSeries) -> OrbitCounts:
     return OrbitCounts(dict(enumerate(per[1:], start=1)), prime)
 
 
-def _trimmed(c) -> tuple:
-    """c without its trailing zeros."""
+def _trimmed(c):
+    """c without its trailing zeros; the constant term always stays."""
     d = len(c)
-    while d and not c[d - 1]:
+    while d > 1 and not c[d - 1]:
         d -= 1
     return c[:d]
 
 
 def _power_sums(f, N: int) -> list:
     """s_1..s_N of -z f'/f for f_0 = +-1 (see orbit_counts)."""
-    a = [f[0] * x for x in _trimmed(f[1:])]  # f / f_0, as 1/f_0 = f_0
+    a = [f[0] * x for x in _trimmed(f)[1:]]  # f / f_0, as 1/f_0 = f_0
     s = []
     for n in range(1, N + 1):
         s.append((-n * a[n - 1] if n <= len(a) else 0) - sum(map(mul, a, reversed(s))))
@@ -285,8 +276,9 @@ def _power_sums(f, N: int) -> list:
 # ---------------------------------------------------------------------------
 # entropy: certified isolation of the smallest determinant root in (0, 1)
 
-def _exact_determinant_poly(K) -> list:
-    """Integer polynomial with the determinant's sign on (0, 1).
+def _exact_determinant_poly(K) -> tuple:
+    """Integer polynomial with the determinant's sign on (0, 1), and the
+    period p of xi(K).
 
     Purely periodic streams give the determinant itself.  Eventually periodic
     streams give its numerator after resumming the tail geometrically:
@@ -297,8 +289,7 @@ def _exact_determinant_poly(K) -> list:
     m, p = len(t.preperiod), len(t.period)
     eps = _epsilon_prefix(K, m + p)
     if not K.preperiod:
-        n = len(t.period)
-        return [1] + eps[: n - 1]
+        return [1] + eps[: p - 1], p
     poly = [0] * (m + p + 1)
     head = [1] + eps[:m]
     for k, a in enumerate(head):
@@ -306,9 +297,7 @@ def _exact_determinant_poly(K) -> list:
         poly[k + p] -= a
     for k in range(1, p + 1):
         poly[m + k] += eps[m + k - 1]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return poly
+    return _trimmed(poly), p
 
 
 def _try_divide(poly: list, e: int, sign: int = 1):
@@ -321,10 +310,7 @@ def _try_divide(poly: list, e: int, sign: int = 1):
         q[k] = poly[k] + (sign * q[k - e] if k >= e else 0)
     if any(q[k] for k in range(deg - e + 1, deg + 1)):
         return None
-    q = q[: deg - e + 1]
-    while len(q) > 1 and q[-1] == 0:
-        q.pop()
-    return q
+    return _trimmed(q[: deg - e + 1])
 
 
 def _strip_unit_factors(poly: list) -> list:
@@ -436,7 +422,7 @@ def entropy(K, N: int = 256, tol=Fraction(1, 10 ** 10)) -> EntropyResult:
         raise ValueError("tolerance must be below 4/3")
 
     if isinstance(K, PeriodicStream):
-        upper = lower = _strip_unit_factors(_exact_determinant_poly(K))
+        upper = lower = _strip_unit_factors(_exact_determinant_poly(K)[0])
         if upper == [1]:
             return EntropyResult(0.0, 0.0, "unit-root-factors")
     else:

@@ -237,3 +237,14 @@ def reciprocal_untrimmed(series) -> tuple:
     for k in range(1, len(c)):
         out.append(-c0 * sum(c[i] * out[k - i] for i in range(1, k + 1)))
     return tuple(out)
+
+
+def newton_per_counts(series) -> list:
+    """#Per_1..#Per_N of a zeta series c by the Newton identity
+    #Per_n = n c_n - sum_{i<n} #Per_i c_{n-i}, over the coefficients alone;
+    no sign is checked."""
+    c = series.coefficients
+    per = []
+    for n in range(1, len(c)):
+        per.append(n * c[n] - sum(per[i - 1] * c[n - i] for i in range(1, n)))
+    return per

@@ -445,7 +445,6 @@ dyn kneading --n 0|dyn kneading --n 1|dyn kneading --r 4|dyn kneading --r 4.1
 dyn kneading --eta 0|dyn kneading --family tent --slope 0
 dyn scan --steps 1|dyn scan --steps 2|dyn scan --steps 2 --from 2.8
 dyn lemma1 --pairs 0|dyn lemma1 --pairs 1|dyn lemma1 --n 0
-dyn lemma1 --pairs 0 --n 0
 reproduce all|reproduce nj-sequence
 export zeta-roots --j -1|export zeta-roots --j 0|export zeta-roots --j 11
 export zeta-roots --j 12|export bifurcation-scan --steps 1

@@ -14,6 +14,7 @@ from kneading.feigenbaum import tau_infinity_enclosure
 from kneading.spectral import (
     EntropyInconclusive,
     IntSeries,
+    OrbitCounts,
     _certify_positive,
     _exact_determinant_poly,
     _strip_unit_factors,
@@ -33,7 +34,12 @@ from kneading.symbolic import (
     feigenbaum_stream,
     shift,
 )
-from oracles import evaluate_series, reciprocal_untrimmed, tau_infinity_digit
+from oracles import (
+    evaluate_series,
+    newton_per_counts,
+    reciprocal_untrimmed,
+    tau_infinity_digit,
+)
 
 # signs of the product expansion prod (1 - z^(2^n)) for k = 1..16
 XI_SIGNS = (-1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1, -1)
@@ -137,20 +143,29 @@ def test_orbit_counts_match_fraction_log(K, N):
     assert oc.per_counts == per
 
 
-def _series_and_counts(z):
+def _counts(z):
     # an exception, by type and message, stands for the counts
     try:
-        return z.coefficients, orbit_counts(z)
+        return orbit_counts(z)
     except ArithmeticError as e:
-        return z.coefficients, (type(e), str(e))
+        return type(e), str(e)
 
 
 def _assert_matches_generic(K, N):
-    # the expansion without the rational form, and the plain Newton identity
-    # on a series that carries no fraction
+    # the expansion without the rational form, its counts from a series that
+    # carries no fraction, and #Per_n from the Newton identity on its own
     generic = (_one_minus_z(N) * kneading_determinant(K, N)).reciprocal()
-    assert (_series_and_counts(zeta_series(K, N))
-            == _series_and_counts(IntSeries(generic.coefficients)))
+    z = zeta_series(K, N)
+    assert z.coefficients == generic.coefficients
+    counts = _counts(z)
+    assert counts == _counts(IntSeries(generic.coefficients))
+    per = newton_per_counts(generic)
+    negative = [(n, v) for n, v in enumerate(per, start=1) if v < 0]
+    if negative:
+        n, v = negative[0]
+        assert counts == (ArithmeticError, f"#Per_{n} = {v} is not a nonnegative integer")
+    elif isinstance(counts, OrbitCounts):
+        assert counts.per_counts == dict(enumerate(per, start=1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -466,5 +481,5 @@ def test_strip_unit_factors_matches_restarting_loop():
         assert all(_try_divide(got, 1 << i, s) is None
                    for i in range(len(got).bit_length()) for s in (1, -1))
     for j in range(1, 15):
-        poly = _exact_determinant_poly(feigenbaum_stream(j))
+        poly, _ = _exact_determinant_poly(feigenbaum_stream(j))
         assert _strip_unit_factors(poly) == _strip_unit_factors_restarting(poly) == [1]
