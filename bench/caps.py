@@ -3,8 +3,8 @@
 Run from the repository root:
 
     python3 bench/caps.py                                   # print the table
-    python3 bench/caps.py --label change --out BENCH_12.json
-    python3 bench/caps.py --src ../parent/src --label parent --out BENCH_12.json
+    python3 bench/caps.py --label change --out BENCH_13.json
+    python3 bench/caps.py --src ../parent/src --label parent --out BENCH_13.json
 
 ROWS holds one (name, callable, args) entry per capped input.  Each row runs
 RUNS times in this process; the median wall time and the sha256 of the repr
@@ -39,12 +39,46 @@ def zeta_counts(tau: str, order: int):
     return z, spectral.orbit_counts(z)
 
 
-# (name, callable, args); zeta --order is capped at 2048
+def determinant_zeta(tau: str, order: int):
+    """Determinant and zeta series, the series of a ``zeta`` payload."""
+    from kneading import spectral
+    from kneading.cli import _tau_stream
+
+    K = _tau_stream(tau)
+    return spectral.kneading_determinant(K, order), spectral.zeta_series(K, order)
+
+
+def entropy(tau: str):
+    """Certified entropy at the library's default order and tolerance."""
+    from kneading import spectral
+    from kneading.cli import _tau_stream
+
+    return spectral.entropy(_tau_stream(tau))
+
+
+def lang(what: str, tau: str, nmax: int, mode: str):
+    """``complexity`` or ``language_words`` of one language query."""
+    from kneading import language
+    from kneading.cli import _tau_stream
+
+    return getattr(language, what)(language.LanguageQuery(_tau_stream(tau), nmax, mode))
+
+
+# (name, callable, args); zeta --order is capped at 2048, lang complexity
+# --nmax at 24 and language_words at 16
 ROWS = [
     ("zeta --counts 61/62 order 2048", zeta_counts, ("61/62", 2048)),
     ("zeta --counts 38/39 order 2048", zeta_counts, ("38/39", 2048)),
     ("zeta --counts feigenbaum:14 order 2048", zeta_counts, ("feigenbaum:14", 2048)),
     ("zeta --counts feigenbaum:inf order 2048", zeta_counts, ("feigenbaum:inf", 2048)),
+    ("determinant + zeta 1001/4006 order 2048", determinant_zeta, ("1001/4006", 2048)),
+    ("entropy 1018/1019", entropy, ("1018/1019",)),
+] + [
+    (f"lang complexity {tau} {mode} nmax 24", lang, ("complexity", tau, 24, mode))
+    for tau in ("6/7", "1018/1019") for mode in ("core", "full-interval")
+] + [
+    ("language_words 6/7 full-interval nmax 16", lang,
+     ("language_words", "6/7", 16, "full-interval")),
 ]
 
 

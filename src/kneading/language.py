@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .encoding import is_maximal, xi
 from .symbolic import SymbolStream, _Record, complement, shift, unparity_word
 
 MODES = ("core", "full-interval")
 
 # the documented caps on word length: complexity counts without listing
-# words but keeps the cap of the enumeration it replaced; language_words
-# lists every word, and its output alone is exponential in nmax
+# words but keeps the cap of the depth-first enumeration it replaced (now
+# only the tests' reference, tests/oracles.py); language_words lists every
+# word, and its output alone is exponential in nmax
 ENUM_LIMIT = 24
 WORD_LIMIT = 16
 
@@ -52,68 +55,6 @@ def _validate(q: LanguageQuery, limit: int):
         raise ValueError("K is not a maximal stream")
 
 
-def _enumerate(q: LanguageQuery, visit):
-    """Depth-first walk of viable words, pruning at the first decided violation.
-
-    A shift of the current word stays "live" while its digit word is a
-    prefix of the reference expansion; a decided < (upper) or > (lower)
-    settles that shift for every extension, so only live shifts carry
-    forward.  visit(d) is called once per viable word with the letters
-    in word[1..d].
-    """
-    n = q.nmax
-    U, L = _references(q)
-    tv = [0] * (n + 1)
-    word = [0] * (n + 1)
-    # frame: depth, letter, digit parity at depth, live shifts (upper, lower)
-    stack = [(0, 0, 0, (), () if L is not None else None)]
-    while stack:
-        d, letter, tvd, lu, ll = stack.pop()
-        tv[d] = tvd
-        word[d] = letter
-        if d:
-            visit(d, word)
-        if d == n:
-            continue
-        for b in (0, 1):
-            tvc = tvd ^ b
-            nu = []
-            ok = True
-            for m in lu:
-                digit = tvc ^ tv[m]
-                ref = U[d - m]
-                if digit > ref:
-                    ok = False
-                    break
-                if digit == ref:
-                    nu.append(m)
-            if not ok:
-                continue
-            # the fresh shift starting at position d sees digit b
-            if b > U[0]:
-                continue
-            if b == U[0]:
-                nu.append(d)
-            nl = None
-            if ll is not None:
-                nl = []
-                for m in ll:
-                    digit = tvc ^ tv[m]
-                    ref = L[d - m]
-                    if digit < ref:
-                        ok = False
-                        break
-                    if digit == ref:
-                        nl.append(m)
-                if not ok:
-                    continue
-                if b < L[0]:
-                    continue
-                if b == L[0]:
-                    nl.append(d)
-            stack.append((d + 1, b, tvc, nu, nl))
-
-
 def _advance(offsets, b, R, sign):
     """Live offsets after letter b, or None if some shift decides against R.
 
@@ -136,24 +77,23 @@ def _advance(offsets, b, R, sign):
     return ((1,) if diff == 0 else ()) + tuple(out)
 
 
-def complexity(q: LanguageQuery) -> list[int]:
-    """Counts p(1), ..., p(nmax) of viable words of each length.
+def _layers(q: LanguageQuery, start, grow):
+    """One dict per length 1..nmax from the state of a viable word to a value.
 
-    The walk of _enumerate depends on a word only through the offsets of
-    its live shifts into the references, so words are counted per state
-    (live upper offsets, live lower offsets), one layer per length.  These
-    states are the levels of the Hofbauer tower.  Every tested case has at
-    most d + 1 states at length d, each with at most d offsets, so the cost
-    is O(nmax^3) small-integer steps instead of the ~2^nmax words a walk
-    visits.
+    Whether a word extends depends on it only through the offsets of its
+    live shifts into the references, so words are grouped per state (live
+    upper offsets, live lower offsets).  The empty word gets start; after
+    letter b a value becomes grow(value, b), and the values of states that
+    merge are added.  These states are the levels of the Hofbauer tower.
+    Every tested case has at most d + 1 states at length d, each with at
+    most d offsets, so counting costs O(nmax^3) small-integer steps instead
+    of the ~2^nmax words a walk visits.
     """
-    _validate(q, ENUM_LIMIT)
     U, L = _references(q)
-    layer = {((), () if L is not None else None): 1}
-    counts = []
+    layer = {((), () if L is not None else None): start}
     for _ in range(q.nmax):
         nxt = {}
-        for (lu, ll), cnt in layer.items():
+        for (lu, ll), value in layer.items():
             for b in (0, 1):
                 nu = _advance(lu, b, U, 1)
                 if nu is None:
@@ -163,22 +103,28 @@ def complexity(q: LanguageQuery) -> list[int]:
                     nl = _advance(ll, b, L, -1)
                     if nl is None:
                         continue
-                nxt[nu, nl] = nxt.get((nu, nl), 0) + cnt
+                grown = grow(value, b)
+                if (nu, nl) in nxt:
+                    nxt[nu, nl] += grown
+                else:
+                    nxt[nu, nl] = grown
         layer = nxt
-        counts.append(sum(layer.values()))
-    return counts
+        yield layer
+
+
+def complexity(q: LanguageQuery) -> list[int]:
+    """Counts p(1), ..., p(nmax) of viable words of each length."""
+    _validate(q, ENUM_LIMIT)
+    return [sum(layer.values()) for layer in _layers(q, 1, lambda count, b: count)]
 
 
 def language_words(q: LanguageQuery) -> dict[int, list[str]]:
-    """The counted words themselves, keyed by length; for closure checks."""
+    """The counted words themselves, keyed by length, each length's words in
+    decreasing order; for closure checks."""
     _validate(q, WORD_LIMIT)
-    out: dict[int, list[str]] = {d: [] for d in range(1, q.nmax + 1)}
-
-    def visit(d, word):
-        out[d].append("".join(map(str, word[1:d + 1])))
-
-    _enumerate(q, visit)
-    return out
+    layers = _layers(q, [""], lambda words, b: [w + "01"[b] for w in words])
+    return {d: sorted(chain.from_iterable(layer.values()), reverse=True)
+            for d, layer in enumerate(layers, start=1)}
 
 
 def forbidden_words(tdigits: SymbolStream, nmax: int) -> list[str]:

@@ -67,19 +67,8 @@ class IntSeries(_Record):
         return IntSeries(tuple(out))
 
     def reciprocal(self) -> "IntSeries":
-        """Multiplicative inverse, defined over the integers iff c0 = 1 or -1.
-
-        Only c_1..c_d up to the last nonzero coefficient enter the
-        convolution, so a polynomial of degree d costs O(N d) products.
-        """
-        c0 = self[0]
-        if c0 not in (1, -1):
-            raise ArithmeticError(f"reciprocal needs constant term 1 or -1, got {c0}")
-        tail = _trimmed(self.coefficients)[1:]
-        out = [c0]
-        for _ in range(self.order):
-            out.append(-c0 * sum(map(mul, tail, reversed(out))))
-        return IntSeries(tuple(out))
+        """Multiplicative inverse, defined over the integers iff c0 = 1 or -1."""
+        return series_of_rational((1,), self.coefficients, self.order)
 
 
 class OrbitCounts(_Record):
@@ -134,35 +123,61 @@ def kneading_determinant(K, N: int) -> IntSeries:
     return IntSeries(tuple(coeffs))
 
 
+def _determinant_fraction(K, N: int) -> tuple:
+    """Integer polynomials (P, R) with determinant D = P / R.
+
+    A generated stream gives P = 1 + eps_1 z + ... + eps_N z^N, R = 1: its
+    truncation at N.  A purely periodic stream gives its finite determinant
+    over R = 1.  An eventually periodic stream, with xi(K) of preperiod m and
+    period p, resums its tail geometrically: D = A + z^m C / (1 - z^p) with
+    deg A = m, deg C = p, so P = A (1 - z^p) + z^m C and R = 1 - z^p.  R > 0
+    on (0, 1), so P has the sign of D there.
+    """
+    if not isinstance(K, PeriodicStream):
+        return [1] + _epsilon_prefix(K, N), [1]
+    t = xi(K)
+    m, p = len(t.preperiod), len(t.period)
+    eps = _epsilon_prefix(K, m + p)
+    if not K.preperiod:
+        return [1] + eps[: p - 1], [1]
+    poly = [1] + eps  # A + z^m C
+    for k, a in enumerate(poly[: m + 1]):
+        poly[k + p] -= a
+    return _trimmed(poly), [1] + [0] * (p - 1) + [-1]
+
+
 def zeta_series(K, N: int) -> IntSeries:
     """Zeta series 1 / ((1 - z) * determinant), truncated at N.
 
-    An eventually periodic stream expands its rational form.  Its digit
-    period p and the polynomial Q of _exact_determinant_poly give
-    D = Q / (1 - z^p) when K has a preperiod and D = Q otherwise, so the
-    series costs O(N deg Q) products, deg Q <= m + p.
+    With D = P / R from _determinant_fraction, this is R / ((1 - z) P); an
+    eventually periodic stream costs O(N deg P) products, deg P <= m + p.
     """
-    if isinstance(K, PeriodicStream):
-        if N < 1:
-            raise ValueError("order must be >= 1")
-        Q, p = _exact_determinant_poly(K)
-        num = [1] + [0] * (p - 1) + [-1] if K.preperiod else [1]
-        return series_of_rational(num, [a - b for a, b in zip(Q + [0], [0] + Q)], N)
-    D = kneading_determinant(K, N)
-    one_minus_z = IntSeries((1, -1) + (0,) * (N - 1))
-    return (one_minus_z * D).reciprocal()
+    if N < 1:
+        raise ValueError("order must be >= 1")
+    P, R = _determinant_fraction(K, N)
+    return series_of_rational(R, _times_one_minus_z(P), N)
 
 
 def series_of_rational(numerator, denominator, N: int) -> IntSeries:
     """Series of a rational function from integer coefficient lists.
 
-    The truncated pair rides on the result outside its fields (repr, == and
-    hash ignore it), for orbit_counts; any other series lacks it.
+    With d_0 = 1 or -1 (so 1/d_0 = d_0), comparing z^k in num = den * c
+    gives c_k = d_0 (n_k - sum_{i=1}^{deg den} d_i c_{k-i}): O(N deg den)
+    products.  The truncated pair rides on the result outside its fields
+    (repr, == and hash ignore it), for orbit_counts; any other series lacks
+    it.
     """
     num = tuple(numerator) + (0,) * (N + 1 - len(numerator))
     den = tuple(denominator) + (0,) * (N + 1 - len(denominator))
     num, den = IntSeries(num[: N + 1]), IntSeries(den[: N + 1])
-    out = num * den.reciprocal()
+    d0 = den[0]
+    if d0 not in (1, -1):
+        raise ArithmeticError(f"reciprocal needs constant term 1 or -1, got {d0}")
+    tail = _trimmed(den.coefficients)[1:]
+    c = []
+    for n in num.coefficients:
+        c.append(d0 * (n - sum(map(mul, tail, reversed(c)))))
+    out = IntSeries(tuple(c))
     object.__setattr__(out, "_fraction", (num.coefficients, den.coefficients))
     return out
 
@@ -190,17 +205,13 @@ def feigenbaum_zeta(j: int, N: int) -> IntSeries:
 
     This is the zeta series of the period-doubling cascade stream whose
     digit expansion has period 2^(j+1) (level j + 1 in the word hierarchy).
+    The factors with 2^n > N are 1 up to order N, so the product is
+    xi_series at order min(N, 2^(j+1) - 1), and j past log2 N costs nothing.
     """
     if j < 1 or N < 1:
         raise ValueError("need j >= 1 and N >= 1")
-    c = [0] * (N + 1)
-    c[0] = 1
-    for e in [1] + [2 ** n for n in range(j + 1)]:
-        if e > N:
-            continue
-        for k in range(N, e - 1, -1):
-            c[k] -= c[k - e]
-    return IntSeries(tuple(c)).reciprocal()
+    product = xi_series(min(N, (1 << min(j + 1, N.bit_length())) - 1))
+    return series_of_rational((1,), _times_one_minus_z(product.coefficients), N)
 
 
 def orbit_counts(zeta: IntSeries) -> OrbitCounts:
@@ -256,6 +267,11 @@ def orbit_counts(zeta: IntSeries) -> OrbitCounts:
     return OrbitCounts(dict(enumerate(per[1:], start=1)), prime)
 
 
+def _times_one_minus_z(f) -> list:
+    """Coefficients of (1 - z) f."""
+    return [a - b for a, b in zip([*f, 0], [0, *f])]
+
+
 def _trimmed(c):
     """c without its trailing zeros; the constant term always stays."""
     d = len(c)
@@ -275,30 +291,6 @@ def _power_sums(f, N: int) -> list:
 
 # ---------------------------------------------------------------------------
 # entropy: certified isolation of the smallest determinant root in (0, 1)
-
-def _exact_determinant_poly(K) -> tuple:
-    """Integer polynomial with the determinant's sign on (0, 1), and the
-    period p of xi(K).
-
-    Purely periodic streams give the determinant itself.  Eventually periodic
-    streams give its numerator after resumming the tail geometrically:
-    D = A + z^m C / (1 - z^p) with deg A = m, deg C = p, so the sign agrees
-    with A (1 - z^p) + z^m C because 1 - z^p > 0 on (0, 1).
-    """
-    t = xi(K)
-    m, p = len(t.preperiod), len(t.period)
-    eps = _epsilon_prefix(K, m + p)
-    if not K.preperiod:
-        return [1] + eps[: p - 1], p
-    poly = [0] * (m + p + 1)
-    head = [1] + eps[:m]
-    for k, a in enumerate(head):
-        poly[k] += a
-        poly[k + p] -= a
-    for k in range(1, p + 1):
-        poly[m + k] += eps[m + k - 1]
-    return _trimmed(poly), p
-
 
 def _try_divide(poly: list, e: int, sign: int = 1):
     """Quotient of poly by (1 - sign*z^e) if the division is exact, else None."""
@@ -422,13 +414,13 @@ def entropy(K, N: int = 256, tol=Fraction(1, 10 ** 10)) -> EntropyResult:
         raise ValueError("tolerance must be below 4/3")
 
     if isinstance(K, PeriodicStream):
-        upper = lower = _strip_unit_factors(_exact_determinant_poly(K)[0])
+        upper = lower = _strip_unit_factors(_determinant_fraction(K, N)[0])
         if upper == [1]:
             return EntropyResult(0.0, 0.0, "unit-root-factors")
     else:
         if N < 8:
             raise ValueError("order too small for a meaningful tail bound")
-        poly = list(kneading_determinant(K, N).coefficients)
+        poly = _determinant_fraction(K, N)[0]
         upper, lower = ([c - p for c, p in zip(poly + [e], [0] + poly)] for e in (-1, 1))
     exact = upper is lower
 

@@ -2,8 +2,9 @@
 
 The package keeps one code path per quantity.  The second, third and fourth
 constructions of tau_j, tau_infinity and the cascade words live here, with
-the exact tent-map checks and the word order they rest on, so that a test
-can compare two constructions that share no code.  ``tau_level_via``,
+the exact tent-map checks and the word order they rest on, and so does the
+depth-first walk of a language's words, so that a test can compare two
+constructions that share no code.  ``tau_level_via``,
 ``tau_infinity_enclosure_via`` and ``feigenbaum_word_via`` take the method
 names the acceptance criteria use; each hands its reference method to the
 library.
@@ -24,6 +25,7 @@ from kneading.feigenbaum import (
     tau_infinity_enclosure,
     tau_level,
 )
+from kneading.language import LanguageQuery, _references
 from kneading.symbolic import (
     FEIGENBAUM_RULE,
     THUE_MORSE_RULE,
@@ -214,6 +216,82 @@ def feigenbaum_word_via(j: int, method: str = "duplicate-flip") -> str:
         else:
             w = FEIGENBAUM_RULE.apply(w)
     return w
+
+
+# === languages ========================================================
+
+def _enumerate(q: LanguageQuery, visit):
+    """Depth-first walk of viable words, pruning at the first decided violation.
+
+    A shift of the current word stays "live" while its digit word is a
+    prefix of the reference expansion; a decided < (upper) or > (lower)
+    settles that shift for every extension, so only live shifts carry
+    forward.  visit(d) is called once per viable word with the letters
+    in word[1..d].
+    """
+    n = q.nmax
+    U, L = _references(q)
+    tv = [0] * (n + 1)
+    word = [0] * (n + 1)
+    # frame: depth, letter, digit parity at depth, live shifts (upper, lower)
+    stack = [(0, 0, 0, (), () if L is not None else None)]
+    while stack:
+        d, letter, tvd, lu, ll = stack.pop()
+        tv[d] = tvd
+        word[d] = letter
+        if d:
+            visit(d, word)
+        if d == n:
+            continue
+        for b in (0, 1):
+            tvc = tvd ^ b
+            nu = []
+            ok = True
+            for m in lu:
+                digit = tvc ^ tv[m]
+                ref = U[d - m]
+                if digit > ref:
+                    ok = False
+                    break
+                if digit == ref:
+                    nu.append(m)
+            if not ok:
+                continue
+            # the fresh shift starting at position d sees digit b
+            if b > U[0]:
+                continue
+            if b == U[0]:
+                nu.append(d)
+            nl = None
+            if ll is not None:
+                nl = []
+                for m in ll:
+                    digit = tvc ^ tv[m]
+                    ref = L[d - m]
+                    if digit < ref:
+                        ok = False
+                        break
+                    if digit == ref:
+                        nl.append(m)
+                if not ok:
+                    continue
+                if b < L[0]:
+                    continue
+                if b == L[0]:
+                    nl.append(d)
+            stack.append((d + 1, b, tvc, nu, nl))
+
+
+def dfs_language_words(q: LanguageQuery) -> dict:
+    """The viable words of a LanguageQuery, keyed by length, in the order
+    the depth-first walk visits them (decreasing at each length)."""
+    out = {d: [] for d in range(1, q.nmax + 1)}
+
+    def visit(d, word):
+        out[d].append("".join(map(str, word[1:d + 1])))
+
+    _enumerate(q, visit)
+    return out
 
 
 # === series ===========================================================

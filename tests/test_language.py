@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kneading.encoding import binary_digits, kneading_from_tau, xi
 from kneading.language import LanguageQuery, complexity, forbidden_words, language_words
 from kneading.symbolic import PeriodicStream, feigenbaum_stream, shift
-from oracles import Order, in_lambda, word_order
+from oracles import Order, dfs_language_words, in_lambda, word_order
 
 WINDOW = PeriodicStream("", "101")  # tau = 6/7
 
@@ -147,11 +147,15 @@ def test_factor_closure():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(MAXIMAL_TAU), st.sampled_from(["core", "full-interval"]),
-       st.integers(min_value=1, max_value=14))
-def test_counting_dp_matches_word_walk(tau, mode, n):
-    q = LanguageQuery(kneading_from_tau(tau), n, mode)
-    assert complexity(q) == [len(w) for w in language_words(q).values()]
+@given(st.one_of(st.sampled_from(MAXIMAL_TAU).map(kneading_from_tau),
+                 st.integers(min_value=1, max_value=4).map(feigenbaum_stream)),
+       st.sampled_from(["core", "full-interval"]), st.integers(min_value=1, max_value=14))
+def test_counting_dp_matches_word_walk(K, mode, n):
+    # the automaton's layers against the depth-first walk, word for word
+    q = LanguageQuery(K, n, mode)
+    words = dfs_language_words(q)
+    assert language_words(q) == words
+    assert complexity(q) == [len(w) for w in words.values()]
 
 
 def test_forbidden_words_window():

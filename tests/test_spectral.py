@@ -16,7 +16,7 @@ from kneading.spectral import (
     IntSeries,
     OrbitCounts,
     _certify_positive,
-    _exact_determinant_poly,
+    _determinant_fraction,
     _strip_unit_factors,
     _try_divide,
     entropy,
@@ -152,13 +152,14 @@ def _counts(z):
 
 
 def _assert_matches_generic(K, N):
-    # the expansion without the rational form, its counts from a series that
-    # carries no fraction, and #Per_n from the Newton identity on its own
-    generic = (_one_minus_z(N) * kneading_determinant(K, N)).reciprocal()
+    # the expansion without the rational form or the library's recurrence,
+    # its counts from a series that carries no fraction, and #Per_n from the
+    # Newton identity on its own
+    generic = IntSeries(reciprocal_untrimmed(_one_minus_z(N) * kneading_determinant(K, N)))
     z = zeta_series(K, N)
     assert z.coefficients == generic.coefficients
     counts = _counts(z)
-    assert counts == _counts(IntSeries(generic.coefficients))
+    assert counts == _counts(generic)
     per = newton_per_counts(generic)
     negative = [(n, v) for n, v in enumerate(per, start=1) if v < 0]
     if negative:
@@ -194,6 +195,29 @@ def test_trimmed_reciprocal_matches_untrimmed():
         f = IntSeries(tuple(poly) + (0,) * rng.randint(0, 40))
         assert f.reciprocal().coefficients == reciprocal_untrimmed(f)
     assert IntSeries((-1, 0, 0)).reciprocal().coefficients == (-1, 0, 0)
+
+
+def _padded(c, N):
+    return IntSeries((tuple(c) + (0,) * (N + 1))[: N + 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, -1)), st.lists(st.integers(-4, 4), max_size=14),
+       st.lists(st.integers(-9, 9), max_size=14), st.integers(0, 12))
+def test_series_of_rational_times_denominator(d0, tail, num, N):
+    # the one expansion recurrence, checked by multiplying back; num and den
+    # may be shorter or longer than the N + 1 coefficients kept
+    den = [d0] + tail
+    c = series_of_rational(num, den, N)
+    assert c.order == N
+    assert c * _padded(den, N) == _padded(num, N)
+    for bad in (0, 2, -3):
+        with pytest.raises(ArithmeticError) as e:
+            series_of_rational(num, [bad] + tail, N)
+        assert str(e.value) == f"reciprocal needs constant term 1 or -1, got {bad}"
+    with pytest.raises(ArithmeticError) as e:
+        series_of_rational(num, [], N)
+    assert str(e.value) == "reciprocal needs constant term 1 or -1, got 0"
 
 
 def test_determinant_cases():
@@ -257,8 +281,10 @@ def test_cascade_zeta_polynomial():
         K = feigenbaum_stream(j + 1)
         assert feigenbaum_zeta(j, 40) == zeta_series(K, 40), j
     # coefficientwise stabilization once 2^(j+1) exceeds the order
-    limit = (_one_minus_z(30) * xi_series(30)).reciprocal()
+    limit = IntSeries(reciprocal_untrimmed(_one_minus_z(30) * xi_series(30)))
     assert feigenbaum_zeta(5, 30) == feigenbaum_zeta(9, 30) == limit
+    # levels past log2 N cost no more than the first one that reaches N
+    assert feigenbaum_zeta(10 ** 6, 64) == feigenbaum_zeta(6, 64)
 
 
 def test_cascade_polynomial_roots_on_circle():
@@ -481,5 +507,5 @@ def test_strip_unit_factors_matches_restarting_loop():
         assert all(_try_divide(got, 1 << i, s) is None
                    for i in range(len(got).bit_length()) for s in (1, -1))
     for j in range(1, 15):
-        poly, _ = _exact_determinant_poly(feigenbaum_stream(j))
+        poly, _ = _determinant_fraction(feigenbaum_stream(j), 8)
         assert _strip_unit_factors(poly) == _strip_unit_factors_restarting(poly) == [1]
