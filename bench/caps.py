@@ -30,6 +30,13 @@ import time
 RUNS = 5
 
 
+def tau_stream(tau: str):
+    """Kneading stream of a ``--tau`` argument: binary digits, canonical form."""
+    from kneading.cli import _tau_stream
+
+    return _tau_stream(tau)
+
+
 def zeta_counts(tau: str, order: int):
     """Zeta series and orbit counts, the work of ``zeta --counts``."""
     from kneading import spectral
@@ -65,8 +72,11 @@ def lang(what: str, tau: str, nmax: int, mode: str):
 
 
 # (name, callable, args); zeta --order is capped at 2048, lang complexity
-# --nmax at 24 and language_words at 16
+# --nmax at 24 and language_words at 16; --tau p/q has no cap on q yet
 ROWS = [
+    (f"tau stream {tau}", tau_stream, (tau,))
+    for tau in ("10006/10007", "100002/100003", "1000002/1000003")
+] + [
     ("zeta --counts 61/62 order 2048", zeta_counts, ("61/62", 2048)),
     ("zeta --counts 38/39 order 2048", zeta_counts, ("38/39", 2048)),
     ("zeta --counts feigenbaum:14 order 2048", zeta_counts, ("feigenbaum:14", 2048)),

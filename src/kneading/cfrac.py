@@ -92,7 +92,8 @@ def cf_of_enclosure(enclosure) -> list:
     Accepts a DyadicEnclosure or any (lo, hi) pair of rationals.  A quotient
     is emitted only when the floors of the reciprocals agree at both
     endpoints, so boundary coincidences are never overclaimed; the result
-    may be empty.  A degenerate interval falls back to the full expansion.
+    may be empty.  On a degenerate interval both endpoints run the same
+    Euclidean steps, so the loop returns the full expansion ([] at 0).
     """
     lo, hi = getattr(enclosure, "lo", None), getattr(enclosure, "hi", None)
     if lo is None:
@@ -100,8 +101,6 @@ def cf_of_enclosure(enclosure) -> list:
     lo, hi = Fraction(lo), Fraction(hi)
     if not 0 <= lo <= hi <= 1:
         raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
-    if lo == hi:
-        return [] if lo == 0 else list(cf_of_rational(lo).quotients)
     # endpoints as unreduced integer pairs ln/ld <= hn/hd: the floors need
     # no gcd, so none is taken
     ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator

@@ -71,23 +71,27 @@ def binary_digits(x: Fraction) -> PeriodicStream:
     """Binary digits of x in [0, 1] as an eventually periodic stream.
 
     Dyadic rationals get the terminating expansion; x = 1 is 0.111... .
+
+    Write x = p/q in lowest terms with q = 2^m o, o odd, and let n be the
+    order of 2 modulo o (n = 1 when o = 1).  Then o divides 2^n - 1, so
+    2^(m+n) x - 2^m x = p (2^n - 1) / o is an integer: the digits after the
+    first m repeat with period n.  As 0 <= x < 1, the first m + n digits are
+    the m + n bits of floor(2^(m+n) x), one integer division.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError(f"value out of [0, 1]: {x}")
     if x == 1:
         return PeriodicStream("", "1")
-    digits = []
-    seen: dict[Fraction, int] = {}
-    r = x
-    while r not in seen:
-        seen[r] = len(digits)
-        r *= 2
-        d = 1 if r >= 1 else 0
-        digits.append("01"[d])
-        r -= d
-    start = seen[r]
-    return PeriodicStream("".join(digits[:start]), "".join(digits[start:]))
+    p, q = x.numerator, x.denominator
+    m = (q & -q).bit_length() - 1
+    o = q >> m
+    # r = 2^n mod o; o = 1 gives r = 0 and stops at n = 1
+    n, r = 1, 2 % o
+    while r > 1:
+        n, r = n + 1, 2 * r % o
+    digits = format((p << (m + n)) // q, "b").zfill(m + n)
+    return PeriodicStream(digits[:m], digits[m:])
 
 
 def kneading_from_tau(x: Fraction) -> PeriodicStream:

@@ -60,30 +60,25 @@ def incidence(rule: SubstitutionRule | dict) -> IncidenceMatrix:
 
 
 def characteristic_polynomial(M: IncidenceMatrix) -> tuple[int, ...]:
-    """Coefficients of det(lambda*I - M), monic, highest degree first."""
+    """Coefficients of det(lambda*I - M), monic, highest degree first.
+
+    Faddeev-LeVerrier over the integers: M_1 = M, c_k = -tr(M_k)/k and
+    M_(k+1) = M (M_k + c_k I).  For an integer matrix every c_k is an
+    integer, so each division is exact.
+    """
     n = M.dim
-    A = tuple(tuple(Fraction(x) for x in row) for row in M.entries)
-    coeffs = [Fraction(1)]
-    Mk = A
+    coeffs = [1]
+    Mk = M.entries
     for k in range(1, n + 1):
-        ck = sum(Mk[i][i] for i in range(n)) / k
-        coeffs.append(-ck)
-        if k == n:
-            break
-        shifted = tuple(
-            tuple(Mk[i][j] - (ck if i == j else 0) for j in range(n))
-            for i in range(n)
-        )
-        Mk = tuple(
-            tuple(sum(A[i][l] * shifted[l][j] for l in range(n)) for j in range(n))
-            for i in range(n)
-        )
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
+        ck, rem = divmod(-sum(Mk[i][i] for i in range(n)), k)
+        if rem:
             raise ArithmeticError("characteristic coefficients must be integers")
-        out.append(c.numerator)
-    return tuple(out)
+        coeffs.append(ck)
+        if k < n:
+            Mk = _mat_mul(M.entries, tuple(
+                tuple(x + ck if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(Mk)))
+    return tuple(coeffs)
 
 
 def _poly_eval(coeffs, x):

@@ -245,26 +245,21 @@ def orbit_counts(zeta: IntSeries) -> OrbitCounts:
     for n, v in enumerate(per, start=1):
         if v < 0:
             raise ArithmeticError(f"#Per_{n} = {v} is not a nonnegative integer")
-    # Moebius inversion p N(p) = sum_{d | p} mu(d) #Per_{p/d}, over one table
-    # of mu (mu(m) = -sum of mu(d) over proper divisors d of m) and a loop
-    # over multiples: O(N log N) steps
-    per = [0] + per
-    mu = [0, 1] + [0] * (N - 1)
-    acc = [0] * (N + 1)
-    for d in range(1, N + 1):
-        for m in range(2 * d, N + 1, d):
-            mu[m] -= mu[d]
-        if mu[d]:
-            for k in range(1, N // d + 1):
-                acc[d * k] += mu[d] * per[k]
+    # #Per_m = sum_{d | m} d N(d), solved by a sieve: once every proper
+    # divisor p of m has been subtracted from rest[m], it is m N(m).  O(N log N)
+    # steps; p is reached only if no smaller p raised, so the first failing p
+    # is the first whose Moebius sum fails
+    rest = [0] + per
     prime = {}
     for p in range(1, N + 1):
-        if acc[p] % p:
+        if rest[p] % p:
             raise ArithmeticError(f"orbit count N({p}) is not an integer")
-        prime[p] = acc[p] // p
+        prime[p] = rest[p] // p
         if prime[p] < 0:
             raise ArithmeticError(f"orbit count N({p}) = {prime[p]} is negative")
-    return OrbitCounts(dict(enumerate(per[1:], start=1)), prime)
+        for m in range(2 * p, N + 1, p):
+            rest[m] -= rest[p]
+    return OrbitCounts(dict(enumerate(per, start=1)), prime)
 
 
 def _times_one_minus_z(f) -> list:

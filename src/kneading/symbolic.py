@@ -96,12 +96,15 @@ def unparity_word(bits: str) -> str:
 
 
 def minimal_period(word: str) -> str:
-    """Shortest word whose repetition equals ``word``."""
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d]
-    return word
+    """Shortest word whose repetition equals ``word``.
+
+    A word equals its rotation by d exactly when d is a period of it that
+    divides its length, so the first occurrence of the word inside
+    word + word past position 0 is the length of its primitive root.
+    """
+    if not word:
+        return word
+    return word[:(word + word).find(word, 1)]
 
 
 class SubstitutionRule:
@@ -196,12 +199,14 @@ class PeriodicStream(SymbolStream):
         if not period:
             raise ValueError("period must be nonempty")
         period = minimal_period(period)
-        # Absorb preperiod symbols that the period already produces.
+        # Absorb preperiod symbols that the period already produces.  Each
+        # step rotates the period, and a rotation of a primitive word is
+        # primitive, so the period stays minimal.
         while preperiod and preperiod[-1] == period[-1]:
             preperiod = preperiod[:-1]
             period = period[-1] + period[:-1]
         self.preperiod = preperiod
-        self.period = minimal_period(period)
+        self.period = period
 
     def at(self, k: int) -> int:
         self._check_index(k)

@@ -2,8 +2,10 @@
 
 The package keeps one code path per quantity.  The second, third and fourth
 constructions of tau_j, tau_infinity and the cascade words live here, with
-the exact tent-map checks and the word order they rest on, and so does the
-depth-first walk of a language's words, so that a test can compare two
+the exact tent-map checks and the word order they rest on, and so do the
+depth-first walk of a language's words and the loops that four exact kernels
+replaced by closed forms (binary digits, minimal periods, prime orbit counts
+and characteristic polynomials), so that a test can compare two
 constructions that share no code.  ``tau_level_via``,
 ``tau_infinity_enclosure_via`` and ``feigenbaum_word_via`` take the method
 names the acceptance criteria use; each hands its reference method to the
@@ -25,11 +27,13 @@ from kneading.feigenbaum import (
     tau_infinity_enclosure,
     tau_level,
 )
+from kneading.frequency import IncidenceMatrix
 from kneading.language import LanguageQuery, _references
 from kneading.symbolic import (
     FEIGENBAUM_RULE,
     THUE_MORSE_RULE,
     FixedPointStream,
+    PeriodicStream,
     complement,
     feigenbaum_limit,
     feigenbaum_stream,
@@ -80,6 +84,39 @@ def word_order(u: str, v: str) -> Order:
         if u[i] != v[i]:
             return Order.LT if u[i] < v[i] else Order.GT
     return Order.EQ_PREFIX
+
+
+# === binary digits and periods =========================================
+
+def remainder_binary_digits(x: Fraction) -> PeriodicStream:
+    """Binary digits of x in [0, 1] by doubling the remainder until one
+    repeats, the loop ``encoding.binary_digits`` replaced."""
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise ValueError(f"value out of [0, 1]: {x}")
+    if x == 1:
+        return PeriodicStream("", "1")
+    digits = []
+    seen: dict[Fraction, int] = {}
+    r = x
+    while r not in seen:
+        seen[r] = len(digits)
+        r *= 2
+        d = 1 if r >= 1 else 0
+        digits.append("01"[d])
+        r -= d
+    start = seen[r]
+    return PeriodicStream("".join(digits[:start]), "".join(digits[start:]))
+
+
+def divisor_scan_minimal_period(word: str) -> str:
+    """Shortest word whose repetition equals ``word``, by trying every
+    divisor of its length, the scan ``symbolic.minimal_period`` replaced."""
+    n = len(word)
+    for d in range(1, n + 1):
+        if n % d == 0 and word == word[:d] * (n // d):
+            return word[:d]
+    return word
 
 
 # === tau_j ============================================================
@@ -326,3 +363,60 @@ def newton_per_counts(series) -> list:
     for n in range(1, len(c)):
         per.append(n * c[n] - sum(per[i - 1] * c[n - i] for i in range(1, n)))
     return per
+
+
+def moebius_prime_counts(per) -> dict:
+    """Prime orbit counts N(1..N) from #Per_1..#Per_N by Moebius inversion
+    p N(p) = sum_{d | p} mu(d) #Per_{p/d}, the code ``orbit_counts``
+    replaced by a sieve; raises the same errors."""
+    N = len(per)
+    # Moebius inversion p N(p) = sum_{d | p} mu(d) #Per_{p/d}, over one table
+    # of mu (mu(m) = -sum of mu(d) over proper divisors d of m) and a loop
+    # over multiples: O(N log N) steps
+    per = [0] + list(per)
+    mu = [0, 1] + [0] * (N - 1)
+    acc = [0] * (N + 1)
+    for d in range(1, N + 1):
+        for m in range(2 * d, N + 1, d):
+            mu[m] -= mu[d]
+        if mu[d]:
+            for k in range(1, N // d + 1):
+                acc[d * k] += mu[d] * per[k]
+    prime = {}
+    for p in range(1, N + 1):
+        if acc[p] % p:
+            raise ArithmeticError(f"orbit count N({p}) is not an integer")
+        prime[p] = acc[p] // p
+        if prime[p] < 0:
+            raise ArithmeticError(f"orbit count N({p}) = {prime[p]} is negative")
+    return prime
+
+
+# === incidence matrices ===============================================
+
+def fraction_characteristic_polynomial(M: IncidenceMatrix) -> tuple[int, ...]:
+    """Coefficients of det(lambda*I - M) by Faddeev-LeVerrier over Fraction,
+    the code ``frequency.characteristic_polynomial`` replaced."""
+    n = M.dim
+    A = tuple(tuple(Fraction(x) for x in row) for row in M.entries)
+    coeffs = [Fraction(1)]
+    Mk = A
+    for k in range(1, n + 1):
+        ck = sum(Mk[i][i] for i in range(n)) / k
+        coeffs.append(-ck)
+        if k == n:
+            break
+        shifted = tuple(
+            tuple(Mk[i][j] - (ck if i == j else 0) for j in range(n))
+            for i in range(n)
+        )
+        Mk = tuple(
+            tuple(sum(A[i][l] * shifted[l][j] for l in range(n)) for j in range(n))
+            for i in range(n)
+        )
+    out = []
+    for c in coeffs:
+        if c.denominator != 1:
+            raise ArithmeticError("characteristic coefficients must be integers")
+        out.append(c.numerator)
+    return tuple(out)

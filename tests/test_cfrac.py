@@ -100,6 +100,7 @@ def test_certified_prefix_is_sound():
         prefix = cf_of_enclosure((lo, hi))
         full = cf_of_rational(x).quotients
         assert tuple(prefix) == full[: len(prefix)]
+        assert cf_of_enclosure((x, x)) == list(full)
 
 
 def test_enclosure_boundary_cases():

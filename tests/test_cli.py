@@ -223,14 +223,15 @@ def test_reproduce_mismatch_exits_1(capsys, monkeypatch):
 
 
 def test_export_zeta_roots(capsys):
-    rc, out = run(capsys, "export", "zeta-roots", "--j", "6", "--format", "csv")
-    assert rc == 0
-    lines = out.splitlines()
-    assert len(lines) == 1 + 127
-    for line in lines[1:]:
-        cells = line.split(",")
-        assert float(cells[4]) < 1e-12
-        assert float(cells[5]) < 1e-9
+    for j in (0, 6, 11):
+        rc, out = run(capsys, "export", "zeta-roots", "--j", str(j), "--format", "csv")
+        assert rc == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 2 ** (j + 1) - 1
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert float(cells[4]) < 1e-12
+            assert float(cells[5]) < 1e-9
 
 
 def test_export_frequency_convergence(capsys):

@@ -24,7 +24,7 @@ from kneading.symbolic import (
     feigenbaum_stream,
     shift,
 )
-from oracles import Order, in_lambda, tent, word_order
+from oracles import Order, in_lambda, remainder_binary_digits, tent, word_order
 
 periodic_streams = st.builds(
     PeriodicStream,
@@ -116,6 +116,28 @@ def test_binary_digits():
         p = rng.randrange(0, q + 1)
         x = Fraction(p, q)
         assert tau_of_periodic(binary_digits(x)) == x
+
+
+def test_binary_digits_match_remainder_loop():
+    # every p/q with q < 100, and one p for each q < 2000
+    rng = random.Random(14)
+    xs = {Fraction(p, q) for q in range(1, 100) for p in range(q + 1)}
+    xs.update(Fraction(rng.randrange(q + 1), q) for q in range(100, 2000))
+    for x in xs:
+        assert binary_digits(x) == remainder_binary_digits(x), x
+    for bad in (Fraction(-1, 3), Fraction(4, 3)):
+        with pytest.raises(ValueError, match=r"value out of \[0, 1\]"):
+            binary_digits(bad)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=64),
+       st.integers(min_value=0, max_value=49999), st.data())
+def test_binary_digits_match_remainder_loop_long_preperiod(k, half, data):
+    # q = 2^k o with o odd below 10^5: preperiod k, period the order of 2 mod o
+    q = (2 * half + 1) << k
+    x = Fraction(data.draw(st.integers(min_value=0, max_value=q)), q)
+    assert binary_digits(x) == remainder_binary_digits(x)
 
 
 def test_kneading_from_tau():

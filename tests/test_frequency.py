@@ -28,6 +28,7 @@ from kneading.symbolic import (
     SymbolStream,
     feigenbaum_limit,
 )
+from oracles import fraction_characteristic_polynomial
 
 TOL = Fraction(1, 2 ** 8)
 
@@ -68,6 +69,15 @@ def test_characteristic_polynomials():
     assert characteristic_polynomial(incidence(FEIGENBAUM_RULE)) == (1, -1, -2)
     assert characteristic_polynomial(incidence(THUE_MORSE_RULE)) == (1, -2, 0)
     assert characteristic_polynomial(incidence(PAIR_RULE)) == (1, -2, -1, 2, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(min_value=0, max_value=9), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_characteristic_polynomial_matches_fraction_loop(rows):
+    M = IncidenceMatrix(tuple("abcdef"[:len(rows)]), tuple(map(tuple, rows)))
+    assert characteristic_polynomial(M) == fraction_characteristic_polynomial(M)
 
 
 def test_integer_eigenvalues():

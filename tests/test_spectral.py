@@ -36,6 +36,7 @@ from kneading.symbolic import (
 )
 from oracles import (
     evaluate_series,
+    moebius_prime_counts,
     newton_per_counts,
     reciprocal_untrimmed,
     tau_infinity_digit,
@@ -322,6 +323,50 @@ def test_window_orbit_counts():
     K = kneading_from_tau(Fraction(6, 7))
     for n in range(1, 9):
         assert _count_dominated(n, K) == oc.per_counts[n]
+
+
+def _euler_product(exponents):
+    # coefficients of prod_p (1 - z^p)^(-e_p) to order len(exponents)
+    c = [1] + [0] * len(exponents)
+    for p, e in enumerate(exponents, start=1):
+        for _ in range(e):
+            for n in range(p, len(c)):
+                c[n] += c[n - p]
+        for _ in range(-e):
+            for n in range(len(c) - 1, p - 1, -1):
+                c[n] -= c[n - p]
+    return IntSeries(c)
+
+
+_zeta_like = st.one_of(
+    st.lists(st.integers(min_value=-3, max_value=6), max_size=30).map(
+        lambda c: IntSeries([1, *c])),
+    st.lists(st.integers(min_value=-2, max_value=3), max_size=30).map(_euler_product),
+    st.builds(zeta_series, st.builds(
+        PeriodicStream,
+        st.text(alphabet="01", min_size=0, max_size=6),
+        st.text(alphabet="01", min_size=1, max_size=8),
+    ), st.integers(min_value=1, max_value=40)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zeta_like)
+def test_orbit_counts_match_moebius_inversion(z):
+    # the same counts, or the same error by type and message
+    per = newton_per_counts(z)
+    bad = next(((n, v) for n, v in enumerate(per, start=1) if v < 0), None)
+    if bad:
+        expected = ArithmeticError, f"#Per_{bad[0]} = {bad[1]} is not a nonnegative integer"
+    else:
+        try:
+            expected = dict(enumerate(per, start=1)), moebius_prime_counts(per)
+        except ArithmeticError as e:
+            expected = type(e), str(e)
+    got = _counts(z)
+    if isinstance(got, OrbitCounts):
+        got = got.per_counts, got.prime_counts
+    assert got == expected
 
 
 def test_orbit_counts_reject_invalid():

@@ -31,7 +31,7 @@ from kneading.symbolic import (
 import kneading
 from kneading import cfrac, dynamics, encoding, feigenbaum, frequency, language, spectral
 from kneading.symbolic import SymbolStream, _DerivedStream, _MemoizedStream, _Record
-from oracles import feigenbaum_word_via
+from oracles import divisor_scan_minimal_period, feigenbaum_word_via
 
 # Frozen period words of the doubling cascade, levels 1..5.
 CASCADE_WORDS = {
@@ -47,6 +47,14 @@ def test_minimal_period():
     assert minimal_period("10101010") == "10"
     assert minimal_period("1011") == "1011"
     assert minimal_period("111") == "1"
+
+
+def test_minimal_period_matches_divisor_scan():
+    assert minimal_period("") == "" == divisor_scan_minimal_period("")
+    for n in range(1, 14):
+        for x in range(1 << n):
+            w = format(x, "b").zfill(n)
+            assert minimal_period(w) == divisor_scan_minimal_period(w), w
 
 
 def test_periodic_stream_canonical_form():
