@@ -31,44 +31,54 @@ RUNS = 5
 
 
 def tau_stream(tau: str):
-    """Kneading stream of a ``--tau`` argument: binary digits, canonical form."""
-    from kneading.cli import _tau_stream
+    """Kneading stream of a ``--tau`` argument (p/q, feigenbaum:j or
+    feigenbaum:inf), built from the public API, so any checkout can run it."""
+    from fractions import Fraction
 
-    return _tau_stream(tau)
+    from kneading import feigenbaum_limit, feigenbaum_stream, kneading_from_tau
+
+    if tau == "feigenbaum:inf":
+        return feigenbaum_limit()
+    if tau.startswith("feigenbaum:"):
+        return feigenbaum_stream(int(tau.split(":", 1)[1]))
+    return kneading_from_tau(Fraction(tau))
+
+
+def periodic_stream(preperiod: str, period: str):
+    """Canonical form of an eventually periodic stream."""
+    from kneading import PeriodicStream
+
+    return PeriodicStream(preperiod, period)
 
 
 def zeta_counts(tau: str, order: int):
     """Zeta series and orbit counts, the work of ``zeta --counts``."""
     from kneading import spectral
-    from kneading.cli import _tau_stream
 
-    z = spectral.zeta_series(_tau_stream(tau), order)
+    z = spectral.zeta_series(tau_stream(tau), order)
     return z, spectral.orbit_counts(z)
 
 
 def determinant_zeta(tau: str, order: int):
     """Determinant and zeta series, the series of a ``zeta`` payload."""
     from kneading import spectral
-    from kneading.cli import _tau_stream
 
-    K = _tau_stream(tau)
+    K = tau_stream(tau)
     return spectral.kneading_determinant(K, order), spectral.zeta_series(K, order)
 
 
 def entropy(tau: str):
     """Certified entropy at the library's default order and tolerance."""
     from kneading import spectral
-    from kneading.cli import _tau_stream
 
-    return spectral.entropy(_tau_stream(tau))
+    return spectral.entropy(tau_stream(tau))
 
 
 def lang(what: str, tau: str, nmax: int, mode: str):
     """``complexity`` or ``language_words`` of one language query."""
     from kneading import language
-    from kneading.cli import _tau_stream
 
-    return getattr(language, what)(language.LanguageQuery(_tau_stream(tau), nmax, mode))
+    return getattr(language, what)(language.LanguageQuery(tau_stream(tau), nmax, mode))
 
 
 # (name, callable, args); zeta --order is capped at 2048, lang complexity
@@ -76,6 +86,8 @@ def lang(what: str, tau: str, nmax: int, mode: str):
 ROWS = [
     (f"tau stream {tau}", tau_stream, (tau,))
     for tau in ("10006/10007", "100002/100003", "1000002/1000003")
+] + [
+    ("PeriodicStream 1011*40000 1011", periodic_stream, ("1011" * 40000, "1011")),
 ] + [
     ("zeta --counts 61/62 order 2048", zeta_counts, ("61/62", 2048)),
     ("zeta --counts 38/39 order 2048", zeta_counts, ("38/39", 2048)),

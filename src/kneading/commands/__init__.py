@@ -1,0 +1,108 @@
+"""One module per ``kneading`` subcommand, and the helpers they share.
+
+Each module defines ``add_arguments(p)``, which adds the subcommand's
+options to its argparse parser, and ``run(args)``, its handler; ``run``
+returns a :class:`_Result` for the one emitter in :mod:`kneading.cli`, or an
+exit code when it prints its own lines.  The dispatcher imports a module
+only for a subcommand named on the command line, so a command compiles its
+own handler and no other.  A command module imports from this package,
+never from ``kneading.cli``: under ``python -m kneading.cli`` that module
+runs as ``__main__``, and importing it by name would run it a second time.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+from typing import NamedTuple
+
+# the layers load on first use (see the package docstring), so each command
+# runs only the ones it touches
+from .. import encoding, symbolic
+
+
+class _Result(NamedTuple):
+    """What a handler returns: a JSON payload, an optional CSV table
+    (header, rows), an optional text line, and the exit code."""
+    payload: object
+    table: tuple | None = None
+    text: str | None = None
+    code: int = 0
+
+
+def _num(x, args):
+    """Exact string for a Fraction unless --float was passed."""
+    from fractions import Fraction
+    if isinstance(x, Fraction):
+        return float(x) if args.as_float else str(x)
+    return x
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _require_dir(d: str):
+    if not os.path.isdir(d or "."):
+        raise ValueError(f"no such output directory: {d}")
+
+
+def _atomic_write(path: str, text: str):
+    _require_dir(os.path.dirname(path))
+    if os.path.isdir(path):
+        raise ValueError(f"output path is a directory: {path}")
+    d = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _fraction(text: str):
+    """Fraction(text), with a zero denominator reported as bad input
+    (ValueError, exit 2) like any other malformed number."""
+    from fractions import Fraction
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text}") from None
+
+
+_fraction.__name__ = "Fraction"  # argparse names the type in its messages
+
+
+def _tau_stream(spec: str):
+    """Stream for a --tau argument: p/q, feigenbaum:j, or feigenbaum:inf."""
+    if spec == "feigenbaum:inf":
+        return symbolic.feigenbaum_limit()
+    if spec.startswith("feigenbaum:"):
+        # zeta --entropy on level j strips a degree-2^j determinant: about
+        # 0.3 s at the cap on a 2-core Xeon, 2.4x that per level past it
+        j = int(spec.split(":", 1)[1])
+        if not 1 <= j <= 14:
+            raise ValueError("level must be in 1..14")
+        return symbolic.feigenbaum_stream(j)
+    return encoding.kneading_from_tau(_fraction(spec))
+
+
+_MAX_BITS = 1 << 16
+
+
+def _check_bits(bits: int):
+    # both the enclosure and its certified quotients grow with --bits; the
+    # quotients cost O(bits^2): about 0.5 s at the cap on a 2-core Xeon
+    if not 1 <= bits <= _MAX_BITS:
+        raise ValueError(f"bits must be in 1..{_MAX_BITS}")
+
+
+def _check_cap(name: str, value: int, cap: int):
+    """Upper bound of a costly option; its lower bound is checked where the
+    value is used."""
+    if value > cap:
+        raise ValueError(f"{name} must be at most {cap}")

@@ -1,0 +1,27 @@
+"""``kneading tau``: period-doubling parameter levels."""
+
+from .. import feigenbaum
+from . import _Result, _check_bits
+
+
+def add_arguments(p):
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--j", type=int)
+    g.add_argument("--infinity", action="store_true")
+    p.add_argument("--bits", "--precision-bits", dest="bits", type=int, default=128)
+
+
+def run(args) -> _Result:
+    _check_bits(args.bits)
+    if args.infinity:
+        return _Result(feigenbaum.tau_infinity_enclosure(args.bits).to_json())
+    if not 1 <= args.j <= 20:
+        raise ValueError("level must be in 1..20")
+    lvl = feigenbaum.tau_level(args.j)
+    # p/q is in lowest terms; Fraction(p, q) would only repeat a gcd of
+    # 2^(j-1)-bit integers, and str() refuses q past level 14
+    p, q = feigenbaum._decimal_str(lvl.p), feigenbaum._decimal_str(lvl.q)
+    return _Result({"j": lvl.j, "p": p, "q": q,
+                    "tau": lvl.p / lvl.q if args.as_float else f"{p}/{q}",
+                    "digits": lvl.period_digits},
+                   text=f"j={lvl.j} tau={p}/{q} digits={lvl.period_digits}")

@@ -199,12 +199,19 @@ class PeriodicStream(SymbolStream):
         if not period:
             raise ValueError("period must be nonempty")
         period = minimal_period(period)
-        # Absorb preperiod symbols that the period already produces.  Each
-        # step rotates the period, and a rotation of a primitive word is
-        # primitive, so the period stays minimal.
-        while preperiod and preperiod[-1] == period[-1]:
-            preperiod = preperiod[:-1]
-            period = period[-1] + period[:-1]
+        # Absorb the longest preperiod suffix that the period already
+        # produces: the d last symbols agree with the d symbols of period^∞
+        # that end at a period boundary, so d is the number of trailing zero
+        # bits of the two words' XOR.  Dropping them rotates the period right
+        # by d, and a rotation of a primitive word is primitive, so the
+        # period stays minimal.
+        if preperiod:
+            m, p = len(preperiod), len(period)
+            x = int(preperiod, 2) ^ int((period * (m // p + 1))[-m:], 2)
+            d = (x & -x).bit_length() - 1 if x else m
+            r = d % p
+            preperiod = preperiod[:m - d]
+            period = period[p - r:] + period[:p - r]
         self.preperiod = preperiod
         self.period = period
 

@@ -3,10 +3,11 @@
 The package keeps one code path per quantity.  The second, third and fourth
 constructions of tau_j, tau_infinity and the cascade words live here, with
 the exact tent-map checks and the word order they rest on, and so do the
-depth-first walk of a language's words and the loops that four exact kernels
+depth-first walk of a language's words, the loops that four exact kernels
 replaced by closed forms (binary digits, minimal periods, prime orbit counts
-and characteristic polynomials), so that a test can compare two
-constructions that share no code.  ``tau_level_via``,
+and characteristic polynomials) and the symbol-by-symbol absorption of a
+periodic stream's preperiod, so that a test can compare two constructions
+that share no code.  ``tau_level_via``,
 ``tau_infinity_enclosure_via`` and ``feigenbaum_word_via`` take the method
 names the acceptance criteria use; each hands its reference method to the
 library.
@@ -117,6 +118,20 @@ def divisor_scan_minimal_period(word: str) -> str:
         if n % d == 0 and word == word[:d] * (n // d):
             return word[:d]
     return word
+
+
+def stepwise_canonical_form(preperiod: str, period: str) -> tuple[str, str]:
+    """Canonical (preperiod, period) of an eventually periodic stream,
+    absorbing the preperiod one symbol at a time, the loop
+    ``PeriodicStream.__init__`` replaced."""
+    period = divisor_scan_minimal_period(period)
+    # Absorb preperiod symbols that the period already produces.  Each
+    # step rotates the period, and a rotation of a primitive word is
+    # primitive, so the period stays minimal.
+    while preperiod and preperiod[-1] == period[-1]:
+        preperiod = preperiod[:-1]
+        period = period[-1] + period[:-1]
+    return preperiod, period
 
 
 # === tau_j ============================================================

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import kneading.cli as cli
+import kneading.commands.reproduce as reproduce
 from kneading.feigenbaum import tau_level
 from kneading.spectral import feigenbaum_zeta
 from oracles import tau_infinity_digit
@@ -216,7 +217,7 @@ def test_reproduce_single(capsys):
 
 
 def test_reproduce_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_GOLDEN_NJ", (1,) * 12)
+    monkeypatch.setattr(reproduce, "_GOLDEN_NJ", (1,) * 12)
     rc, out = run(capsys, "reproduce", "nj-sequence")
     assert rc == 1
     assert out.startswith("FAIL nj-sequence:")

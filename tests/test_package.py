@@ -48,6 +48,54 @@ def test_command_runs_only_its_layers(argv, ran):
     assert _fresh(_RAN, *argv.split()).split() == ["0", *ran.split()]
 
 
+# each subcommand's argv, with the kneading.commands modules it needs
+_COMMAND_MODULES = [
+    ("dyn kneading --n 20", "dyn"),
+    ("dyn scan --steps 3", "dyn"),
+    ("tau --j 3", "tau"),
+    ("lang complexity --tau 5/6 --nmax 6", "lang"),
+    ("zeta --tau 5/6 --order 8 --counts --entropy", "zeta"),
+    ("cf tau-level --j 4", "cf"),
+    ("freq --prefix 1024", "freq"),
+    ("export zeta-roots --j 2", "export"),
+    ("export bifurcation-scan --steps 3", "dyn export"),
+    ("reproduce nj-sequence", "reproduce"),
+]
+
+_COMMANDS_RAN = """
+import contextlib, io, sys
+import kneading.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = kneading.cli.main(sys.argv[1:])
+print(rc, *sorted(name.rsplit(".", 1)[1] for name in sys.modules
+                  if name.startswith("kneading.commands.")))
+"""
+
+
+@pytest.mark.parametrize("argv, modules", _COMMAND_MODULES)
+def test_command_loads_only_its_command_module(argv, modules):
+    assert _fresh(_COMMANDS_RAN, *argv.split()).split() == ["0", *modules.split()]
+
+
+# ``python -m kneading.cli`` runs cli.py as ``__main__``; a command module
+# that imported ``kneading.cli`` would compile and run it a second time
+_RUN_AS_MAIN = """
+import contextlib, io, runpy, sys
+sys.argv[0] = "kneading"
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("kneading.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as e:
+        rc = e.code
+print(rc, "kneading.cli" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _COMMAND_MODULES])
+def test_cli_runs_once_as_main(argv):
+    assert _fresh(_RUN_AS_MAIN, *argv.split()).split() == ["0", "False"]
+
+
 # Start-up modules a command may not load: dataclasses and inspect (about
 # 10 ms of imports) never; fractions only where exact numbers are computed,
 # csv only where a table is written.  Modules the interpreter had already

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kneading.symbolic import (
@@ -31,7 +31,7 @@ from kneading.symbolic import (
 import kneading
 from kneading import cfrac, dynamics, encoding, feigenbaum, frequency, language, spectral
 from kneading.symbolic import SymbolStream, _DerivedStream, _MemoizedStream, _Record
-from oracles import divisor_scan_minimal_period, feigenbaum_word_via
+from oracles import divisor_scan_minimal_period, feigenbaum_word_via, stepwise_canonical_form
 
 # Frozen period words of the doubling cascade, levels 1..5.
 CASCADE_WORDS = {
@@ -67,6 +67,19 @@ def test_periodic_stream_canonical_form():
     assert a.period == "10"
     assert PeriodicStream("", "101101").period == "101"
     assert PeriodicStream("1", "1").preperiod == ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="01", max_size=12), st.text(alphabet="01", min_size=1, max_size=9),
+       st.integers(0, 400))
+@example("0", "1011", 40000)
+@example("0", "101", 30002)  # the period rotates by 2 of 3
+def test_periodic_stream_matches_stepwise_absorption(head, per, tail):
+    # the preperiod ends in `tail` symbols of per^∞ up to a period boundary,
+    # all absorbable unless `head` continues them
+    pre = head + (per * tail)[(len(per) - 1) * tail:]
+    s = PeriodicStream(pre, per)
+    assert (s.preperiod, s.period) == stepwise_canonical_form(pre, per)
 
 
 def test_periodic_stream_access_is_one_based():
