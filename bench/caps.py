@@ -44,6 +44,14 @@ def tau_stream(tau: str):
     return kneading_from_tau(Fraction(tau))
 
 
+def maximal(tau: str):
+    """``is_maximal`` of a ``--tau`` stream, the check in front of ``zeta
+    --counts/--entropy`` and ``lang``; the row builds the stream too."""
+    from kneading import is_maximal
+
+    return is_maximal(tau_stream(tau))
+
+
 def periodic_stream(preperiod: str, period: str):
     """Canonical form of an eventually periodic stream."""
     from kneading import PeriodicStream
@@ -81,14 +89,14 @@ def lang(what: str, tau: str, nmax: int, mode: str):
     return getattr(language, what)(language.LanguageQuery(tau_stream(tau), nmax, mode))
 
 
-# (name, callable, args); zeta --order is capped at 2048, lang complexity
-# --nmax at 24 and language_words at 16; --tau p/q has no cap on q yet
+# (name, callable, args); --tau p/q is capped at q <= 2^20, zeta --order at
+# 2048, lang complexity --nmax at 24 and language_words at 16
 ROWS = [
     (f"tau stream {tau}", tau_stream, (tau,))
-    for tau in ("10006/10007", "100002/100003", "1000002/1000003")
+    for tau in ("10006/10007", "100002/100003", "1000002/1000003", "1048572/1048573")
 ] + [
+    ("is_maximal 100002/100003", maximal, ("100002/100003",)),
     ("PeriodicStream 1011*40000 1011", periodic_stream, ("1011" * 40000, "1011")),
-] + [
     ("zeta --counts 61/62 order 2048", zeta_counts, ("61/62", 2048)),
     ("zeta --counts 38/39 order 2048", zeta_counts, ("38/39", 2048)),
     ("zeta --counts feigenbaum:14 order 2048", zeta_counts, ("feigenbaum:14", 2048)),

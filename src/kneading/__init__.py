@@ -25,15 +25,15 @@ __version__ = "0.1.0"
 # public names, by the layer that defines them
 _EXPORTS = {
     "symbolic": (
-        "SubstitutionRule", "substitute", "SymbolStream", "PeriodicStream",
-        "FixedPointStream", "FunctionStream", "FEIGENBAUM_RULE", "THUE_MORSE_RULE",
-        "check_word", "complement", "minimal_period", "parity_word", "unparity_word",
-        "shift", "fixed_point_prefix", "renormalize_seq", "feigenbaum_word",
-        "feigenbaum_stream", "feigenbaum_limit", "stream_to_json", "stream_from_json",
+        "SubstitutionRule", "SymbolStream", "PeriodicStream", "FixedPointStream",
+        "FunctionStream", "FEIGENBAUM_RULE", "THUE_MORSE_RULE", "check_word",
+        "complement", "minimal_period", "parity_word", "unparity_word", "shift",
+        "renormalize_seq", "feigenbaum_word", "feigenbaum_stream", "feigenbaum_limit",
+        "stream_to_json", "stream_from_json",
     ),
     "encoding": (
-        "xi", "xi_inverse", "epsilon", "tau_of_periodic", "stream_tau",
-        "binary_digits", "kneading_from_tau", "is_maximal", "admissible",
+        "xi", "xi_inverse", "tau_of_periodic", "stream_tau", "binary_digits",
+        "kneading_from_tau", "is_maximal", "admissible",
     ),
     "feigenbaum": (
         "PAIR_RULE", "PAIR_TO_DIGITS", "DyadicEnclosure", "TauLevel", "tau_level",
@@ -46,7 +46,7 @@ _EXPORTS = {
     "spectral": (
         "EntropyInconclusive", "IntSeries", "OrbitCounts", "EntropyResult",
         "kneading_determinant", "zeta_series", "series_of_rational", "xi_series",
-        "feigenbaum_zeta", "orbit_counts", "entropy",
+        "orbit_counts", "entropy",
     ),
     "language": ("LanguageQuery", "complexity", "language_words", "forbidden_words"),
     "frequency": (

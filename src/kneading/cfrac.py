@@ -7,17 +7,6 @@ from fractions import Fraction
 from .feigenbaum import tau_level
 from .symbolic import _Record
 
-__all__ = [
-    "ContinuedFraction",
-    "ContinuationReport",
-    "Convergent",
-    "cf_continuation_check",
-    "cf_of_enclosure",
-    "cf_of_rational",
-    "cf_table",
-    "convergents",
-]
-
 
 class ContinuedFraction(_Record):
     """Canonical expansion [a1, a2, ..., an] of a rational in (0, 1]."""
@@ -40,9 +29,6 @@ class ContinuedFraction(_Record):
         for r, s in _convergent_pairs(self.quotients):
             pass
         return Fraction(r, s)
-
-    def __len__(self):
-        return len(self.quotients)
 
 
 class Convergent(_Record):

@@ -56,18 +56,19 @@ def _add_common(p):
                    help="emit floats instead of exact fraction strings")
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """Every subcommand with its help line, but options only for those named
-    in ``argv``: argparse runs one of those, so it parses and words its
-    messages as the full parser would.  A subcommand's module is imported
-    only here, so a command compiles no other command's code."""
+def _build_parser(commands) -> argparse.ArgumentParser:
+    """Every subcommand with its help line, but options only for those in
+    ``commands``, the subcommands to give options: argparse runs the one
+    the command line names, so it parses and words its messages as the full
+    parser would.  A subcommand's module is imported only here, so a
+    command compiles no other command's code."""
     parser = argparse.ArgumentParser(
         prog="kneading",
         description="Exact kneading-theory tables, series, and scans.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, summary in _COMMANDS:
         p = sub.add_parser(name, help=summary)
-        if name in argv:
+        if name in commands:
             command = importlib.import_module(f".commands.{name}", __package__)
             _add_common(p)
             command.add_arguments(p)
@@ -77,7 +78,9 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv)
+    # the first word that is not an option names the subcommand; an option
+    # value that happens to be a subcommand name loads nothing
+    parser = _build_parser([a for a in argv if not a.startswith("-")][:1])
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -88,7 +88,11 @@ def _tau_stream(spec: str):
         if not 1 <= j <= 14:
             raise ValueError("level must be in 1..14")
         return symbolic.feigenbaum_stream(j)
-    return encoding.kneading_from_tau(_fraction(spec))
+    x = _fraction(spec)
+    # the digit period is ord_2 of q's odd part, up to q - 1 digits: at the
+    # cap, zeta --order 8 takes about 0.5 s in a fresh process on a 2-core Xeon
+    _check_cap("denominator", x.denominator, 1 << 20)
+    return encoding.kneading_from_tau(x)
 
 
 _MAX_BITS = 1 << 16

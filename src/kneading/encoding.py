@@ -45,13 +45,6 @@ def xi_inverse(t: SymbolStream) -> SymbolStream:
     return _DerivedStream(t, unparity_word)
 
 
-def epsilon(s: SymbolStream, k: int) -> int:
-    """Signed digit (-1)^(s_1+...+s_k); epsilon_0 = +1."""
-    if k == 0:
-        return 1
-    return 1 - 2 * (s.prefix(k).count("1") % 2)
-
-
 def tau_of_periodic(t: PeriodicStream) -> Fraction:
     """Exact value sum t_k 2^-k of an eventually periodic digit stream."""
     if not isinstance(t, PeriodicStream):

@@ -90,15 +90,6 @@ class DyadicEnclosure(_Record):
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def __contains__(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-    def intersect(self, other: "DyadicEnclosure") -> "DyadicEnclosure":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("disjoint enclosures")
-        return DyadicEnclosure(lo, hi, max(self.bits, other.bits))
-
     def to_json(self) -> dict:
         def dyadic(x: Fraction) -> str:
             return f"{_decimal_str(x.numerator)}/2^{x.denominator.bit_length() - 1}"
@@ -117,9 +108,6 @@ class TauLevel(_Record):
     @property
     def value(self) -> Fraction:
         return Fraction(self.p, self.q)
-
-    def to_json(self) -> dict:
-        return {"j": self.j, "p": self.p, "q": self.q, "digits": self.period_digits}
 
 
 def _closed_form_pq(j: int) -> tuple[int, int]:

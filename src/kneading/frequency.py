@@ -26,19 +26,6 @@ class IncidenceMatrix(_Record):
     def dim(self) -> int:
         return len(self.alphabet)
 
-    def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(r[j] for r in self.entries) for j in range(self.dim))
-
-    def power(self, n: int) -> "IncidenceMatrix":
-        if n < 0:
-            raise ValueError("nonnegative powers only")
-        acc = tuple(tuple(int(i == j) for j in range(self.dim))
-                    for i in range(self.dim))
-        base = self.entries
-        for _ in range(n):
-            acc = _mat_mul(acc, base)
-        return IncidenceMatrix(self.alphabet, acc)
-
 
 def _mat_mul(A, B):
     n = len(A)

@@ -11,20 +11,6 @@ from operator import mul, sub
 from .encoding import xi
 from .symbolic import PeriodicStream, _Record, parity_word
 
-__all__ = [
-    "EntropyInconclusive",
-    "EntropyResult",
-    "IntSeries",
-    "OrbitCounts",
-    "entropy",
-    "feigenbaum_zeta",
-    "kneading_determinant",
-    "orbit_counts",
-    "series_of_rational",
-    "xi_series",
-    "zeta_series",
-]
-
 
 class EntropyInconclusive(RuntimeError):
     """Raised when root isolation cannot be certified at the given order."""
@@ -47,28 +33,6 @@ class IntSeries(_Record):
 
     def __getitem__(self, k: int) -> int:
         return self.coefficients[k]
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return IntSeries(tuple(self[k] + other[k] for k in range(n + 1)))
-
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return IntSeries(tuple(self[k] - other[k] for k in range(n + 1)))
-
-    def __mul__(self, other):
-        n = min(self.order, other.order)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coefficients[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                out[i + j] += a * other[j]
-        return IntSeries(tuple(out))
-
-    def reciprocal(self) -> "IntSeries":
-        """Multiplicative inverse, defined over the integers iff c0 = 1 or -1."""
-        return series_of_rational((1,), self.coefficients, self.order)
 
 
 class OrbitCounts(_Record):
@@ -198,20 +162,6 @@ def xi_series(N: int) -> IntSeries:
             c[k] -= c[k - e]
         e *= 2
     return IntSeries(tuple(c))
-
-
-def feigenbaum_zeta(j: int, N: int) -> IntSeries:
-    """Series of 1 / ((1 - z) * prod_{n=0..j} (1 - z^(2^n))), truncated at N.
-
-    This is the zeta series of the period-doubling cascade stream whose
-    digit expansion has period 2^(j+1) (level j + 1 in the word hierarchy).
-    The factors with 2^n > N are 1 up to order N, so the product is
-    xi_series at order min(N, 2^(j+1) - 1), and j past log2 N costs nothing.
-    """
-    if j < 1 or N < 1:
-        raise ValueError("need j >= 1 and N >= 1")
-    product = xi_series(min(N, (1 << min(j + 1, N.bit_length())) - 1))
-    return series_of_rational((1,), _times_one_minus_z(product.coefficients), N)
 
 
 def orbit_counts(zeta: IntSeries) -> OrbitCounts:

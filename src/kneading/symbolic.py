@@ -158,11 +158,6 @@ class SubstitutionRule:
         return f"SubstitutionRule({body})"
 
 
-def substitute(rule: SubstitutionRule, word: str) -> str:
-    """Apply ``rule`` once to every symbol of ``word``."""
-    return rule.apply(word)
-
-
 FEIGENBAUM_RULE = SubstitutionRule({"1": "10", "0": "11"})
 THUE_MORSE_RULE = SubstitutionRule({"0": "01", "1": "10"})
 
@@ -341,11 +336,6 @@ def shift(s: SymbolStream, m: int = 1) -> SymbolStream:
         r = (m - len(pre)) % len(per)
         return PeriodicStream("", per[r:] + per[:r])
     return _DerivedStream(s, lambda w: w[m:], skip=m)
-
-
-def fixed_point_prefix(rule: SubstitutionRule, letter: str, n: int) -> str:
-    """First ``n`` symbols of the substitution fixed point starting at ``letter``."""
-    return FixedPointStream(rule, letter).prefix(n)
 
 
 def _every_second(s: SymbolStream, flip: bool) -> SymbolStream:

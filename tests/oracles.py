@@ -7,10 +7,12 @@ depth-first walk of a language's words, the loops that four exact kernels
 replaced by closed forms (binary digits, minimal periods, prime orbit counts
 and characteristic polynomials) and the symbol-by-symbol absorption of a
 periodic stream's preperiod, so that a test can compare two constructions
-that share no code.  ``tau_level_via``,
-``tau_infinity_enclosure_via`` and ``feigenbaum_word_via`` take the method
-names the acceptance criteria use; each hands its reference method to the
-library.
+that share no code.  So do the helpers only tests use: the product of two
+series, the cascade zeta series from its product formula, the intersection
+of two enclosures, and powers and column sums of an incidence matrix.
+``tau_level_via``, ``tau_infinity_enclosure_via`` and ``feigenbaum_word_via``
+take the method names the acceptance criteria use; each hands its reference
+method to the library.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from kneading.feigenbaum import (
     tau_infinity_enclosure,
     tau_level,
 )
-from kneading.frequency import IncidenceMatrix
+from kneading.frequency import IncidenceMatrix, _mat_mul
 from kneading.language import LanguageQuery, _references
+from kneading.spectral import IntSeries, _times_one_minus_z, series_of_rational, xi_series
 from kneading.symbolic import (
     FEIGENBAUM_RULE,
     THUE_MORSE_RULE,
@@ -236,6 +239,14 @@ def tau_infinity_enclosure_via(bits: int, method: str = "digit-sum") -> DyadicEn
     raise ValueError(f"unknown method {method!r}")
 
 
+def intersect(a: DyadicEnclosure, b: DyadicEnclosure) -> DyadicEnclosure:
+    """Common part of two enclosures of one value; disjoint ones raise."""
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo > hi:
+        raise ValueError("disjoint enclosures")
+    return DyadicEnclosure(lo, hi, max(a.bits, b.bits))
+
+
 def thue_morse_check(n: int) -> bool:
     """Prepending 0 to the cascade limit and encoding it digit-wise gives
     the fixed point of 0 -> 01, 1 -> 10; verify the first n symbols."""
@@ -348,6 +359,34 @@ def dfs_language_words(q: LanguageQuery) -> dict:
 
 # === series ===========================================================
 
+def series_product(a: IntSeries, b: IntSeries) -> IntSeries:
+    """Product of two series by the schoolbook convolution, truncated at the
+    smaller order."""
+    n = min(a.order, b.order)
+    out = [0] * (n + 1)
+    for i, x in enumerate(a.coefficients[: n + 1]):
+        if x == 0:
+            continue
+        for j in range(0, n + 1 - i):
+            out[i + j] += x * b[j]
+    return IntSeries(tuple(out))
+
+
+def feigenbaum_zeta(j: int, N: int) -> IntSeries:
+    """Series of 1 / ((1 - z) * prod_{n=0..j} (1 - z^(2^n))), truncated at N.
+
+    This is the zeta series of the period-doubling cascade stream whose
+    digit expansion has period 2^(j+1) (level j + 1 in the word hierarchy),
+    which the library builds as ``zeta_series(feigenbaum_stream(j + 1), N)``.
+    The factors with 2^n > N are 1 up to order N, so the product is
+    xi_series at order min(N, 2^(j+1) - 1), and j past log2 N costs nothing.
+    """
+    if j < 1 or N < 1:
+        raise ValueError("need j >= 1 and N >= 1")
+    product = xi_series(min(N, (1 << min(j + 1, N.bit_length())) - 1))
+    return series_of_rational((1,), _times_one_minus_z(product.coefficients), N)
+
+
 def evaluate_series(series, x) -> Fraction:
     """Exact Horner evaluation of the truncation at a rational point."""
     x = Fraction(x)
@@ -359,8 +398,8 @@ def evaluate_series(series, x) -> Fraction:
 
 def reciprocal_untrimmed(series) -> tuple:
     """Coefficients of 1/f by the full convolution c_1..c_k at every order k,
-    trailing zeros included; IntSeries.reciprocal stops at the last nonzero
-    coefficient."""
+    trailing zeros included; series_of_rational((1,), c, N) stops at the
+    last nonzero coefficient."""
     c = series.coefficients
     c0 = c[0]
     out = [c0]
@@ -408,6 +447,22 @@ def moebius_prime_counts(per) -> dict:
 
 
 # === incidence matrices ===============================================
+
+def column_sums(M: IncidenceMatrix) -> tuple[int, ...]:
+    """Length of each letter's image: the column sums of M."""
+    return tuple(sum(r[j] for r in M.entries) for j in range(M.dim))
+
+
+def matrix_power(M: IncidenceMatrix, n: int) -> IncidenceMatrix:
+    """M^n as n products from the identity: entry (i, j) counts letter i in
+    the n-fold image of letter j."""
+    if n < 0:
+        raise ValueError("nonnegative powers only")
+    acc = tuple(tuple(int(i == j) for j in range(M.dim)) for i in range(M.dim))
+    for _ in range(n):
+        acc = _mat_mul(acc, M.entries)
+    return IncidenceMatrix(M.alphabet, acc)
+
 
 def fraction_characteristic_polynomial(M: IncidenceMatrix) -> tuple[int, ...]:
     """Coefficients of det(lambda*I - M) by Faddeev-LeVerrier over Fraction,

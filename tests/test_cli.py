@@ -12,8 +12,7 @@ import pytest
 import kneading.cli as cli
 import kneading.commands.reproduce as reproduce
 from kneading.feigenbaum import tau_level
-from kneading.spectral import feigenbaum_zeta
-from oracles import tau_infinity_digit
+from oracles import feigenbaum_zeta, tau_infinity_digit
 
 
 def run(capsys, *argv):
@@ -400,6 +399,8 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
     (["zeta", "--tau", "feigenbaum:inf", "--order", "64", "--entropy", "--tol",
       f"1/{10 ** 100 + 1}"], 2, "error: tolerance must be at least 1/10^100\n"),
     (["dyn", "lemma1", "--pairs", "0", "--n", "0"], 2, "error: need at least one symbol\n"),
+    (["zeta", "--tau", "1/4294967311", "--order", "8"], 2,
+     "error: denominator must be at most 1048576\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
@@ -460,6 +461,8 @@ dyn kneading --n 256|dyn kneading --n 257|dyn scan --steps 4096|dyn scan --steps
 dyn lemma1 --pairs 4096|dyn lemma1 --pairs 4097|export bifurcation-scan --n 256
 export bifurcation-scan --n 257
 zeta --tau feigenbaum:inf --order 2048 --entropy
+zeta --tau 1048572/1048573 --order 8|zeta --tau 1/1048577 --order 8
+zeta --tau 1/4294967311 --order 8|zeta --tau 1e-30 --order 4
 """.replace("\n", "|").split("|") if line] + [
     ["zeta", "--tau", ""], ["lang", "forbidden", "--tau", ""],
     "zeta --tau feigenbaum:inf --order 64 --entropy --tol 4/3".split(),

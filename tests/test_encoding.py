@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from kneading.encoding import (
     admissible,
     binary_digits,
-    epsilon,
     is_maximal,
     kneading_from_tau,
     stream_tau,
@@ -24,6 +23,7 @@ from kneading.symbolic import (
     feigenbaum_stream,
     shift,
 )
+from kneading.spectral import _epsilon_prefix
 from oracles import Order, in_lambda, remainder_binary_digits, tent, word_order
 
 periodic_streams = st.builds(
@@ -80,10 +80,11 @@ def test_xi_on_generated_stream():
 
 
 def test_epsilon():
+    # eps_k = (-1)^(s_1 + ... + s_k), the signs of the kneading determinant
     s = PeriodicStream("1", "0")
-    assert [epsilon(s, k) for k in range(0, 5)] == [1, -1, -1, -1, -1]
-    limit = feigenbaum_limit()
-    eps = [epsilon(limit, k) for k in range(1, 17)]
+    assert _epsilon_prefix(s, 4) == [-1, -1, -1, -1]
+    assert _epsilon_prefix(s, 0) == []
+    eps = _epsilon_prefix(feigenbaum_limit(), 16)
     assert eps == [-1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1, -1]
 
 

@@ -28,7 +28,7 @@ from kneading.symbolic import (
     SymbolStream,
     feigenbaum_limit,
 )
-from oracles import fraction_characteristic_polynomial
+from oracles import column_sums, fraction_characteristic_polynomial, matrix_power
 
 TOL = Fraction(1, 2 ** 8)
 
@@ -37,7 +37,7 @@ def test_incidence_feigenbaum():
     M = incidence(FEIGENBAUM_RULE)
     assert M.alphabet == ("0", "1")
     assert M.entries == ((0, 1), (2, 1))
-    assert M.column_sums() == (2, 2)
+    assert column_sums(M) == (2, 2)
 
 
 def test_incidence_thue_morse():
@@ -48,14 +48,14 @@ def test_incidence_pair_rule():
     M = incidence(PAIR_RULE)
     assert M.alphabet == ("a", "b", "c", "d")
     assert M.entries == ((1, 1, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 1, 1))
-    assert M.column_sums() == (2, 2, 2, 2)
+    assert column_sums(M) == (2, 2, 2, 2)
 
 
 @pytest.mark.parametrize("rule", [FEIGENBAUM_RULE, THUE_MORSE_RULE, PAIR_RULE])
 def test_matrix_power_counts_expanded_words(rule):
     M = incidence(rule)
     for n in range(11):
-        P = M.power(n)
+        P = matrix_power(M, n)
         for j, b in enumerate(M.alphabet):
             w = b
             for _ in range(n):

@@ -12,12 +12,12 @@ import kneading
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(kneading.__file__)))
 
 
-def _fresh(script: str, *argv: str) -> str:
+def _fresh(script: str, *argv: str, cwd=None) -> str:
     """stdout of ``script`` run in a fresh interpreter that imports this
-    checkout of the package."""
+    checkout of the package, in ``cwd`` if given."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -60,6 +60,8 @@ _COMMAND_MODULES = [
     ("export zeta-roots --j 2", "export"),
     ("export bifurcation-scan --steps 3", "dyn export"),
     ("reproduce nj-sequence", "reproduce"),
+    # an option value that names another subcommand loads nothing
+    ("export zeta-roots --j 2 --out dyn", "export"),
 ]
 
 _COMMANDS_RAN = """
@@ -72,9 +74,11 @@ print(rc, *sorted(name.rsplit(".", 1)[1] for name in sys.modules
 """
 
 
+# each runs in an empty directory, where --out may write
 @pytest.mark.parametrize("argv, modules", _COMMAND_MODULES)
-def test_command_loads_only_its_command_module(argv, modules):
-    assert _fresh(_COMMANDS_RAN, *argv.split()).split() == ["0", *modules.split()]
+def test_command_loads_only_its_command_module(argv, modules, tmp_path):
+    assert _fresh(_COMMANDS_RAN, *argv.split(), cwd=tmp_path).split() == [
+        "0", *modules.split()]
 
 
 # ``python -m kneading.cli`` runs cli.py as ``__main__``; a command module
@@ -92,8 +96,8 @@ print(rc, "kneading.cli" in sys.modules)
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in _COMMAND_MODULES])
-def test_cli_runs_once_as_main(argv):
-    assert _fresh(_RUN_AS_MAIN, *argv.split()).split() == ["0", "False"]
+def test_cli_runs_once_as_main(argv, tmp_path):
+    assert _fresh(_RUN_AS_MAIN, *argv.split(), cwd=tmp_path).split() == ["0", "False"]
 
 
 # Start-up modules a command may not load: dataclasses and inspect (about
@@ -167,6 +171,8 @@ def test_exports_resolve_to_their_layer():
         module = sys.modules[f"kneading.{layer}"]
         for name in names:
             assert namespace[name] is getattr(module, name) is getattr(kneading, name)
+        # _EXPORTS is the one list of public names: no layer keeps a second
+        assert "__all__" not in vars(module), layer
     assert len(kneading.__all__) == 1 + sum(map(len, kneading._EXPORTS.values()))
     with pytest.raises(AttributeError):
         kneading.no_such_name

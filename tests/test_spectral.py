@@ -20,7 +20,6 @@ from kneading.spectral import (
     _strip_unit_factors,
     _try_divide,
     entropy,
-    feigenbaum_zeta,
     kneading_determinant,
     orbit_counts,
     series_of_rational,
@@ -36,9 +35,11 @@ from kneading.symbolic import (
 )
 from oracles import (
     evaluate_series,
+    feigenbaum_zeta,
     moebius_prime_counts,
     newton_per_counts,
     reciprocal_untrimmed,
+    series_product,
     tau_infinity_digit,
 )
 
@@ -53,6 +54,10 @@ def _one_minus_z(N):
     return IntSeries((1, -1) + (0,) * (N - 1))
 
 
+def _reciprocal(f):
+    return series_of_rational((1,), f.coefficients, f.order)
+
+
 def _euler_rebuild(counts, N):
     acc = IntSeries((1,) + (0,) * N)
     for p, cnt in counts.prime_counts.items():
@@ -61,9 +66,9 @@ def _euler_rebuild(counts, N):
         base = [0] * (N + 1)
         base[0] = 1
         base[p] = -1
-        inv = IntSeries(tuple(base)).reciprocal()
+        inv = _reciprocal(IntSeries(tuple(base)))
         for _ in range(cnt):
-            acc = acc * inv
+            acc = series_product(acc, inv)
     return acc
 
 
@@ -85,16 +90,14 @@ def test_series_arithmetic_and_reciprocal():
     for _ in range(50):
         coeffs = [1] + [rng.randrange(-9, 10) for _ in range(12)]
         f = IntSeries(tuple(coeffs))
-        assert (f * f.reciprocal()).coefficients == (1,) + (0,) * 12
+        assert series_product(f, _reciprocal(f)).coefficients == (1,) + (0,) * 12
     with pytest.raises(ArithmeticError):
-        IntSeries((2, 1)).reciprocal()
+        _reciprocal(IntSeries((2, 1)))
     with pytest.raises(ArithmeticError):
-        IntSeries((0, 1)).reciprocal()
+        _reciprocal(IntSeries((0, 1)))
     f = IntSeries((1, -1, 0, 0))
     g = IntSeries((1, 1, 0, 0))
-    assert (f * g).coefficients == (1, 0, -1, 0)
-    assert (f + g).coefficients == (2, 0, 0, 0)
-    assert (f - g).coefficients == (0, -2, 0, 0)
+    assert series_product(f, g).coefficients == (1, 0, -1, 0)
     assert evaluate_series(f, Fraction(1, 2)) == Fraction(1, 2)
 
 
@@ -156,7 +159,8 @@ def _assert_matches_generic(K, N):
     # the expansion without the rational form or the library's recurrence,
     # its counts from a series that carries no fraction, and #Per_n from the
     # Newton identity on its own
-    generic = IntSeries(reciprocal_untrimmed(_one_minus_z(N) * kneading_determinant(K, N)))
+    generic = IntSeries(reciprocal_untrimmed(
+        series_product(_one_minus_z(N), kneading_determinant(K, N))))
     z = zeta_series(K, N)
     assert z.coefficients == generic.coefficients
     counts = _counts(z)
@@ -194,8 +198,8 @@ def test_trimmed_reciprocal_matches_untrimmed():
     for _ in range(200):
         poly = [rng.choice((1, -1))] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 8))]
         f = IntSeries(tuple(poly) + (0,) * rng.randint(0, 40))
-        assert f.reciprocal().coefficients == reciprocal_untrimmed(f)
-    assert IntSeries((-1, 0, 0)).reciprocal().coefficients == (-1, 0, 0)
+        assert _reciprocal(f).coefficients == reciprocal_untrimmed(f)
+    assert _reciprocal(IntSeries((-1, 0, 0))).coefficients == (-1, 0, 0)
 
 
 def _padded(c, N):
@@ -211,7 +215,7 @@ def test_series_of_rational_times_denominator(d0, tail, num, N):
     den = [d0] + tail
     c = series_of_rational(num, den, N)
     assert c.order == N
-    assert c * _padded(den, N) == _padded(num, N)
+    assert series_product(c, _padded(den, N)) == _padded(num, N)
     for bad in (0, 2, -3):
         with pytest.raises(ArithmeticError) as e:
             series_of_rational(num, [bad] + tail, N)
@@ -260,8 +264,8 @@ def test_functional_equation_residual_is_zero(N):
     sq = [0] * (N + 1)
     for k in range(N // 2 + 1):
         sq[2 * k] = xi_z[k]
-    rhs = _one_minus_z(N) * IntSeries(tuple(sq))
-    assert (xi_z - rhs).coefficients == (0,) * (N + 1)
+    rhs = series_product(_one_minus_z(N), IntSeries(tuple(sq)))
+    assert xi_z.coefficients == rhs.coefficients
 
 
 def test_xi_half_evaluation_hits_limit_parameter():
@@ -282,7 +286,7 @@ def test_cascade_zeta_polynomial():
         K = feigenbaum_stream(j + 1)
         assert feigenbaum_zeta(j, 40) == zeta_series(K, 40), j
     # coefficientwise stabilization once 2^(j+1) exceeds the order
-    limit = IntSeries(reciprocal_untrimmed(_one_minus_z(30) * xi_series(30)))
+    limit = IntSeries(reciprocal_untrimmed(series_product(_one_minus_z(30), xi_series(30))))
     assert feigenbaum_zeta(5, 30) == feigenbaum_zeta(9, 30) == limit
     # levels past log2 N cost no more than the first one that reaches N
     assert feigenbaum_zeta(10 ** 6, 64) == feigenbaum_zeta(6, 64)
@@ -293,7 +297,7 @@ def test_cascade_polynomial_roots_on_circle():
 
     for j in range(1, 7):
         deg = 2 ** (j + 1)
-        poly = feigenbaum_zeta(j, deg).reciprocal().coefficients
+        poly = _reciprocal(zeta_series(feigenbaum_stream(j + 1), deg)).coefficients
         roots = [1.0 + 0j]
         for n in range(j + 1):
             m = 2 ** n

@@ -18,14 +18,12 @@ from kneading.symbolic import (
     feigenbaum_limit,
     feigenbaum_stream,
     feigenbaum_word,
-    fixed_point_prefix,
     minimal_period,
     parity_word,
     renormalize_seq,
     shift,
     stream_from_json,
     stream_to_json,
-    substitute,
     unparity_word,
 )
 import kneading
@@ -106,9 +104,9 @@ def test_shift_generated_prefix():
 
 
 def test_substitute():
-    assert substitute(FEIGENBAUM_RULE, "1") == "10"
-    assert substitute(FEIGENBAUM_RULE, "10") == "1011"
-    assert substitute(THUE_MORSE_RULE, "01") == "0110"
+    assert FEIGENBAUM_RULE.apply("1") == "10"
+    assert FEIGENBAUM_RULE.apply("10") == "1011"
+    assert THUE_MORSE_RULE.apply("01") == "0110"
     with pytest.raises(ValueError):
         SubstitutionRule({"0": ""})
     with pytest.raises(ValueError):
@@ -145,11 +143,11 @@ def test_apply_rejects_foreign_symbols(rule):
 
 
 def test_fixed_point_prefix_stability():
-    p64 = fixed_point_prefix(FEIGENBAUM_RULE, "1", 64)
-    p16 = fixed_point_prefix(FEIGENBAUM_RULE, "1", 16)
+    p64 = FixedPointStream(FEIGENBAUM_RULE, "1").prefix(64)
+    p16 = FixedPointStream(FEIGENBAUM_RULE, "1").prefix(16)
     assert p64.startswith(p16)
     assert p16 == "1011101010111011"
-    tm = fixed_point_prefix(THUE_MORSE_RULE, "0", 16)
+    tm = FixedPointStream(THUE_MORSE_RULE, "0").prefix(16)
     assert tm == "0110100110010110"
 
 
@@ -319,8 +317,6 @@ def test_stream_prefix_contract(data):
         m = data.draw(st.integers(64, 200), label="n + m") - n
         with pytest.raises(ValueError):
             s.prefix(-1)  # before the buffer grows
-        with pytest.raises(ValueError):
-            encoding.epsilon(s, -1)
         head = s.prefix(n)
         # a memoized buffer grows to 64 symbols first, then geometrically
         longer = s.prefix(n + m)
@@ -332,8 +328,6 @@ def test_stream_prefix_contract(data):
                 assert s.at(k) == int(s.prefix(k)[k - 1]) == int(longer[k - 1])
         with pytest.raises(ValueError):
             s.prefix(-1)  # after it grew
-        with pytest.raises(ValueError):
-            encoding.epsilon(s, -1)
 
 
 def test_serialization_round_trip():
