@@ -7,9 +7,10 @@ Run from the repository root:
     python3 bench/caps.py --src ../parent/src --label parent --out BENCH_13.json
 
 ROWS holds one (name, callable, args) entry per capped input.  Each row runs
-RUNS times in this process; the median wall time and the sha256 of the repr
-of the last result are recorded, so a speed-up that changes the output shows
-as a changed digest.  ``--src`` puts a source tree first on ``sys.path``, so
+RUNS times in this process; the median wall time, its quartiles and the
+sha256 of the repr of the last result are recorded, so a speed-up that
+changes the output shows as a changed digest, and a row's spread shows
+beside its median.  ``--src`` puts a source tree first on ``sys.path``, so
 the same table times any checkout, for example the parent of a change.
 ``--out`` merges the rows into the ``caps`` block of a JSON file under
 ``--label``; once the block holds both ``parent`` and ``change`` it also
@@ -63,7 +64,7 @@ def zeta_counts(tau: str, order: int):
     """Zeta series and orbit counts, the work of ``zeta --counts``."""
     from kneading import spectral
 
-    z = spectral.zeta_series(tau_stream(tau), order)
+    z = spectral.zeta_series(spectral.kneading_determinant(tau_stream(tau), order))
     return z, spectral.orbit_counts(z)
 
 
@@ -71,15 +72,17 @@ def determinant_zeta(tau: str, order: int):
     """Determinant and zeta series, the series of a ``zeta`` payload."""
     from kneading import spectral
 
-    K = tau_stream(tau)
-    return spectral.kneading_determinant(K, order), spectral.zeta_series(K, order)
+    D = spectral.kneading_determinant(tau_stream(tau), order)
+    return D, spectral.zeta_series(D)
 
 
 def entropy(tau: str):
-    """Certified entropy at the library's default order and tolerance."""
+    """Certified entropy from the determinant at order 256 (the order
+    ``entropy`` took by default before it read a determinant) and the
+    default tolerance."""
     from kneading import spectral
 
-    return spectral.entropy(tau_stream(tau))
+    return spectral.entropy(spectral.kneading_determinant(tau_stream(tau), 256))
 
 
 def lang(what: str, tau: str, nmax: int, mode: str):
@@ -129,7 +132,8 @@ def measure(fn, args) -> dict:
         t0 = time.perf_counter()
         result = fn(*args)
         times.append(time.perf_counter() - t0)
-    return {"median_s": round(statistics.median(times), 4),
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4),
             "runs_s": [round(t, 4) for t in times],
             "sha256": _digest(result)}
 
@@ -144,9 +148,9 @@ def main(argv=None) -> int:
 
     rows = {}
     for name, fn, fn_args in ROWS:
-        rows[name] = measure(fn, fn_args)
-        print(f"{rows[name]['median_s']:8.4f} s  {rows[name]['sha256'][:16]}  {name}",
-              flush=True)
+        rows[name] = row = measure(fn, fn_args)
+        print(f"{row['median_s']:8.4f} s [{row['q1_s']:.4f}, {row['q3_s']:.4f}]  "
+              f"{row['sha256'][:16]}  {name}", flush=True)
     if not args.out:
         return 0
     record = {}
@@ -155,7 +159,8 @@ def main(argv=None) -> int:
             record = json.load(f)
     caps = record.setdefault("caps", {})
     caps["source"] = (f"bench/caps.py: each row run {RUNS} times in one process, "
-                      "median wall time and sha256 of the repr of the result")
+                      "median wall time with its quartiles (q1_s, q3_s) and "
+                      "sha256 of the repr of the result")
     caps["python"] = platform.python_version()
     caps[args.label] = rows
     if "parent" in caps and "change" in caps:

@@ -45,7 +45,7 @@ _EXPORTS = {
     ),
     "spectral": (
         "EntropyInconclusive", "IntSeries", "OrbitCounts", "EntropyResult",
-        "kneading_determinant", "zeta_series", "series_of_rational", "xi_series",
+        "kneading_determinant", "zeta_series", "series_of_rational",
         "orbit_counts", "entropy",
     ),
     "language": ("LanguageQuery", "complexity", "language_words", "forbidden_words"),

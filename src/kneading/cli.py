@@ -95,8 +95,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:
-        name = getattr(e, "filename", None)
-        print(f"error: {name or ''}: {e.strerror or e}", file=sys.stderr)
+        # the environment refused the output (a closed stdout, a full disk):
+        # not bad input, and not a bug here either
+        print(f"error: cannot write output: {e.strerror or e}", file=sys.stderr)
         return 3
     except Exception as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -53,14 +53,22 @@ def _atomic_write(path: str, text: str):
     if os.path.isdir(path):
         raise ValueError(f"output path is a directory: {path}")
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    # a path the OS refuses to create or to rename to is bad input (exit 2),
+    # reported by the user's name for it, not by the temporary file's; a
+    # write that fails (a full disk) is the environment's and stays OSError
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e.strerror or e}") from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as e:
+            raise ValueError(f"cannot write {path}: {e.strerror or e}") from None
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

@@ -1,12 +1,12 @@
 """``kneading freq``: block frequencies of symbol streams."""
 
-from .. import encoding, frequency, symbolic
+from .. import feigenbaum, frequency, symbolic
 from . import _check_cap, _num, _Result
 
 _STREAMS = {
     "feigenbaum": lambda: symbolic.feigenbaum_limit(),
     "thue-morse": lambda: symbolic.FixedPointStream(symbolic.THUE_MORSE_RULE, "0"),
-    "tau-inf": lambda: encoding.xi(symbolic.feigenbaum_limit()),
+    "tau-inf": lambda: feigenbaum.tau_infinity_digits(),
 }
 
 

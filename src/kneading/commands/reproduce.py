@@ -80,7 +80,7 @@ def _target_nj_sequence():
 
 
 def _target_xi_series():
-    got = list(spectral.xi_series(16).coefficients)
+    got = list(spectral.kneading_determinant(symbolic.feigenbaum_limit(), 16).coefficients)
     ok = got == _ints(_GOLDEN_XI)
     return ok, "17 coefficients", [{"want": _ints(_GOLDEN_XI), "got": got}]
 
@@ -106,7 +106,8 @@ def _target_frequencies():
 def _target_zeta_examples():
     rows, ok = [], True
     for spec, num, den in _GOLDEN_ZETA:
-        got = spectral.zeta_series(encoding.kneading_from_tau(_fraction(spec)), 30)
+        got = spectral.zeta_series(spectral.kneading_determinant(
+            encoding.kneading_from_tau(_fraction(spec)), 30))
         want = spectral.series_of_rational(_ints(num), _ints(den), 30)
         match = got.coefficients == want.coefficients
         ok = ok and match
@@ -120,14 +121,18 @@ def _target_entropy_examples():
     refs = (("1", math.log(2.0)),
             ("5/6", math.log(2.0) / 2.0),
             ("6/7", math.log((1.0 + math.sqrt(5.0)) / 2.0)))
+    # every stream here is eventually periodic, so the entropy reads the
+    # determinant's exact pair, which order 1 already carries
     for spec, ref in refs:
-        res = spectral.entropy(encoding.kneading_from_tau(_fraction(spec)))
+        res = spectral.entropy(spectral.kneading_determinant(
+            encoding.kneading_from_tau(_fraction(spec)), 1))
         good = res.lo <= ref <= res.hi and res.hi - res.lo <= 1.1e-10
         ok = ok and good
         rows.append({"tau": spec, "lo": res.lo, "hi": res.hi,
                      "method": res.method, "match": good})
     for j in range(1, 7):
-        res = spectral.entropy(symbolic.feigenbaum_stream(j))
+        res = spectral.entropy(spectral.kneading_determinant(
+            symbolic.feigenbaum_stream(j), 1))
         good = res.lo == 0.0 == res.hi
         ok = ok and good
         rows.append({"tau": f"feigenbaum:{j}", "lo": res.lo, "hi": res.hi,

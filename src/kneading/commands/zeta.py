@@ -28,7 +28,7 @@ def run(args) -> _Result:
     if (args.counts or args.entropy) and encoding.is_maximal(stream) is not True:
         raise ValueError("K is not a maximal stream")
     det = spectral.kneading_determinant(stream, args.order)
-    zeta = spectral.zeta_series(stream, args.order)
+    zeta = spectral.zeta_series(det)
     payload = {"tau": args.tau, "order": args.order,
                "determinant": list(det.coefficients), "zeta": list(zeta.coefficients)}
     if args.counts:
@@ -37,7 +37,7 @@ def run(args) -> _Result:
         payload["primeCounts"] = {str(n): c for n, c in oc.prime_counts.items()}
     if args.entropy:
         try:
-            res = spectral.entropy(stream, N=args.order, tol=args.tol)
+            res = spectral.entropy(det, tol=args.tol)
             bracket = None
             if res.z_bracket is not None:
                 bracket = [_num(b, args) for b in res.z_bracket]

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .feigenbaum import PAIR_RULE, PAIR_TO_DIGITS
-from .symbolic import SubstitutionRule, SymbolStream, _Record, feigenbaum_limit
-from .encoding import xi
+from .feigenbaum import PAIR_RULE, PAIR_TO_DIGITS, tau_infinity_digits
+from .symbolic import SubstitutionRule, SymbolStream, _Record
 
 
 class IncidenceMatrix(_Record):
@@ -283,8 +282,7 @@ class NormalityReport(_Record):
 
 def normality_report(N: int) -> NormalityReport:
     """Compare observed digit-pair frequencies against uniform and predicted."""
-    digits = xi(feigenbaum_limit())
-    observed = empirical_frequencies(digits, 2, N, aligned=True)
+    observed = empirical_frequencies(tau_infinity_digits(), 2, N, aligned=True)
     predicted = pair_frequencies()
     blocks = sorted(set(observed) | set(predicted))
     zero = Fraction(0)

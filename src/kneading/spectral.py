@@ -71,55 +71,50 @@ def _epsilon_prefix(stream, count: int) -> list:
 def kneading_determinant(K, N: int) -> IntSeries:
     """Determinant 1 + sum eps_k z^k of a kneading stream, truncated at N.
 
-    A purely periodic stream whose digit expansion has minimal period n gets
-    the finite polynomial with k <= n - 1; every other stream (eventually
+    A purely periodic stream whose digit expansion has minimal period p gets
+    the finite polynomial with k <= p - 1; every other stream (eventually
     periodic or generated) gets the infinite sum truncated at order N.
+
+    An eventually periodic stream's determinant is a fraction D = P / R of
+    integer polynomials, and the exact pair (P, R) rides on the result as
+    _exact, outside its fields (repr, == and hash ignore it).  Only this
+    function sets _exact, and zeta_series and entropy read it as the whole
+    determinant.  A purely periodic stream has P = D and R = 1.  With
+    xi(K) of preperiod m and period p, the tail resums geometrically:
+    D = A + z^m C / (1 - z^p) with deg A = m, deg C = p, so
+    P = A (1 - z^p) + z^m C and R = 1 - z^p.  R > 0 on (0, 1), so P has the
+    sign of D there.  A generated stream's determinant carries no pair: its
+    truncation is all that is known of it.
     """
     if N < 1:
         raise ValueError("order must be >= 1")
-    if isinstance(K, PeriodicStream) and not K.preperiod:
-        n = len(xi(K).period)
-        bound = min(N, n - 1)
-    else:
-        bound = N
-    eps = _epsilon_prefix(K, bound)
-    coeffs = [1] + eps + [0] * (N - bound)
-    return IntSeries(tuple(coeffs))
-
-
-def _determinant_fraction(K, N: int) -> tuple:
-    """Integer polynomials (P, R) with determinant D = P / R.
-
-    A generated stream gives P = 1 + eps_1 z + ... + eps_N z^N, R = 1: its
-    truncation at N.  A purely periodic stream gives its finite determinant
-    over R = 1.  An eventually periodic stream, with xi(K) of preperiod m and
-    period p, resums its tail geometrically: D = A + z^m C / (1 - z^p) with
-    deg A = m, deg C = p, so P = A (1 - z^p) + z^m C and R = 1 - z^p.  R > 0
-    on (0, 1), so P has the sign of D there.
-    """
     if not isinstance(K, PeriodicStream):
-        return [1] + _epsilon_prefix(K, N), [1]
+        return IntSeries((1, *_epsilon_prefix(K, N)))
     t = xi(K)
     m, p = len(t.preperiod), len(t.period)
-    eps = _epsilon_prefix(K, m + p)
-    if not K.preperiod:
-        return [1] + eps[: p - 1], [1]
-    poly = [1] + eps  # A + z^m C
-    for k, a in enumerate(poly[: m + 1]):
-        poly[k + p] -= a
-    return _trimmed(poly), [1] + [0] * (p - 1) + [-1]
+    if K.preperiod:
+        eps = _epsilon_prefix(K, max(N, m + p))
+        poly = [1] + eps[: m + p]  # A + z^m C
+        for k, a in enumerate(poly[: m + 1]):
+            poly[k + p] -= a
+        fraction = tuple(_trimmed(poly)), (1,) + (0,) * (p - 1) + (-1,)
+    else:
+        eps = _epsilon_prefix(K, p - 1)
+        fraction = (1, *eps), (1,)
+    out = IntSeries(tuple(([1] + eps + [0] * N)[: N + 1]))
+    object.__setattr__(out, "_exact", fraction)
+    return out
 
 
-def zeta_series(K, N: int) -> IntSeries:
-    """Zeta series 1 / ((1 - z) * determinant), truncated at N.
+def zeta_series(D: IntSeries) -> IntSeries:
+    """Zeta series 1 / ((1 - z) D) of a kneading determinant, to D's order.
 
-    With D = P / R from _determinant_fraction, this is R / ((1 - z) P); an
+    With the pair D = P / R that kneading_determinant attaches (P = D and
+    R = 1 for a generated stream's truncation), this is R / ((1 - z) P); an
     eventually periodic stream costs O(N deg P) products, deg P <= m + p.
     """
-    if N < 1:
-        raise ValueError("order must be >= 1")
-    P, R = _determinant_fraction(K, N)
-    return series_of_rational(R, _times_one_minus_z(P), N)
+    P, R = getattr(D, "_exact", (D.coefficients, (1,)))
+    return series_of_rational(R, _times_one_minus_z(P), D.order)
 
 
 def series_of_rational(numerator, denominator, N: int) -> IntSeries:
@@ -128,8 +123,8 @@ def series_of_rational(numerator, denominator, N: int) -> IntSeries:
     With d_0 = 1 or -1 (so 1/d_0 = d_0), comparing z^k in num = den * c
     gives c_k = d_0 (n_k - sum_{i=1}^{deg den} d_i c_{k-i}): O(N deg den)
     products.  The truncated pair rides on the result outside its fields
-    (repr, == and hash ignore it), for orbit_counts; any other series lacks
-    it.
+    (repr, == and hash ignore it), for orbit_counts alone: cut off at order
+    N, it says nothing exact beyond the series itself.
     """
     num = tuple(numerator) + (0,) * (N + 1 - len(numerator))
     den = tuple(denominator) + (0,) * (N + 1 - len(denominator))
@@ -144,24 +139,6 @@ def series_of_rational(numerator, denominator, N: int) -> IntSeries:
     out = IntSeries(tuple(c))
     object.__setattr__(out, "_fraction", (num.coefficients, den.coefficients))
     return out
-
-
-def xi_series(N: int) -> IntSeries:
-    """Product of (1 - z^(2^n)) over 2^n <= N, truncated at order N.
-
-    Coefficient k is (-1)**bit_count(k), the sign attached to the k-th digit
-    of the period-doubling limit parameter.
-    """
-    if N < 1:
-        raise ValueError("order must be >= 1")
-    c = [0] * (N + 1)
-    c[0] = 1
-    e = 1
-    while e <= N:
-        for k in range(N, e - 1, -1):
-            c[k] -= c[k - e]
-        e *= 2
-    return IntSeries(tuple(c))
 
 
 def orbit_counts(zeta: IntSeries) -> OrbitCounts:
@@ -338,14 +315,18 @@ def _exact_root(poly: list, x: Fraction, failure: str) -> EntropyResult:
     return EntropyResult(max(0.0, h - _PAD), h + _PAD, "exact-rational-root", (x, x))
 
 
-def entropy(K, N: int = 256, tol=Fraction(1, 10 ** 10)) -> EntropyResult:
-    """Certified enclosure for the entropy h = -log z* of a kneading stream.
+def entropy(D: IntSeries, *, tol=Fraction(1, 10 ** 10)) -> EntropyResult:
+    """Certified enclosure for the entropy h = -log z* from a kneading
+    determinant D.
 
-    z* is the smallest root of the kneading determinant D in (0, 1); when D
-    provably has no such root the entropy is 0.  Periodic and eventually
-    periodic streams give one polynomial with the sign of D, upper = lower.
-    A generated stream gives the order-N truncation P, and |D - P| is at
-    most x^(N+1)/(1-x) on [0, 1).  Multiplying by 1 - x > 0, D(x) > 0 once
+    z* is the smallest root of D in (0, 1); when D provably has no such
+    root the entropy is 0.  A determinant that kneading_determinant marked
+    exact (a periodic or eventually periodic stream) gives one polynomial P
+    with the sign of D, upper = lower.  Any other D must be 1 + sum of
+    eps_k z^k with every eps_k = +-1, the order-N truncation of a generated
+    stream's determinant, or ValueError is raised.  Its tail then has
+    coefficients of modulus at most 1, so |D - P| is at most x^(N+1)/(1-x)
+    on [0, 1) for P = D's coefficients.  Multiplying by 1 - x > 0, D(x) > 0 once
     P(x) > x^(N+1)/(1-x), that is once upper = P (1 - z) - z^(N+1) is
     positive at x, and D(x) < 0 once P(x) < -x^(N+1)/(1-x), that is once
     lower = P (1 - z) + z^(N+1) is negative.  EntropyInconclusive is raised
@@ -358,14 +339,19 @@ def entropy(K, N: int = 256, tol=Fraction(1, 10 ** 10)) -> EntropyResult:
         # the no-root cutoff 1 - 3 tol / 4 must stay above 0
         raise ValueError("tolerance must be below 4/3")
 
-    if isinstance(K, PeriodicStream):
-        upper = lower = _strip_unit_factors(_determinant_fraction(K, N)[0])
+    N = D.order
+    fraction = getattr(D, "_exact", None)
+    if fraction is not None:
+        upper = lower = _strip_unit_factors(list(fraction[0]))
         if upper == [1]:
             return EntropyResult(0.0, 0.0, "unit-root-factors")
     else:
+        if D[0] != 1 or any(c not in (1, -1) for c in D.coefficients[1:]):
+            raise ValueError("a series not from kneading_determinant must be "
+                             "1 + sum of +-1 z^k")
         if N < 8:
             raise ValueError("order too small for a meaningful tail bound")
-        poly = _determinant_fraction(K, N)[0]
+        poly = list(D.coefficients)
         upper, lower = ([c - p for c, p in zip(poly + [e], [0] + poly)] for e in (-1, 1))
     exact = upper is lower
 

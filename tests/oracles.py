@@ -8,8 +8,9 @@ replaced by closed forms (binary digits, minimal periods, prime orbit counts
 and characteristic polynomials) and the symbol-by-symbol absorption of a
 periodic stream's preperiod, so that a test can compare two constructions
 that share no code.  So do the helpers only tests use: the product of two
-series, the cascade zeta series from its product formula, the intersection
-of two enclosures, and powers and column sums of an incidence matrix.
+series, the limit's determinant as the lacunary product ``xi_series``, the
+cascade zeta series from that product, the intersection of two enclosures,
+and powers and column sums of an incidence matrix.
 ``tau_level_via``, ``tau_infinity_enclosure_via`` and ``feigenbaum_word_via``
 take the method names the acceptance criteria use; each hands its reference
 method to the library.
@@ -32,7 +33,7 @@ from kneading.feigenbaum import (
 )
 from kneading.frequency import IncidenceMatrix, _mat_mul
 from kneading.language import LanguageQuery, _references
-from kneading.spectral import IntSeries, _times_one_minus_z, series_of_rational, xi_series
+from kneading.spectral import IntSeries, _times_one_minus_z, series_of_rational
 from kneading.symbolic import (
     FEIGENBAUM_RULE,
     THUE_MORSE_RULE,
@@ -372,12 +373,32 @@ def series_product(a: IntSeries, b: IntSeries) -> IntSeries:
     return IntSeries(tuple(out))
 
 
+def xi_series(N: int) -> IntSeries:
+    """Product of (1 - z^(2^n)) over 2^n <= N, truncated at order N.
+
+    Coefficient k is (-1)**bit_count(k), the sign attached to the k-th digit
+    of the period-doubling limit parameter; the library reads the same
+    series as ``kneading_determinant(feigenbaum_limit(), N)``.
+    """
+    if N < 1:
+        raise ValueError("order must be >= 1")
+    c = [0] * (N + 1)
+    c[0] = 1
+    e = 1
+    while e <= N:
+        for k in range(N, e - 1, -1):
+            c[k] -= c[k - e]
+        e *= 2
+    return IntSeries(tuple(c))
+
+
 def feigenbaum_zeta(j: int, N: int) -> IntSeries:
     """Series of 1 / ((1 - z) * prod_{n=0..j} (1 - z^(2^n))), truncated at N.
 
     This is the zeta series of the period-doubling cascade stream whose
     digit expansion has period 2^(j+1) (level j + 1 in the word hierarchy),
-    which the library builds as ``zeta_series(feigenbaum_stream(j + 1), N)``.
+    which the library builds as
+    ``zeta_series(kneading_determinant(feigenbaum_stream(j + 1), N))``.
     The factors with 2^n > N are 1 up to order N, so the product is
     xi_series at order min(N, 2^(j+1) - 1), and j past log2 N costs nothing.
     """

@@ -29,9 +29,9 @@ from kneading.frequency import (
 )
 from kneading.spectral import (
     entropy,
+    kneading_determinant,
     orbit_counts,
     series_of_rational,
-    xi_series,
     zeta_series,
 )
 from kneading.symbolic import (
@@ -114,15 +114,15 @@ def test_criterion_04_cf_tables():
 
 
 def test_criterion_05_xi_series():
-    assert xi_series(16).coefficients == XI_17
-    big = xi_series(4096)
+    assert kneading_determinant(feigenbaum_limit(), 16).coefficients == XI_17
+    big = kneading_determinant(feigenbaum_limit(), 4096)
     assert big[0] == 1
     for k in range(1, 4097):
         assert big[k] == 1 - 2 * tau_infinity_digit(k)
     # functional equation: product(z) = (1 - z) * product(z^2), residual 0
     n = 1024
-    lhs = xi_series(n)
-    sq = xi_series(n // 2)
+    lhs = kneading_determinant(feigenbaum_limit(), n)
+    sq = kneading_determinant(feigenbaum_limit(), n // 2)
     rhs = [0] * (n + 1)
     for i, c in enumerate(sq.coefficients):
         rhs[2 * i] += c
@@ -147,7 +147,7 @@ def test_criterion_07_zeta_closed_forms():
         (Fraction(6, 7), (1,), (1, -2, 0, 1)),
     )
     for tau, num, den in cases:
-        got = zeta_series(kneading_from_tau(tau), 30)
+        got = zeta_series(kneading_determinant(kneading_from_tau(tau), 30))
         assert got.coefficients == series_of_rational(num, den, 30).coefficients
     print("criterion 7 PASS: three zeta closed forms match through order 30 exactly")
 
@@ -159,11 +159,11 @@ def test_criterion_08_entropy_enclosures():
         (Fraction(6, 7), math.log((1.0 + math.sqrt(5.0)) / 2.0)),
     )
     for tau, ref in targets:
-        res = entropy(kneading_from_tau(tau))
+        res = entropy(kneading_determinant(kneading_from_tau(tau), 256))
         assert res.lo <= ref <= res.hi
         assert res.hi - res.lo <= 1e-10
     for j in range(1, 11):
-        res = entropy(feigenbaum_stream(j))
+        res = entropy(kneading_determinant(feigenbaum_stream(j), 256))
         assert res.lo == 0.0 == res.hi
     print("criterion 8 PASS: entropy enclosures at width <= 1e-10 and certified zeros for j <= 10")
 
@@ -180,11 +180,11 @@ def _brute_periodic_count(n, K):
 
 
 def test_criterion_09_orbit_counts():
-    full = orbit_counts(zeta_series(kneading_from_tau(Fraction(1)), 10))
+    full = orbit_counts(zeta_series(kneading_determinant(kneading_from_tau(Fraction(1)), 10)))
     for n in range(1, 11):
         assert full.per_counts[n] == 2 ** n
     window = kneading_from_tau(Fraction(6, 7))
-    oc = orbit_counts(zeta_series(window, 12))
+    oc = orbit_counts(zeta_series(kneading_determinant(window, 12)))
     for n in range(1, 13):
         assert oc.per_counts[n] == _brute_periodic_count(n, window)
     print("criterion 9 PASS: per-counts 2^n for the full shift and brute-force-exact for tau=6/7, n <= 12")

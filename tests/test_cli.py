@@ -1,8 +1,10 @@
 """End-to-end command surface: output shapes, exit codes, determinism."""
 
+import errno
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 
 import kneading.cli as cli
 import kneading.commands.reproduce as reproduce
+import kneading.spectral as spectral
 from kneading.feigenbaum import tau_level
 from oracles import feigenbaum_zeta, tau_infinity_digit
 
@@ -108,6 +111,23 @@ def test_zeta_counts_and_entropy(capsys):
     assert d["primeCounts"]["7"] == 4
     golden = math.log((1 + math.sqrt(5)) / 2)
     assert d["entropy"]["lo"] <= golden <= d["entropy"]["hi"]
+
+
+@pytest.mark.parametrize("tau", ["6/7", "61/62", "feigenbaum:14", "feigenbaum:inf"])
+def test_zeta_reads_the_stream_once(capsys, monkeypatch, tau):
+    # payload, series, counts and entropy all come from one determinant,
+    # so the stream's signs are read once
+    calls = []
+    read = spectral._epsilon_prefix
+
+    def counted(stream, count):
+        calls.append(count)
+        return read(stream, count)
+
+    monkeypatch.setattr(spectral, "_epsilon_prefix", counted)
+    d = run_json(capsys, "zeta", "--tau", tau, "--order", "40", "--counts", "--entropy")
+    assert {"perCounts", "entropy"} <= set(d)
+    assert len(calls) == 1
 
 
 def test_zeta_feigenbaum_level(capsys):
@@ -401,6 +421,8 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
     (["dyn", "lemma1", "--pairs", "0", "--n", "0"], 2, "error: need at least one symbol\n"),
     (["zeta", "--tau", "1/4294967311", "--order", "8"], 2,
      "error: denominator must be at most 1048576\n"),
+    (["cf", "table", "--jmax", "2", "--out", "x" * 300 + ".csv"], 2,
+     "error: cannot write " + "x" * 300 + ".csv: File name too long\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
@@ -412,10 +434,44 @@ def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, cod
         assert captured.err.splitlines(keepends=True)[-1].startswith(err)
     else:
         assert captured.err == err
+    assert not list(tmp_path.iterdir())  # no output and no temporary file
     if code == 0:
         ent = json.loads(captured.out)["entropy"]
         assert ent == {"lo": 0.0, "hi": 0.0, "method": "unit-root-factors",
                        "bracket": None}
+
+
+class _Refusing:
+    """A stream whose every write fails as the system would fail it."""
+
+    def __init__(self, err):
+        self.err = err
+
+    def write(self, text):
+        raise OSError(self.err, os.strerror(self.err))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_refused_output_is_not_blamed_on_input_or_code(capsys, monkeypatch, tmp_path):
+    # a closed stdout (a reader such as `head` that went away) and a full
+    # disk fail the environment: exit 3 with a one-line reason, never the
+    # "internal error" of a bug, and no temporary file left behind
+    import kneading.commands as commands
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", _Refusing(errno.EPIPE))
+        assert cli.main(["tau", "--j", "3"]) == 3
+    assert capsys.readouterr().err == "error: cannot write output: Broken pipe\n"
+    monkeypatch.setattr(commands.os, "fdopen", lambda fd, mode: (
+        os.close(fd), _Refusing(errno.ENOSPC))[1])
+    assert cli.main(["cf", "table", "--jmax", "2", "--out", str(tmp_path / "t.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "error: cannot write output: No space left on device\n")
+    assert not list(tmp_path.iterdir())
 
 
 # Every subcommand at its documented boundaries: each cap and one past it,

@@ -16,14 +16,12 @@ from kneading.spectral import (
     IntSeries,
     OrbitCounts,
     _certify_positive,
-    _determinant_fraction,
     _strip_unit_factors,
     _try_divide,
     entropy,
     kneading_determinant,
     orbit_counts,
     series_of_rational,
-    xi_series,
     zeta_series,
 )
 from kneading.symbolic import (
@@ -41,6 +39,7 @@ from oracles import (
     reciprocal_untrimmed,
     series_product,
     tau_infinity_digit,
+    xi_series,
 )
 
 # signs of the product expansion prod (1 - z^(2^n)) for k = 1..16
@@ -130,7 +129,7 @@ def test_fraction_log_geometric():
     st.integers(min_value=1, max_value=40),
 )
 def test_orbit_counts_match_fraction_log(K, N):
-    z = zeta_series(K, N)
+    z = zeta_series(kneading_determinant(K, N))
     b = _fraction_log(z)
     per = {n: n * b[n] for n in range(1, N + 1)}
     assert all(v.denominator == 1 for v in per.values())
@@ -161,7 +160,7 @@ def _assert_matches_generic(K, N):
     # Newton identity on its own
     generic = IntSeries(reciprocal_untrimmed(
         series_product(_one_minus_z(N), kneading_determinant(K, N))))
-    z = zeta_series(K, N)
+    z = zeta_series(kneading_determinant(K, N))
     assert z.coefficients == generic.coefficients
     counts = _counts(z)
     assert counts == _counts(generic)
@@ -237,22 +236,53 @@ def test_determinant_cases():
     assert D.coefficients == (1,) + XI_SIGNS
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.builds(
+        PeriodicStream,
+        st.text(alphabet="01", min_size=0, max_size=6),
+        st.text(alphabet="01", min_size=1, max_size=9),
+    ),
+    st.integers(min_value=1, max_value=60),
+)
+def test_determinant_carries_its_exact_fraction(K, N):
+    # the pair (P, R) that rides on the determinant is D itself: with a
+    # preperiod R = 1 - z^p resums the tail, without one P is the polynomial
+    D = kneading_determinant(K, N)
+    P, R = D._exact
+    if K.preperiod:
+        assert series_of_rational(P, R, N) == D
+    else:
+        assert R == (1,)
+        assert _padded(P, N) == D
+    # a stream seen only through a generator gives the truncation, no pair
+    assert not hasattr(kneading_determinant(FunctionStream(K.at), N), "_exact")
+
+
+def test_xi_oracle_is_the_limit_determinant():
+    # the lacunary product and the determinant read from the limit stream,
+    # at every order to 64 and around each power of two to 4096
+    for N in [*range(1, 65), *((1 << k) + d for k in range(6, 12) for d in (-1, 0, 1)),
+              4095, 4096]:
+        assert xi_series(N) == kneading_determinant(feigenbaum_limit(), N), N
+
+
 def test_zeta_closed_forms():
     N = 30
-    full = zeta_series(kneading_from_tau(Fraction(1)), N)
+    full = zeta_series(kneading_determinant(kneading_from_tau(Fraction(1)), N))
     assert full == series_of_rational([1], [1, -2], N)
-    band = zeta_series(kneading_from_tau(Fraction(5, 6)), N)
+    band = zeta_series(kneading_determinant(kneading_from_tau(Fraction(5, 6)), N))
     assert band == series_of_rational([1, 1], [1, -1, -2, 2], N)
-    window = zeta_series(kneading_from_tau(Fraction(6, 7)), N)
+    window = zeta_series(kneading_determinant(kneading_from_tau(Fraction(6, 7)), N))
     assert window == series_of_rational([1], [1, -2, 0, 1], N)
 
 
 def test_xi_series_printed_coefficients():
-    assert xi_series(16).coefficients == (1,) + XI_SIGNS
+    assert kneading_determinant(feigenbaum_limit(), 16).coefficients == (1,) + XI_SIGNS
 
 
 def test_xi_coefficient_identity():
-    c = xi_series(4096).coefficients
+    c = kneading_determinant(feigenbaum_limit(), 4096).coefficients
     for k in range(1, 4097):
         assert c[k] == (-1) ** k.bit_count()
         assert c[k] == 1 - 2 * tau_infinity_digit(k)
@@ -260,7 +290,7 @@ def test_xi_coefficient_identity():
 
 @pytest.mark.parametrize("N", [16, 64, 256, 1024])
 def test_functional_equation_residual_is_zero(N):
-    xi_z = xi_series(N)
+    xi_z = kneading_determinant(feigenbaum_limit(), N)
     sq = [0] * (N + 1)
     for k in range(N // 2 + 1):
         sq[2 * k] = xi_z[k]
@@ -270,7 +300,7 @@ def test_functional_equation_residual_is_zero(N):
 
 def test_xi_half_evaluation_hits_limit_parameter():
     N = 200
-    s = evaluate_series(xi_series(N), Fraction(1, 2))
+    s = evaluate_series(kneading_determinant(feigenbaum_limit(), N), Fraction(1, 2))
     err = Fraction(1, 2 ** N)
     lo, hi = 1 - (s + err) / 2, 1 - (s - err) / 2
     enc = tau_infinity_enclosure(200)
@@ -284,9 +314,10 @@ def test_cascade_zeta_polynomial():
     # word stream times (1 - z)
     for j in range(1, 7):
         K = feigenbaum_stream(j + 1)
-        assert feigenbaum_zeta(j, 40) == zeta_series(K, 40), j
+        assert feigenbaum_zeta(j, 40) == zeta_series(kneading_determinant(K, 40)), j
     # coefficientwise stabilization once 2^(j+1) exceeds the order
-    limit = IntSeries(reciprocal_untrimmed(series_product(_one_minus_z(30), xi_series(30))))
+    limit = IntSeries(reciprocal_untrimmed(series_product(
+        _one_minus_z(30), kneading_determinant(feigenbaum_limit(), 30))))
     assert feigenbaum_zeta(5, 30) == feigenbaum_zeta(9, 30) == limit
     # levels past log2 N cost no more than the first one that reaches N
     assert feigenbaum_zeta(10 ** 6, 64) == feigenbaum_zeta(6, 64)
@@ -297,7 +328,8 @@ def test_cascade_polynomial_roots_on_circle():
 
     for j in range(1, 7):
         deg = 2 ** (j + 1)
-        poly = _reciprocal(zeta_series(feigenbaum_stream(j + 1), deg)).coefficients
+        poly = _reciprocal(zeta_series(
+            kneading_determinant(feigenbaum_stream(j + 1), deg))).coefficients
         roots = [1.0 + 0j]
         for n in range(j + 1):
             m = 2 ** n
@@ -312,7 +344,7 @@ def test_cascade_polynomial_roots_on_circle():
 
 
 def test_full_shift_orbit_counts():
-    z = zeta_series(kneading_from_tau(Fraction(1)), 10)
+    z = zeta_series(kneading_determinant(kneading_from_tau(Fraction(1)), 10))
     oc = orbit_counts(z)
     assert [oc.per_counts[n] for n in range(1, 11)] == [2 ** n for n in range(1, 11)]
     assert [oc.prime_counts[p] for p in (1, 2, 3, 4)] == [2, 1, 2, 3]
@@ -320,7 +352,7 @@ def test_full_shift_orbit_counts():
 
 
 def test_window_orbit_counts():
-    z = zeta_series(kneading_from_tau(Fraction(6, 7)), 12)
+    z = zeta_series(kneading_determinant(kneading_from_tau(Fraction(6, 7)), 12))
     oc = orbit_counts(z)
     assert [oc.per_counts[n] for n in range(1, 13)] == WINDOW_PER
     assert _euler_rebuild(oc, 12) == z
@@ -346,11 +378,11 @@ _zeta_like = st.one_of(
     st.lists(st.integers(min_value=-3, max_value=6), max_size=30).map(
         lambda c: IntSeries([1, *c])),
     st.lists(st.integers(min_value=-2, max_value=3), max_size=30).map(_euler_product),
-    st.builds(zeta_series, st.builds(
+    st.builds(zeta_series, st.builds(kneading_determinant, st.builds(
         PeriodicStream,
         st.text(alphabet="01", min_size=0, max_size=6),
         st.text(alphabet="01", min_size=1, max_size=8),
-    ), st.integers(min_value=1, max_value=40)),
+    ), st.integers(min_value=1, max_value=40))),
 )
 
 
@@ -381,35 +413,35 @@ def test_orbit_counts_reject_invalid():
 
 
 def test_entropy_full_shift():
-    r = entropy(kneading_from_tau(Fraction(1)))
+    r = entropy(kneading_determinant(kneading_from_tau(Fraction(1)), 256))
     assert r.method == "exact-rational-root"
     assert r.hi - r.lo <= 1e-10
     assert r.lo <= math.log(2) <= r.hi
 
 
 def test_entropy_band_merging():
-    r = entropy(kneading_from_tau(Fraction(5, 6)))
+    r = entropy(kneading_determinant(kneading_from_tau(Fraction(5, 6)), 256))
     assert r.method == "bisection"
     assert r.hi - r.lo <= 1e-10
     assert r.lo <= math.log(2) / 2 <= r.hi
 
 
 def test_entropy_period_three_window():
-    r = entropy(kneading_from_tau(Fraction(6, 7)))
+    r = entropy(kneading_determinant(kneading_from_tau(Fraction(6, 7)), 256))
     assert r.hi - r.lo <= 1e-10
     assert r.lo <= math.log((1 + math.sqrt(5)) / 2) <= r.hi
 
 
 def test_entropy_cascade_is_zero():
     for j in range(1, 11):
-        r = entropy(feigenbaum_stream(j))
+        r = entropy(kneading_determinant(feigenbaum_stream(j), 256))
         assert (r.lo, r.hi, r.method) == (0.0, 0.0, "unit-root-factors"), j
 
 
 def test_entropy_values_increase():
-    h_band = entropy(kneading_from_tau(Fraction(5, 6)))
-    h_window = entropy(kneading_from_tau(Fraction(6, 7)))
-    h_full = entropy(kneading_from_tau(Fraction(1)))
+    h_band = entropy(kneading_determinant(kneading_from_tau(Fraction(5, 6)), 256))
+    h_window = entropy(kneading_determinant(kneading_from_tau(Fraction(6, 7)), 256))
+    h_full = entropy(kneading_determinant(kneading_from_tau(Fraction(1)), 256))
     assert h_band.hi < h_window.lo
     assert h_window.hi < h_full.lo
 
@@ -418,7 +450,7 @@ def test_entropy_generated_stream_matches_exact():
     # same symbols as the full-shift stream, but exposed only through a
     # generator: forces the truncation + tail-bound path
     raw = FunctionStream(lambda k: 1 if k == 1 else 0)
-    r = entropy(raw, N=256, tol=Fraction(1, 10 ** 8))
+    r = entropy(kneading_determinant(raw, 256), tol=Fraction(1, 10 ** 8))
     assert r.method == "bisection"
     assert r.lo <= math.log(2) <= r.hi
     assert r.hi - r.lo <= 1e-8
@@ -426,18 +458,41 @@ def test_entropy_generated_stream_matches_exact():
 
 def test_entropy_generated_inconclusive():
     with pytest.raises(EntropyInconclusive):
-        entropy(feigenbaum_limit(), N=64, tol=Fraction(1, 10 ** 6))
+        entropy(kneading_determinant(feigenbaum_limit(), 64), tol=Fraction(1, 10 ** 6))
 
 
 def test_entropy_cutoff_below_smallest_float():
     # tol just below 4/3 puts the no-root cutoff 1 - 3 tol / 4 = 3 / (4 10^400)
     # under the smallest float; its log comes from numerator and denominator
     tol = Fraction(4 * 10 ** 400 - 3, 3 * 10 ** 400)
-    r = entropy(feigenbaum_limit(), N=64, tol=tol)
+    r = entropy(kneading_determinant(feigenbaum_limit(), 64), tol=tol)
     assert r.method == "no-root-below"
     assert r.z_bracket == (Fraction(3, 4 * 10 ** 400), 1)
     assert r.lo == 0.0
     assert 0 < r.hi - (400 * math.log(10) + math.log(4 / 3)) < 1e-9
+
+
+def test_entropy_trusts_only_the_determinants_mark():
+    # series_of_rational's pair is cut off at its order: a series equal to
+    # the determinant but built from it is read as a truncation, never as
+    # exact, and a series that no stream gives is refused
+    K = kneading_from_tau(Fraction(37, 40))
+    exact = entropy(kneading_determinant(K, 3))
+    h = (exact.lo + exact.hi) / 2
+    for N in (3, 64):
+        D = kneading_determinant(K, N)
+        S = series_of_rational(*D._exact, N)
+        assert S == D
+        if N < 8:
+            with pytest.raises(ValueError):
+                entropy(S)
+        else:
+            r = entropy(S, tol=Fraction(1, 10 ** 6))
+            assert r.lo <= h <= r.hi
+    with pytest.raises(ValueError):
+        entropy(IntSeries(tuple(range(1, 20))))
+    with pytest.raises(ValueError):
+        entropy(IntSeries((1,) + (1, 0) * 10))
 
 
 def _poly_product(factors):
@@ -494,14 +549,14 @@ def _entropy_golden_cases():
             if math.gcd(p, q) == 1:
                 K = kneading_from_tau(Fraction(p, q))
                 if is_maximal(K):
-                    yield lambda K=K: entropy(K)
+                    yield lambda K=K: entropy(kneading_determinant(K, 256))
     for j in range(1, 11):
-        yield lambda j=j: entropy(feigenbaum_stream(j))
+        yield lambda j=j: entropy(kneading_determinant(feigenbaum_stream(j), 256))
     for N in (64, 256):
-        yield lambda N=N: entropy(feigenbaum_limit(), N=N)
+        yield lambda N=N: entropy(kneading_determinant(feigenbaum_limit(), N))
     for tau, N in (("1", 256), ("5/6", 256), ("6/7", 256), ("4/5", 64), ("14/17", 64)):
         K = kneading_from_tau(Fraction(tau))
-        yield lambda K=K, N=N: entropy(FunctionStream(K.at), N=N)
+        yield lambda K=K, N=N: entropy(kneading_determinant(FunctionStream(K.at), N))
 
 
 def test_entropy_golden_hash():
@@ -556,5 +611,5 @@ def test_strip_unit_factors_matches_restarting_loop():
         assert all(_try_divide(got, 1 << i, s) is None
                    for i in range(len(got).bit_length()) for s in (1, -1))
     for j in range(1, 15):
-        poly, _ = _determinant_fraction(feigenbaum_stream(j), 8)
+        poly = list(kneading_determinant(feigenbaum_stream(j), 8)._exact[0])
         assert _strip_unit_factors(poly) == _strip_unit_factors_restarting(poly) == [1]
