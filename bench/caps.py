@@ -10,8 +10,13 @@ ROWS holds one (name, callable, args) entry per capped input.  Each row runs
 RUNS times in this process; the median wall time, its quartiles and the
 sha256 of the repr of the last result are recorded, so a speed-up that
 changes the output shows as a changed digest, and a row's spread shows
-beside its median.  ``--src`` puts a source tree first on ``sys.path``, so
-the same table times any checkout, for example the parent of a change.
+beside its median.  Before each run a fixed pure-integer loop (PROBE_N
+steps) is timed; the median times REF_PROBE_S over the median of the row's
+probes is recorded as the scaled median, as perfbench scales a command by
+the median of the bare-interpreter probes around it; it is meant to cancel
+a machine that runs slow for the length of a row.  ``--src`` puts a source
+tree first on ``sys.path``, so the same table times any checkout, for
+example the parent of a change.
 ``--out`` merges the rows into the ``caps`` block of a JSON file under
 ``--label``; once the block holds both ``parent`` and ``change`` it also
 records whether every digest agrees.  The standard library is all it needs.
@@ -29,6 +34,11 @@ import sys
 import time
 
 RUNS = 5
+
+# PROBE_N steps of the probe loop take REF_PROBE_S seconds (median of 300)
+# on a 2-core Intel Xeon host with Python 3.11.7
+PROBE_N = 200_000
+REF_PROBE_S = 0.0217
 
 
 def tau_stream(tau: str):
@@ -92,8 +102,38 @@ def lang(what: str, tau: str, nmax: int, mode: str):
     return getattr(language, what)(language.LanguageQuery(tau_stream(tau), nmax, mode))
 
 
+def block_frequencies(block: int, prefix: int):
+    """``freq --block b --prefix N`` on the limit kneading stream: lanes up
+    to b = 8 (2^8 codes), one window at a time above."""
+    from kneading import empirical_frequencies, feigenbaum_limit
+
+    return empirical_frequencies(feigenbaum_limit(), block, prefix)
+
+
+def pair_letters():
+    """Exact letter frequencies of the pair substitution."""
+    from kneading import PAIR_RULE, letter_frequencies
+
+    return letter_frequencies(PAIR_RULE)
+
+
+def lemma1(pairs: int, n: int):
+    """``dyn lemma1`` with its default map (logistic, r = 3.9) and seed."""
+    from kneading import lemma1_validate, logistic_map
+
+    return lemma1_validate(logistic_map(3.9), pairs, n, seed=0)
+
+
+def scan(steps: int, n: int):
+    """``dyn scan`` over its default grid, 3.5 to 4.0."""
+    from kneading import monotonicity_scan
+
+    return monotonicity_scan([3.5 + 0.5 * i / (steps - 1) for i in range(steps)], n)
+
+
 # (name, callable, args); --tau p/q is capped at q <= 2^20, zeta --order at
-# 2048, lang complexity --nmax at 24 and language_words at 16
+# 2048, lang complexity --nmax at 24, language_words at 16, freq --block at
+# 64 and --prefix at 2^22, dyn --n at 256 and --pairs and --steps at 4096
 ROWS = [
     (f"tau stream {tau}", tau_stream, (tau,))
     for tau in ("10006/10007", "100002/100003", "1000002/1000003", "1048572/1048573")
@@ -112,6 +152,11 @@ ROWS = [
 ] + [
     ("language_words 6/7 full-interval nmax 16", lang,
      ("language_words", "6/7", 16, "full-interval")),
+    ("freq feigenbaum block 8 prefix 2^22", block_frequencies, (8, 1 << 22)),
+    ("freq feigenbaum block 64 prefix 2^22", block_frequencies, (64, 1 << 22)),
+    ("letter_frequencies PAIR_RULE", pair_letters, ()),
+    ("dyn lemma1 pairs 4096 n 256", lemma1, (4096, 256)),
+    ("dyn scan steps 4096 n 256", scan, (4096, 256)),
 ]
 
 
@@ -126,14 +171,26 @@ def _digest(result) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def probe() -> float:
+    """Wall time of PROBE_N steps of a fixed integer recurrence."""
+    t0 = time.perf_counter()
+    x = 0
+    for i in range(PROBE_N):
+        x = (x * 31 + i) & 0xFFFF
+    return time.perf_counter() - t0
+
+
 def measure(fn, args) -> dict:
-    times = []
+    times, probes = [], []
     for _ in range(RUNS):
+        probes.append(probe())
         t0 = time.perf_counter()
         result = fn(*args)
         times.append(time.perf_counter() - t0)
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    scaled = median * REF_PROBE_S / statistics.median(probes)
     return {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4),
+            "scaled_median_s": round(scaled, 4),
             "runs_s": [round(t, 4) for t in times],
             "sha256": _digest(result)}
 
@@ -149,8 +206,9 @@ def main(argv=None) -> int:
     rows = {}
     for name, fn, fn_args in ROWS:
         rows[name] = row = measure(fn, fn_args)
-        print(f"{row['median_s']:8.4f} s [{row['q1_s']:.4f}, {row['q3_s']:.4f}]  "
-              f"{row['sha256'][:16]}  {name}", flush=True)
+        print(f"{row['median_s']:8.4f} s [{row['q1_s']:.4f}, {row['q3_s']:.4f}] "
+              f"scaled {row['scaled_median_s']:8.4f} s  {row['sha256'][:16]}  {name}",
+              flush=True)
     if not args.out:
         return 0
     record = {}
@@ -159,7 +217,9 @@ def main(argv=None) -> int:
             record = json.load(f)
     caps = record.setdefault("caps", {})
     caps["source"] = (f"bench/caps.py: each row run {RUNS} times in one process, "
-                      "median wall time with its quartiles (q1_s, q3_s) and "
+                      "median wall time with its quartiles (q1_s, q3_s), that "
+                      "median scaled by the median of the row's probe loops "
+                      "(scaled_median_s) and "
                       "sha256 of the repr of the result")
     caps["python"] = platform.python_version()
     caps[args.label] = rows

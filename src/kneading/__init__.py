@@ -50,8 +50,7 @@ _EXPORTS = {
     ),
     "language": ("LanguageQuery", "complexity", "language_words", "forbidden_words"),
     "frequency": (
-        "IncidenceMatrix", "incidence", "characteristic_polynomial",
-        "integer_eigenvalues", "perron_frobenius", "letter_frequencies",
+        "IncidenceMatrix", "incidence", "perron_frobenius", "letter_frequencies",
         "pair_frequencies", "empirical_frequencies", "NormalityReport",
         "normality_report",
     ),

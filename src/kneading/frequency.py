@@ -45,78 +45,15 @@ def incidence(rule: SubstitutionRule | dict) -> IncidenceMatrix:
     return IncidenceMatrix(alphabet, entries)
 
 
-def characteristic_polynomial(M: IncidenceMatrix) -> tuple[int, ...]:
-    """Coefficients of det(lambda*I - M), monic, highest degree first.
-
-    Faddeev-LeVerrier over the integers: M_1 = M, c_k = -tr(M_k)/k and
-    M_(k+1) = M (M_k + c_k I).  For an integer matrix every c_k is an
-    integer, so each division is exact.
-    """
-    n = M.dim
-    coeffs = [1]
-    Mk = M.entries
-    for k in range(1, n + 1):
-        ck, rem = divmod(-sum(Mk[i][i] for i in range(n)), k)
-        if rem:
-            raise ArithmeticError("characteristic coefficients must be integers")
-        coeffs.append(ck)
-        if k < n:
-            Mk = _mat_mul(M.entries, tuple(
-                tuple(x + ck if i == j else x for j, x in enumerate(row))
-                for i, row in enumerate(Mk)))
-    return tuple(coeffs)
-
-
-def _poly_eval(coeffs, x):
-    v = 0
-    for c in coeffs:
-        v = v * x + c
-    return v
-
-
-def _synthetic_divide(coeffs, root):
-    out = [coeffs[0]]
-    for c in coeffs[1:]:
-        out.append(c + out[-1] * root)
-    assert out[-1] == 0
-    return out[:-1]
-
-
-def integer_eigenvalues(M: IncidenceMatrix) -> list[int]:
-    """All integer roots of the characteristic polynomial, with multiplicity."""
-    coeffs = list(characteristic_polynomial(M))
-    roots = []
-    while len(coeffs) > 1:
-        const = coeffs[-1]
-        if const == 0:
-            roots.append(0)
-            coeffs = coeffs[:-1]
-            continue
-        candidates = set()
-        d = 1
-        while d * d <= abs(const):
-            if const % d == 0:
-                candidates.update((d, -d, const // d, -const // d))
-            d += 1
-        for r in sorted(candidates, key=abs):
-            if _poly_eval(coeffs, r) == 0:
-                roots.append(r)
-                coeffs = _synthetic_divide(coeffs, r)
-                break
-        else:
-            break
-    return sorted(roots)
-
-
 def _is_primitive(M: IncidenceMatrix) -> bool:
     # Wielandt: a primitive matrix has a strictly positive power by
     # exponent (n-1)^2 + 1
     limit = (M.dim - 1) ** 2 + 1
-    P = M
+    P = M.entries
     for _ in range(limit):
-        if all(x > 0 for row in P.entries for x in row):
+        if all(x > 0 for row in P for x in row):
             return True
-        P = IncidenceMatrix(M.alphabet, _mat_mul(P.entries, M.entries))
+        P = _mat_mul(P, M.entries)
     return False
 
 
@@ -154,14 +91,21 @@ def _kernel_vector(A):
 def perron_frobenius(M: IncidenceMatrix) -> tuple[int, tuple[Fraction, ...]]:
     """Integer leading eigenvalue and its positive eigenvector, sum 1.
 
-    Positivity of the eigenvector is what certifies the eigenvalue as
-    the leading one, so integer candidates are tried largest first.
+    In a primitive M the Perron-Frobenius root rho is the only eigenvalue
+    with a positive eigenvector, and rho lies between the least and the
+    greatest column sum of M (Frobenius; Horn & Johnson, Matrix Analysis,
+    Thm 8.1.22).  Column j of an incidence matrix sums to the length of
+    the image of alphabet[j].  So the first integer of that bracket, tried
+    from the top, whose kernel vector of M - lam I is positive (or
+    negative) is rho, and none is exactly when rho is not an integer.
     """
     if not _is_primitive(M):
         raise ValueError(
             "matrix is not primitive: no power is strictly positive"
         )
-    for lam in sorted(set(integer_eigenvalues(M)), reverse=True):
+    # an empty alphabet has no columns: 0 alone is tried, and has no kernel
+    sums = [sum(column) for column in zip(*M.entries)]
+    for lam in range(max(sums, default=0), min(sums, default=0) - 1, -1):
         A = tuple(
             tuple(Fraction(M.entries[i][j] - (lam if i == j else 0))
                   for j in range(M.dim))

@@ -9,10 +9,9 @@ from .symbolic import SymbolStream, _Record, complement, shift, unparity_word
 
 MODES = ("core", "full-interval")
 
-# the documented caps on word length: complexity counts without listing
-# words but keeps the cap of the depth-first enumeration it replaced (now
-# only the tests' reference, tests/oracles.py); language_words lists every
-# word, and its output alone is exponential in nmax
+# the documented caps on word length: complexity counts in O(nmax^3) steps
+# (see _layers), so its cap of 24 is a documented bound, not a cost limit;
+# language_words lists every word, and its output alone is exponential in nmax
 ENUM_LIMIT = 24
 WORD_LIMIT = 16
 
@@ -45,12 +44,9 @@ def _references(q: LanguageQuery):
     return U, [int(c) for c in xi(shift(q.K, 1)).prefix(q.nmax)]
 
 
-def _validate(q: LanguageQuery, limit: int):
+def _validate(q: LanguageQuery, limit: int, refusal: str):
     if q.nmax > limit:
-        raise ValueError(
-            f"refusing nmax={q.nmax}: enumeration may touch ~2^{q.nmax + 1} "
-            f"nodes; keep nmax <= {limit}"
-        )
+        raise ValueError(refusal)
     if is_maximal(q.K) is not True:
         raise ValueError("K is not a maximal stream")
 
@@ -114,14 +110,15 @@ def _layers(q: LanguageQuery, start, grow):
 
 def complexity(q: LanguageQuery) -> list[int]:
     """Counts p(1), ..., p(nmax) of viable words of each length."""
-    _validate(q, ENUM_LIMIT)
+    _validate(q, ENUM_LIMIT, f"nmax must be at most {ENUM_LIMIT}")
     return [sum(layer.values()) for layer in _layers(q, 1, lambda count, b: count)]
 
 
 def language_words(q: LanguageQuery) -> dict[int, list[str]]:
     """The counted words themselves, keyed by length, each length's words in
     decreasing order; for closure checks."""
-    _validate(q, WORD_LIMIT)
+    _validate(q, WORD_LIMIT, f"refusing nmax={q.nmax}: enumeration may touch "
+              f"~2^{q.nmax + 1} nodes; keep nmax <= {WORD_LIMIT}")
     layers = _layers(q, [""], lambda words, b: [w + "01"[b] for w in words])
     return {d: sorted(chain.from_iterable(layer.values()), reverse=True)
             for d, layer in enumerate(layers, start=1)}

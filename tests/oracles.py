@@ -5,9 +5,11 @@ constructions of tau_j, tau_infinity and the cascade words live here, with
 the exact tent-map checks and the word order they rest on, and so do the
 depth-first walk of a language's words, the loops that four exact kernels
 replaced by closed forms (binary digits, minimal periods, prime orbit counts
-and characteristic polynomials) and the symbol-by-symbol absorption of a
-periodic stream's preperiod, so that a test can compare two constructions
-that share no code.  So do the helpers only tests use: the product of two
+and characteristic polynomials), the symbol-by-symbol absorption of a
+periodic stream's preperiod, and the Perron-Frobenius root found among the
+integer roots of the characteristic polynomial, which the column-sum
+bracket of ``perron_frobenius`` replaced, so that a test can compare two
+constructions that share no code.  So do the helpers only tests use: the product of two
 series, the limit's determinant as the lacunary product ``xi_series``, the
 cascade zeta series from that product, the intersection of two enclosures,
 and powers and column sums of an incidence matrix.
@@ -31,7 +33,13 @@ from kneading.feigenbaum import (
     tau_infinity_enclosure,
     tau_level,
 )
-from kneading.frequency import IncidenceMatrix, _mat_mul
+from kneading.frequency import (
+    IncidenceMatrix,
+    _is_primitive,
+    _kernel_vector,
+    _mat_mul,
+    _residual_zero,
+)
 from kneading.language import LanguageQuery, _references
 from kneading.spectral import IntSeries, _times_one_minus_z, series_of_rational
 from kneading.symbolic import (
@@ -485,9 +493,97 @@ def matrix_power(M: IncidenceMatrix, n: int) -> IncidenceMatrix:
     return IncidenceMatrix(M.alphabet, acc)
 
 
+def characteristic_polynomial(M: IncidenceMatrix) -> tuple[int, ...]:
+    """Coefficients of det(lambda*I - M), monic, highest degree first.
+
+    Faddeev-LeVerrier over the integers: M_1 = M, c_k = -tr(M_k)/k and
+    M_(k+1) = M (M_k + c_k I).  For an integer matrix every c_k is an
+    integer, so each division is exact.
+    """
+    n = M.dim
+    coeffs = [1]
+    Mk = M.entries
+    for k in range(1, n + 1):
+        ck, rem = divmod(-sum(Mk[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("characteristic coefficients must be integers")
+        coeffs.append(ck)
+        if k < n:
+            Mk = _mat_mul(M.entries, tuple(
+                tuple(x + ck if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(Mk)))
+    return tuple(coeffs)
+
+
+def _poly_eval(coeffs, x):
+    v = 0
+    for c in coeffs:
+        v = v * x + c
+    return v
+
+
+def _synthetic_divide(coeffs, root):
+    out = [coeffs[0]]
+    for c in coeffs[1:]:
+        out.append(c + out[-1] * root)
+    assert out[-1] == 0
+    return out[:-1]
+
+
+def integer_eigenvalues(M: IncidenceMatrix) -> list[int]:
+    """All integer roots of the characteristic polynomial, with multiplicity."""
+    coeffs = list(characteristic_polynomial(M))
+    roots = []
+    while len(coeffs) > 1:
+        const = coeffs[-1]
+        if const == 0:
+            roots.append(0)
+            coeffs = coeffs[:-1]
+            continue
+        candidates = set()
+        d = 1
+        while d * d <= abs(const):
+            if const % d == 0:
+                candidates.update((d, -d, const // d, -const // d))
+            d += 1
+        for r in sorted(candidates, key=abs):
+            if _poly_eval(coeffs, r) == 0:
+                roots.append(r)
+                coeffs = _synthetic_divide(coeffs, r)
+                break
+        else:
+            break
+    return sorted(roots)
+
+
+def perron_frobenius_via_eigenvalues(M: IncidenceMatrix) -> tuple[int, tuple[Fraction, ...]]:
+    """``perron_frobenius`` by the integer roots of the characteristic
+    polynomial, tried largest first: the code the column-sum bracket
+    replaced; returns the same pair and raises the same errors."""
+    if not _is_primitive(M):
+        raise ValueError(
+            "matrix is not primitive: no power is strictly positive"
+        )
+    for lam in sorted(set(integer_eigenvalues(M)), reverse=True):
+        A = tuple(
+            tuple(Fraction(M.entries[i][j] - (lam if i == j else 0))
+                  for j in range(M.dim))
+            for i in range(M.dim)
+        )
+        v = _kernel_vector(A)
+        if v is None:
+            continue
+        if all(x > 0 for x in v) or all(x < 0 for x in v):
+            total = sum(v)
+            vec = tuple(x / total for x in v)
+            assert _residual_zero(M, lam, vec)
+            return lam, vec
+    raise ArithmeticError("no integer eigenvalue carries a positive eigenvector")
+
+
 def fraction_characteristic_polynomial(M: IncidenceMatrix) -> tuple[int, ...]:
     """Coefficients of det(lambda*I - M) by Faddeev-LeVerrier over Fraction,
-    the code ``frequency.characteristic_polynomial`` replaced."""
+    the code ``characteristic_polynomial`` above replaced."""
     n = M.dim
     A = tuple(tuple(Fraction(x) for x in row) for row in M.entries)
     coeffs = [Fraction(1)]

@@ -20,10 +20,8 @@ from kneading.dynamics import (
 from kneading.encoding import kneading_from_tau, stream_tau, xi
 from kneading.feigenbaum import tau_level
 from kneading.frequency import (
-    characteristic_polynomial,
     empirical_frequencies,
     incidence,
-    integer_eigenvalues,
     pair_frequencies,
     perron_frobenius,
 )
@@ -43,7 +41,9 @@ from kneading.symbolic import (
     shift,
 )
 from oracles import (
+    characteristic_polynomial,
     feigenbaum_word_via,
+    integer_eigenvalues,
     intersect,
     tau_infinity_digit,
     tau_infinity_enclosure_via,

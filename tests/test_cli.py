@@ -423,6 +423,8 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
      "error: denominator must be at most 1048576\n"),
     (["cf", "table", "--jmax", "2", "--out", "x" * 300 + ".csv"], 2,
      "error: cannot write " + "x" * 300 + ".csv: File name too long\n"),
+    (["lang", "complexity", "--tau", "6/7", "--nmax", "25"], 2,
+     "error: nmax must be at most 24\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing

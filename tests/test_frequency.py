@@ -4,17 +4,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kneading.encoding import xi
 from kneading.feigenbaum import PAIR_RULE
 from kneading.frequency import (
     IncidenceMatrix,
-    characteristic_polynomial,
     empirical_frequencies,
     incidence,
-    integer_eigenvalues,
     letter_frequencies,
     normality_report,
     pair_frequencies,
@@ -28,7 +26,14 @@ from kneading.symbolic import (
     SymbolStream,
     feigenbaum_limit,
 )
-from oracles import column_sums, fraction_characteristic_polynomial, matrix_power
+from oracles import (
+    characteristic_polynomial,
+    column_sums,
+    fraction_characteristic_polynomial,
+    integer_eigenvalues,
+    matrix_power,
+    perron_frobenius_via_eigenvalues,
+)
 
 TOL = Fraction(1, 2 ** 8)
 
@@ -100,6 +105,24 @@ def test_perron_frobenius_exact():
         assert (lam, v) == (lam_expect, v_expect)
         for i in range(M.dim):
             assert sum(M.entries[i][j] * v[j] for j in range(M.dim)) == lam * v[i]
+
+
+def _outcome(f, M):
+    try:
+        return f(M)
+    except (ValueError, ArithmeticError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@example([])  # the empty rule: no column sums, and the search's error
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.lists(
+    st.text(alphabet="abcd"[:n], min_size=1, max_size=5), min_size=n, max_size=n)))
+def test_perron_frobenius_matches_integer_eigenvalue_search(images):
+    # the column-sum bracket finds the pair, or raises the error, that the
+    # search over every integer root of the characteristic polynomial did
+    M = incidence(dict(zip("abcd", images)))
+    assert _outcome(perron_frobenius, M) == _outcome(perron_frobenius_via_eigenvalues, M)
 
 
 def test_letter_frequencies():

@@ -204,7 +204,7 @@ def test_query_validation():
         LanguageQuery(WINDOW, 0)
     with pytest.raises(ValueError):
         LanguageQuery(WINDOW, 8, "both")
-    with pytest.raises(ValueError, match="nodes"):
+    with pytest.raises(ValueError, match="^nmax must be at most 24$"):
         complexity(LanguageQuery(WINDOW, 25))
     with pytest.raises(ValueError, match="nodes"):
         language_words(LanguageQuery(WINDOW, 17))
