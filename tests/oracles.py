@@ -9,10 +9,10 @@ and characteristic polynomials), the symbol-by-symbol absorption of a
 periodic stream's preperiod, and the Perron-Frobenius root found among the
 integer roots of the characteristic polynomial, which the column-sum
 bracket of ``perron_frobenius`` replaced, so that a test can compare two
-constructions that share no code.  So do the helpers only tests use: the product of two
-series, the limit's determinant as the lacunary product ``xi_series``, the
-cascade zeta series from that product, the intersection of two enclosures,
-and powers and column sums of an incidence matrix.
+constructions that share no code.  So do the helpers only tests use: the
+product of two series, the limit's determinant as the lacunary product
+``xi_series``, the cascade zeta series from that product, the intersection
+of two enclosures, and powers and column sums of an incidence matrix.
 ``tau_level_via``, ``tau_infinity_enclosure_via`` and ``feigenbaum_word_via``
 take the method names the acceptance criteria use; each hands its reference
 method to the library.
