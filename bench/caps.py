@@ -8,7 +8,8 @@ Run from the repository root:
 
 ROWS holds one (name, callable, args) entry per capped input.  Each row runs
 RUNS times in this process; the median wall time, its quartiles and the
-sha256 of the repr of the last result are recorded, so a speed-up that
+sha256 of the repr of the last result (of its ``to_json()`` where it has
+one) are recorded, so a speed-up that
 changes the output shows as a changed digest, and a row's spread shows
 beside its median.  Before each run a fixed pure-integer loop (PROBE_N
 steps) is timed; the median times REF_PROBE_S over the median of the row's
@@ -110,6 +111,27 @@ def block_frequencies(block: int, prefix: int):
     return empirical_frequencies(feigenbaum_limit(), block, prefix)
 
 
+def tau_infinity(bits: int):
+    """``tau --infinity --bits b``: the enclosure and its JSON form."""
+    from kneading import tau_infinity_enclosure
+
+    return tau_infinity_enclosure(bits).to_json()
+
+
+def tau_infinity_quotients(bits: int):
+    """``cf tau-infinity --bits b``: the quotients certified by the enclosure."""
+    from kneading import cf_of_enclosure, tau_infinity_enclosure
+
+    return cf_of_enclosure(tau_infinity_enclosure(bits))
+
+
+def tau_infinity_enclosure(bits: int):
+    """The enclosure alone, past the CLI's cap of 2^16 bits."""
+    from kneading import tau_infinity_enclosure
+
+    return tau_infinity_enclosure(bits)
+
+
 def pair_letters():
     """Exact letter frequencies of the pair substitution."""
     from kneading import PAIR_RULE, letter_frequencies
@@ -133,7 +155,8 @@ def scan(steps: int, n: int):
 
 # (name, callable, args); --tau p/q is capped at q <= 2^20, zeta --order at
 # 2048, lang complexity --nmax at 24, language_words at 16, freq --block at
-# 64 and --prefix at 2^22, dyn --n at 256 and --pairs and --steps at 4096
+# 64 and --prefix at 2^22, dyn --n at 256 and --pairs and --steps at 4096,
+# tau --infinity and cf tau-infinity --bits at 2^16
 ROWS = [
     (f"tau stream {tau}", tau_stream, (tau,))
     for tau in ("10006/10007", "100002/100003", "1000002/1000003", "1048572/1048573")
@@ -157,11 +180,18 @@ ROWS = [
     ("letter_frequencies PAIR_RULE", pair_letters, ()),
     ("dyn lemma1 pairs 4096 n 256", lemma1, (4096, 256)),
     ("dyn scan steps 4096 n 256", scan, (4096, 256)),
+    ("tau --infinity bits 65536", tau_infinity, (1 << 16,)),
+    ("cf tau-infinity bits 65536", tau_infinity_quotients, (1 << 16,)),
+    ("tau_infinity_enclosure bits 2^18", tau_infinity_enclosure, (1 << 18,)),
 ]
 
 
 def _digest(result) -> str:
-    # results may hold integers past the int-to-str digit limit
+    # a record with a JSON form is digested by it, as the CLI prints it, so
+    # a record whose fields change but whose output does not keeps its
+    # digest; results may hold integers past the int-to-str digit limit
+    if hasattr(result, "to_json"):
+        result = result.to_json()
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

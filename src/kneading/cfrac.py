@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .feigenbaum import tau_level
+from .feigenbaum import DyadicEnclosure, tau_level
 from .symbolic import _Record
 
 
@@ -81,15 +81,16 @@ def cf_of_enclosure(enclosure) -> list:
     may be empty.  On a degenerate interval both endpoints run the same
     Euclidean steps, so the loop returns the full expansion ([] at 0).
     """
-    lo, hi = getattr(enclosure, "lo", None), getattr(enclosure, "hi", None)
-    if lo is None:
-        lo, hi = enclosure
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not 0 <= lo <= hi <= 1:
-        raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
-    # endpoints as unreduced integer pairs ln/ld <= hn/hd: the floors need
-    # no gcd, so none is taken
-    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    # endpoints as unreduced integer pairs ln/ld <= hn/hd: the floors need no
+    # gcd, so none is taken; a DyadicEnclosure's lie in [0, 1] by construction
+    if isinstance(enclosure, DyadicEnclosure):
+        n, d = enclosure.numerator, 1 << enclosure.bits
+        ln, ld, hn, hd = n, d, n + 1, d
+    else:
+        lo, hi = map(Fraction, enclosure)
+        if not 0 <= lo <= hi <= 1:
+            raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     out = []
     while ln > 0:
         a, rem = divmod(hd, hn)

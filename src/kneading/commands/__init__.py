@@ -92,7 +92,10 @@ def _tau_stream(spec: str):
     if spec.startswith("feigenbaum:"):
         # zeta --entropy on level j strips a degree-2^j determinant: about
         # 0.3 s at the cap on a 2-core Xeon, 2.4x that per level past it
-        j = int(spec.split(":", 1)[1])
+        try:
+            j = int(spec.split(":", 1)[1])
+        except ValueError:
+            j = 0  # not a level: refused below with the range
         if not 1 <= j <= 14:
             raise ValueError("level must be in 1..14")
         return symbolic.feigenbaum_stream(j)

@@ -24,10 +24,6 @@ PAIR_RULE = SubstitutionRule({"a": "ac", "b": "ad", "c": "da", "d": "db"})
 PAIR_TO_DIGITS = {"a": "00", "b": "01", "c": "10", "d": "11"}
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
-
-
 # Integers up to this many bits go through str(), which is quadratic but
 # fast at this size and far below the 4300-digit conversion limit.
 _DECIMAL_CHUNK_BITS = 8192
@@ -71,30 +67,37 @@ def _decimal_str(n: int) -> str:
 
 
 class DyadicEnclosure(_Record):
-    """Interval [lo, hi] with dyadic endpoints and certified width."""
+    """Interval [n / 2^bits, (n + 1) / 2^bits] of the integer n = numerator:
+    dyadic, nonempty and of width 2^-bits by construction.  lo, hi and width
+    build their Fraction when read."""
 
-    lo: Fraction
-    hi: Fraction
+    numerator: int
     bits: int
 
     def __post_init__(self):
-        if not (_is_power_of_two(self.lo.denominator)
-                and _is_power_of_two(self.hi.denominator)):
-            raise ValueError("endpoints must be dyadic rationals")
-        if not self.lo <= self.hi:
-            raise ValueError("empty enclosure")
-        if self.hi - self.lo > Fraction(1, 2 ** self.bits):
-            raise ValueError("enclosure wider than advertised")
+        if self.bits < 1 or not 0 <= self.numerator < 1 << self.bits:
+            raise ValueError("need bits >= 1 and 0 <= numerator < 2^bits")
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.numerator, 1 << self.bits)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.numerator + 1, 1 << self.bits)
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(1, 1 << self.bits)
 
     def to_json(self) -> dict:
-        def dyadic(x: Fraction) -> str:
-            return f"{_decimal_str(x.numerator)}/2^{x.denominator.bit_length() - 1}"
+        def dyadic(m: int) -> str:
+            # m / 2^bits in lowest terms: strip m's trailing zero bits, O(bits)
+            t = (m & -m).bit_length() - 1 if m else self.bits
+            return f"{_decimal_str(m >> t)}/2^{self.bits - t}"
 
-        return {"lo": dyadic(self.lo), "hi": dyadic(self.hi), "bits": self.bits}
+        return {"lo": dyadic(self.numerator), "hi": dyadic(self.numerator + 1),
+                "bits": self.bits}
 
 
 class TauLevel(_Record):
@@ -147,12 +150,11 @@ def tau_infinity_digits() -> SymbolStream:
 
 
 def tau_infinity_enclosure(bits: int) -> DyadicEnclosure:
-    """Two-sided dyadic enclosure of tau_infinity of width <= 2^-bits: the
+    """Two-sided dyadic enclosure of tau_infinity of width 2^-bits: the
     partial sum of the digits, plus a one-ulp tail."""
     if bits < 1:
         raise ValueError("bits must be >= 1")
-    lo = Fraction(int(tau_infinity_digits().prefix(bits), 2), 2 ** bits)
-    return DyadicEnclosure(lo, lo + Fraction(1, 2 ** bits), bits)
+    return DyadicEnclosure(int(tau_infinity_digits().prefix(bits), 2), bits)
 
 
 def renormalize_tau(t: SymbolStream) -> SymbolStream:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .feigenbaum import PAIR_RULE, PAIR_TO_DIGITS, tau_infinity_digits
 from .symbolic import SubstitutionRule, SymbolStream, _Record
@@ -57,35 +58,23 @@ def _is_primitive(M: IncidenceMatrix) -> bool:
     return False
 
 
-def _kernel_vector(A):
-    """One nonzero rational kernel vector of square A, or None."""
-    n = len(A)
-    rows = [list(r) for r in A]
-    r = 0
-    pivots = {}
-    for col in range(n):
-        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots[col] = r
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return None
-    # basis vector for the first free column
-    f0 = free[0]
-    v = [Fraction(0)] * n
-    v[f0] = Fraction(1)
-    for col, row in pivots.items():
-        v[col] = -rows[row][f0]
-    return v
+def _determinant(A) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968): after step k every entry is a k + 1 by k + 1 minor, so
+    each division by the previous pivot is exact."""
+    A = [list(row) for row in A]
+    n, sign, prev = len(A), 1, 1
+    for k in range(n - 1):
+        p = next((i for i in range(k, n) if A[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            A[k], A[p], sign = A[p], A[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[-1][-1] if n else 1
 
 
 def perron_frobenius(M: IncidenceMatrix) -> tuple[int, tuple[Fraction, ...]]:
@@ -95,38 +84,38 @@ def perron_frobenius(M: IncidenceMatrix) -> tuple[int, tuple[Fraction, ...]]:
     with a positive eigenvector, and rho lies between the least and the
     greatest column sum of M (Frobenius; Horn & Johnson, Matrix Analysis,
     Thm 8.1.22).  Column j of an incidence matrix sums to the length of
-    the image of alphabet[j].  So the first integer of that bracket, tried
-    from the top, whose kernel vector of M - lam I is positive (or
-    negative) is rho, and none is exactly when rho is not an integer.
+    the image of alphabet[j].
+
+    For B = lam I - M, B adj B = det B I.  Column 0 of adj B is the integer
+    vector v_i = (-1)^i det(B without row 0 and column i); expanding along
+    row 0, det B = sum_i B_0i v_i, and if det B = 0 then B v = 0.  At rho,
+    v > 0: rho is simple, so adj B = c v' w^T with Perron vectors v', w > 0,
+    and c > 0, since tr adj B = d/dlam det(lam I - M) = c w^T v' is the
+    derivative of a monic polynomial at its largest real root, a simple
+    one.  At any other lam, det B != 0, or v is 0 or an eigenvector of
+    another eigenvalue, so not positive.  So the first integer of the
+    bracket, from the top, with det B = 0 and v > 0 is rho, and none is
+    exactly when rho is not an integer.
     """
     if not _is_primitive(M):
-        raise ValueError(
-            "matrix is not primitive: no power is strictly positive"
-        )
-    # an empty alphabet has no columns: 0 alone is tried, and has no kernel
+        raise ValueError("matrix is not primitive: no power is strictly positive")
+    n = M.dim
+    # an empty alphabet has no columns: 0 alone is tried, and has no v
     sums = [sum(column) for column in zip(*M.entries)]
     for lam in range(max(sums, default=0), min(sums, default=0) - 1, -1):
-        A = tuple(
-            tuple(Fraction(M.entries[i][j] - (lam if i == j else 0))
-                  for j in range(M.dim))
-            for i in range(M.dim)
-        )
-        v = _kernel_vector(A)
-        if v is None:
-            continue
-        if all(x > 0 for x in v) or all(x < 0 for x in v):
+        B = [[(lam if i == j else 0) - M.entries[i][j] for j in range(n)]
+             for i in range(n)]
+        v = [(-1) ** i * _determinant([row[:i] + row[i + 1:] for row in B[1:]])
+             for i in range(n)]
+        if v and sum(map(mul, B[0], v)) == 0 and min(v) > 0:
+            assert _residual_zero(M, lam, v)
             total = sum(v)
-            vec = tuple(x / total for x in v)
-            assert _residual_zero(M, lam, vec)
-            return lam, vec
+            return lam, tuple(Fraction(x, total) for x in v)
     raise ArithmeticError("no integer eigenvalue carries a positive eigenvector")
 
 
 def _residual_zero(M, lam, v):
-    return all(
-        sum(M.entries[i][j] * v[j] for j in range(M.dim)) == lam * v[i]
-        for i in range(M.dim)
-    )
+    return all(sum(map(mul, row, v)) == lam * x for row, x in zip(M.entries, v))
 
 
 def letter_frequencies(rule: SubstitutionRule | dict) -> dict[str, Fraction]:

@@ -7,12 +7,14 @@ depth-first walk of a language's words, the loops that four exact kernels
 replaced by closed forms (binary digits, minimal periods, prime orbit counts
 and characteristic polynomials), the symbol-by-symbol absorption of a
 periodic stream's preperiod, and the Perron-Frobenius root found among the
-integer roots of the characteristic polynomial, which the column-sum
-bracket of ``perron_frobenius`` replaced, so that a test can compare two
-constructions that share no code.  So do the helpers only tests use: the
-product of two series, the limit's determinant as the lacunary product
-``xi_series``, the cascade zeta series from that product, the intersection
-of two enclosures, and powers and column sums of an incidence matrix.
+integer roots of the characteristic polynomial, with its eigenvector from a
+Gauss-Jordan kernel over Fraction, which the column-sum bracket and the
+integer cofactors of ``perron_frobenius`` replaced, so that a test can
+compare two constructions that share no code.  So do the helpers only
+tests use: the product of two series, the limit's determinant as the
+lacunary product ``xi_series``, the cascade zeta series from that product,
+the intersection of two enclosures as an (lo, hi) ``Interval``, and powers
+and column sums of an incidence matrix.
 ``tau_level_via``, ``tau_infinity_enclosure_via`` and ``feigenbaum_word_via``
 take the method names the acceptance criteria use; each hands its reference
 method to the library.
@@ -22,12 +24,12 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from kneading.encoding import tau_of_periodic, xi
 from kneading.feigenbaum import (
     PAIR_RULE,
     PAIR_TO_DIGITS,
-    DyadicEnclosure,
     TauLevel,
     _closed_form_pq,
     tau_infinity_enclosure,
@@ -36,7 +38,6 @@ from kneading.feigenbaum import (
 from kneading.frequency import (
     IncidenceMatrix,
     _is_primitive,
-    _kernel_vector,
     _mat_mul,
     _residual_zero,
 )
@@ -221,12 +222,23 @@ def tau_infinity_digit(k: int) -> int:
     return p.bit_count() % 2
 
 
-def tau_infinity_enclosure_via(bits: int, method: str = "digit-sum") -> DyadicEnclosure:
+class Interval(NamedTuple):
+    """A closed interval [lo, hi] of rationals, as a plain (lo, hi) pair."""
+
+    lo: Fraction
+    hi: Fraction
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+
+def tau_infinity_enclosure_via(bits: int, method: str = "digit-sum"):
     """Two-sided dyadic enclosure of tau_infinity of width <= 2^-bits.
 
     digit-sum: the library's ``tau_infinity_enclosure``.
     product-formula: partial product of 1 - 1/2 prod (1 - 2^-2^k), with a
-    rigorous bound on the discarded factors.
+    rigorous bound on the discarded factors, as an ``Interval``.
     """
     if bits < 1:
         raise ValueError("bits must be >= 1")
@@ -243,17 +255,16 @@ def tau_infinity_enclosure_via(bits: int, method: str = "digit-sum") -> DyadicEn
         for k in range(K + 1):
             prod *= 1 - Fraction(1, 2 ** (2 ** k))
         lo = 1 - prod / 2
-        hi = lo + prod * Fraction(1, 2 ** (2 ** (K + 1)))
-        return DyadicEnclosure(lo, hi, bits)
+        return Interval(lo, lo + prod * Fraction(1, 2 ** (2 ** (K + 1))))
     raise ValueError(f"unknown method {method!r}")
 
 
-def intersect(a: DyadicEnclosure, b: DyadicEnclosure) -> DyadicEnclosure:
+def intersect(a, b) -> Interval:
     """Common part of two enclosures of one value; disjoint ones raise."""
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo > hi:
         raise ValueError("disjoint enclosures")
-    return DyadicEnclosure(lo, hi, max(a.bits, b.bits))
+    return Interval(lo, hi)
 
 
 def thue_morse_check(n: int) -> bool:
@@ -554,6 +565,38 @@ def integer_eigenvalues(M: IncidenceMatrix) -> list[int]:
         else:
             break
     return sorted(roots)
+
+
+def _kernel_vector(A):
+    """One nonzero rational kernel vector of square A, or None, by
+    Gauss-Jordan elimination over Fraction."""
+    n = len(A)
+    rows = [list(r) for r in A]
+    r = 0
+    pivots = {}
+    for col in range(n):
+        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][col]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots[col] = r
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    if not free:
+        return None
+    # basis vector for the first free column
+    f0 = free[0]
+    v = [Fraction(0)] * n
+    v[f0] = Fraction(1)
+    for col, row in pivots.items():
+        v[col] = -rows[row][f0]
+    return v
 
 
 def perron_frobenius_via_eigenvalues(M: IncidenceMatrix) -> tuple[int, tuple[Fraction, ...]]:

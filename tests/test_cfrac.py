@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneading.cfrac import (
     ContinuedFraction,
@@ -13,7 +15,7 @@ from kneading.cfrac import (
     cf_table,
     convergents,
 )
-from kneading.feigenbaum import tau_infinity_enclosure, tau_level
+from kneading.feigenbaum import DyadicEnclosure, tau_infinity_enclosure, tau_level
 
 # expansions of the first eight period-doubling parameters, frozen from
 # exact Euclid runs on the closed-form p_j/q_j
@@ -113,6 +115,28 @@ def test_enclosure_boundary_cases():
     assert cf_of_enclosure((Fraction(3, 8), Fraction(1, 2))) == [2]
     with pytest.raises(ValueError):
         cf_of_enclosure((Fraction(1, 2), Fraction(1, 3)))
+
+
+@st.composite
+def _dyadic(draw):
+    bits = draw(st.integers(1, 600))
+    return draw(st.integers(0, (1 << bits) - 1)), bits
+
+
+@given(_dyadic())
+@settings(max_examples=400, deadline=None)
+def test_enclosure_integer_pairs_match_fractions(nb):
+    # the dyadic path reads n/2^bits and (n + 1)/2^bits unreduced; the
+    # floors, and so the quotients, are those of the reduced pairs
+    n, bits = nb
+    assert cf_of_enclosure(DyadicEnclosure(n, bits)) == cf_of_enclosure(
+        (Fraction(n, 2 ** bits), Fraction(n + 1, 2 ** bits)))
+
+
+def test_limit_parameter_integer_pairs_match_fractions():
+    for bits in (4096, 16384):
+        e = tau_infinity_enclosure(bits)
+        assert cf_of_enclosure(e) == cf_of_enclosure((e.lo, e.hi))
 
 
 def test_limit_parameter_certified_prefix():

@@ -425,6 +425,8 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
      "error: cannot write " + "x" * 300 + ".csv: File name too long\n"),
     (["lang", "complexity", "--tau", "6/7", "--nmax", "25"], 2,
      "error: nmax must be at most 24\n"),
+    (["zeta", "--tau", "feigenbaum:x"], 2, "error: level must be in 1..14\n"),
+    (["zeta", "--tau", "feigenbaum:"], 2, "error: level must be in 1..14\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing

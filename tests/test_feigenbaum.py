@@ -141,12 +141,38 @@ def test_tau_infinity_prefix_matches_levels():
 
 
 def test_enclosure_validation():
-    with pytest.raises(ValueError):
-        DyadicEnclosure(Fraction(1, 3), Fraction(1, 2), 4)
-    with pytest.raises(ValueError):
-        DyadicEnclosure(Fraction(3, 4), Fraction(1, 4), 4)
-    with pytest.raises(ValueError):
-        DyadicEnclosure(Fraction(0), Fraction(1, 2), 4)
+    # a numerator and an exponent cannot hold a non-dyadic, empty or too
+    # wide interval; what is left to refuse is bits < 1 and a numerator
+    # outside 0..2^bits - 1
+    for n, bits in ((0, 0), (0, -1), (-1, 4), (16, 4), (1 << 64, 64)):
+        with pytest.raises(ValueError):
+            DyadicEnclosure(n, bits)
+    e = DyadicEnclosure(15, 4)
+    assert (e.lo, e.hi, e.width) == (Fraction(15, 16), 1, Fraction(1, 16))
+    assert DyadicEnclosure(0, 1).to_json() == {"lo": "0/2^0", "hi": "1/2^1", "bits": 1}
+
+
+def _fraction_to_json(lo: Fraction, hi: Fraction, bits: int) -> dict:
+    """to_json of the enclosure as it was held before, a pair of Fractions:
+    the reference for the integer form."""
+    def dyadic(x: Fraction) -> str:
+        return f"{_decimal_str(x.numerator)}/2^{x.denominator.bit_length() - 1}"
+
+    return {"lo": dyadic(lo), "hi": dyadic(hi), "bits": bits}
+
+
+def test_enclosure_to_json_matches_fraction_form():
+    digits = tau_infinity_digits()
+    for bits in [*range(1, 3001), 14300, 16384, 65536]:
+        lo = Fraction(int(digits.prefix(bits), 2), 2 ** bits)
+        assert tau_infinity_enclosure(bits).to_json() == _fraction_to_json(
+            lo, lo + Fraction(1, 2 ** bits), bits), bits
+    # both ends of the range and every run of trailing zeros
+    for bits in range(1, 70):
+        for n in {0, 1, (1 << bits) - 1, *(1 << k for k in range(bits)),
+                  *((1 << bits) - (1 << k) for k in range(bits))}:
+            e = DyadicEnclosure(n, bits)
+            assert e.to_json() == _fraction_to_json(e.lo, e.hi, bits), (n, bits)
 
 
 def test_enclosure_digit_sum():

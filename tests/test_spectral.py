@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kneading.spectral as spectral
 from kneading.encoding import is_maximal, kneading_from_tau, stream_tau
 from kneading.feigenbaum import tau_infinity_enclosure
 from kneading.spectral import (
@@ -535,6 +536,28 @@ def test_certify_positive_against_root_locations(linear, quadratic, x, at_root, 
     if not in_disc:
         # the one-circle theorem: no sign change after the Moebius map
         assert certified
+
+
+def test_certify_positive_bisects(monkeypatch):
+    shifts = []
+    shift = spectral._taylor_shift
+    monkeypatch.setattr(spectral, "_taylor_shift", lambda q: shifts.append(q) or shift(q))
+
+    def certify(poly):
+        """_certify_positive(poly, 1) and, if it returns True, the number of
+        bisections it made: each interval popped costs one Taylor shift, and
+        each split one more."""
+        shifts.clear()
+        certified = _certify_positive(poly, Fraction(1))
+        return certified, (len(shifts) - 1) // 3 if certified else None
+
+    # roots 1/2 +- i/10 lie in the disc over [0, 1] but in neither disc over
+    # its halves: one split
+    assert certify([26, -100, 100]) == (True, 1)
+    # 9 4^e (z - 1/3)^2 + 9, roots 1/3 +- i 2^-e, is positive on [0, 1] and
+    # at every midpoint, so False can only come from the depth-24 cap
+    for e, result in ((20, (True, 19)), (40, (False, None))):
+        assert certify([4 ** e + 9, -6 * 4 ** e, 9 * 4 ** e]) == result, e
 
 
 # sha256 of the repr of every EntropyResult (or EntropyInconclusive message)

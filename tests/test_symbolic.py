@@ -367,9 +367,7 @@ _RECORDS = [
     (dynamics.Lemma1Report, (10, 8, 2, 0), []),
     (dynamics.ScanRow, (3.5, 0.75, 12), []),
     (dynamics.ScanReport, ((dynamics.ScanRow(3.5, None, 0),), 0), []),
-    (feigenbaum.DyadicEnclosure, (Fraction(1, 4), Fraction(1, 2), 1), [
-        (Fraction(1, 3), Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 4), 1),
-        (Fraction(1, 4), Fraction(1, 2), 3)]),
+    (feigenbaum.DyadicEnclosure, (3, 2), [(0, 0), (-1, 2), (4, 2)]),
     (feigenbaum.TauLevel, (2, 4, 5, "1100"), []),
     (frequency.IncidenceMatrix, (("0", "1"), ((0, 1), (2, 1))), [
         (("0", "1"), ((0, 1),)), (("0", "1"), ((0, -1), (2, 1)))]),
