@@ -125,6 +125,14 @@ def tau_infinity_quotients(bits: int):
     return cf_of_enclosure(tau_infinity_enclosure(bits))
 
 
+def tau_level_quotients(j: int):
+    """The expansion of tau_j, the work of a ``cf table`` row past its cap
+    of 12 levels."""
+    from kneading import cf_of_rational, tau_level
+
+    return cf_of_rational(tau_level(j).value)
+
+
 def tau_infinity_enclosure(bits: int):
     """The enclosure alone, past the CLI's cap of 2^16 bits."""
     from kneading import tau_infinity_enclosure
@@ -156,7 +164,7 @@ def scan(steps: int, n: int):
 # (name, callable, args); --tau p/q is capped at q <= 2^20, zeta --order at
 # 2048, lang complexity --nmax at 24, language_words at 16, freq --block at
 # 64 and --prefix at 2^22, dyn --n at 256 and --pairs and --steps at 4096,
-# tau --infinity and cf tau-infinity --bits at 2^16
+# tau --infinity and cf tau-infinity --bits at 2^16, cf table --jmax at 12
 ROWS = [
     (f"tau stream {tau}", tau_stream, (tau,))
     for tau in ("10006/10007", "100002/100003", "1000002/1000003", "1048572/1048573")
@@ -183,6 +191,9 @@ ROWS = [
     ("tau --infinity bits 65536", tau_infinity, (1 << 16,)),
     ("cf tau-infinity bits 65536", tau_infinity_quotients, (1 << 16,)),
     ("tau_infinity_enclosure bits 2^18", tau_infinity_enclosure, (1 << 18,)),
+    ("cf_of_enclosure bits 2^17", tau_infinity_quotients, (1 << 17,)),
+] + [
+    (f"cf_of_rational tau_level {j}", tau_level_quotients, (j,)) for j in (16, 17, 18)
 ]
 
 

@@ -52,34 +52,42 @@ class ContinuationReport(_Record):
     matches: bool
 
 
-def cf_of_rational(x) -> ContinuedFraction:
-    """Canonical continued fraction of a rational x with 0 < x <= 1.
+def _quotients(n: int, d: int):
+    """Euclidean quotients of n/d for 0 <= n <= d (none when n = 0): the
+    floors of 1/x along the Gauss map x -> 1/x - floor(1/x), the same for
+    any multiple of (n, d).  The module's one division loop.
 
-    The quotients are the Euclidean quotients of (denominator, numerator).
     Greedy floor division cannot emit a trailing 1 (remainders strictly
-    decrease), so the output is canonical by construction; x = 1 gives the
+    decrease), so the output is canonical by construction; n = d gives the
     lone exception [1].
     """
+    while n:
+        q, r = divmod(d, n)
+        yield q
+        d, n = n, r
+
+
+def cf_of_rational(x) -> ContinuedFraction:
+    """Canonical continued fraction of a rational x with 0 < x <= 1."""
     x = Fraction(x)
     if not 0 < x <= 1:
         raise ValueError(f"need 0 < x <= 1, got {x}")
-    a, b = x.denominator, x.numerator
-    out = []
-    while b:
-        q, r = divmod(a, b)
-        out.append(q)
-        a, b = b, r
-    return ContinuedFraction(tuple(out))
+    return ContinuedFraction(tuple(_quotients(x.numerator, x.denominator)))
 
 
 def cf_of_enclosure(enclosure) -> list:
     """Quotients provably shared by every point of an interval in [0, 1].
 
-    Accepts a DyadicEnclosure or any (lo, hi) pair of rationals.  A quotient
-    is emitted only when the floors of the reciprocals agree at both
-    endpoints, so boundary coincidences are never overclaimed; the result
-    may be empty.  On a degenerate interval both endpoints run the same
-    Euclidean steps, so the loop returns the full expansion ([] at 0).
+    Accepts a DyadicEnclosure or any (lo, hi) pair of rationals, and
+    returns the common prefix of the endpoints' quotients, up to the first
+    place where they differ or either expansion ends; the result may be
+    empty, and a degenerate interval gives the full expansion ([] at 0).
+
+    Sound: each branch of the Gauss map is monotone, so the points whose
+    expansion begins a_1..a_k form one interval, and a prefix that both
+    endpoints share is shared by every point between them.  An endpoint
+    whose expansion ends at a_k certifies a_k and nothing after it: points
+    beside it continue with arbitrarily large next quotients.
     """
     # endpoints as unreduced integer pairs ln/ld <= hn/hd: the floors need no
     # gcd, so none is taken; a DyadicEnclosure's lie in [0, 1] by construction
@@ -92,17 +100,10 @@ def cf_of_enclosure(enclosure) -> list:
             raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
         ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     out = []
-    while ln > 0:
-        a, rem = divmod(hd, hn)
-        if a != ld // ln:
+    for a, b in zip(_quotients(ln, ld), _quotients(hn, hd)):
+        if a != b:
             break
         out.append(a)
-        # taking reciprocals flips the interval: 1/hi - a is the new lower end
-        ln, ld, hn, hd = rem, hn, ld - a * ln, ln
-        if ln == 0:
-            # the upper endpoint terminated exactly here; interior points
-            # continue with arbitrarily large next quotients
-            break
     return out
 
 

@@ -3,7 +3,7 @@
 import math
 
 from .. import frequency, symbolic
-from . import _check_cap, _Result
+from . import _check_cap, _num, _Result
 
 
 def add_arguments(p):
@@ -58,7 +58,7 @@ def _frequency_convergence(args) -> _Result:
         n = 1 << k
         obs = frequency.empirical_frequencies(stream, 1, n)
         dev = max(abs(obs.get(b, 0) - predicted[b]) for b in "01")
-        rows.append((k, n, str(dev)))
+        rows.append((k, n, _num(dev, args)))
     return _Result([{"k": k, "n": n, "deviation": d} for k, n, d in rows],
                    (("k", "n", "deviation"), rows))
 

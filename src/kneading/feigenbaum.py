@@ -15,8 +15,9 @@ from kneading.symbolic import (
     SymbolStream,
     _Record,
     _every_second,
-    complement,
     feigenbaum_limit,
+    feigenbaum_word,
+    parity_word,
 )
 
 # Pair coding of digit streams: two digits at a time, a=00 b=01 c=10 d=11.
@@ -132,15 +133,11 @@ def _closed_form_pq(j: int) -> tuple[int, int]:
 
 
 def tau_level(j: int) -> TauLevel:
-    """tau_j by the digit rule: rewrite the digit period w -> w' of doubled
-    length; p/q from the closed form (the word is 2^j digits long, and
-    reducing w / (2^(2^j) - 1) would cost a gcd of 2^j-bit integers)."""
-    if j < 1:
-        raise ValueError("level must be >= 1")
-    w = "10"
-    for _ in range(j - 1):
-        w = w[:-1] + complement(w[-1]) + complement(w[:-1]) + w[-1]
-    return TauLevel(j, *_closed_form_pq(j), w)
+    """tau_j: the digit period is the running parities of the level-j word
+    over two periods (the word has odd weight); p/q from the closed form, as
+    reducing w / (2^(2^j) - 1) would cost a gcd of 2^j-bit integers."""
+    w = feigenbaum_word(j)
+    return TauLevel(j, *_closed_form_pq(j), parity_word(w + w))
 
 
 def tau_infinity_digits() -> SymbolStream:

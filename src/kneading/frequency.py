@@ -169,34 +169,33 @@ def _lane_block_counts(text: str, b: int, step: int) -> dict[str, int] | None:
     times A^r, which puts the code sum_r s_(m-r) A^r of the window ending
     at symbol m into lane m: the window read as a base-A numeral.  Codes
     stay below A^b <= 256, so no lane carries into the next, and each code
-    is tallied with bytes.count.  Returns None (caller loops per position)
+    is tallied by _byte_tally.  Returns None (caller loops per position)
     when A^b > 256 or a symbol is not ASCII.
     """
     if not text.isascii():
         return None
     raw = text.encode("ascii")
-    # the alphabet, one C pass per symbol: delete each newly seen symbol
-    seen, rest = b"", raw
-    while rest:
-        seen += rest[:1]
-        if len(seen) ** b > 256:
-            return None
-        rest = rest.translate(None, seen)
-    alphabet = bytes(sorted(seen))
+    alphabet = bytes(sorted(_byte_tally(raw)))
     A, n = len(alphabet), len(text)
+    if A ** b > 256:
+        return None
     spread = sum(A ** r << 8 * (b - 1 - r) for r in range(b))
     # one expression, so each n-byte temporary is freed once consumed
     lanes = (int.from_bytes(raw.translate(bytes.maketrans(alphabet, bytes(range(A)))),
                             "big") * spread).to_bytes(n + b - 1, "big")[b - 1:n:step]
+    # the code's base-A digits, most significant first, spell the window
+    return {bytes(alphabet[code // A ** r % A] for r in reversed(range(b))).decode(): c
+            for code, c in _byte_tally(lanes).items()}
+
+
+def _byte_tally(data: bytes) -> dict[int, int]:
+    """Count of each byte value present in data, one C pass per value:
+    delete the first byte's value and record how many bytes went."""
     counts = {}
-    for code in range(A ** b):
-        c = lanes.count(code)
-        if c:
-            word = []
-            for _ in range(b):
-                code, d = divmod(code, A)
-                word.append(alphabet[d])
-            counts[bytes(reversed(word)).decode("ascii")] = c
+    while data:
+        rest = data.translate(None, data[:1])
+        counts[data[0]] = len(data) - len(rest)
+        data = rest
     return counts
 
 

@@ -14,7 +14,9 @@ compare two constructions that share no code.  So do the helpers only
 tests use: the product of two series, the limit's determinant as the
 lacunary product ``xi_series``, the cascade zeta series from that product,
 the intersection of two enclosures as an (lo, hi) ``Interval``, and powers
-and column sums of an incidence matrix.
+and column sums of an incidence matrix.  ``flip_cf_of_enclosure`` runs the
+two endpoints' Euclids interleaved, the reference for the common prefix of
+two quotient streams that ``cf_of_enclosure`` takes.
 ``tau_level_via``, ``tau_infinity_enclosure_via`` and ``feigenbaum_word_via``
 take the method names the acceptance criteria use; each hands its reference
 method to the library.
@@ -30,6 +32,7 @@ from kneading.encoding import tau_of_periodic, xi
 from kneading.feigenbaum import (
     PAIR_RULE,
     PAIR_TO_DIGITS,
+    DyadicEnclosure,
     TauLevel,
     _closed_form_pq,
     tau_infinity_enclosure,
@@ -168,7 +171,8 @@ def _level_from_word(j: int, word: str) -> TauLevel:
 def tau_level_via(j: int, method: str = "digit-rule") -> TauLevel:
     """tau_j by any of four equivalent constructions.
 
-    digit-rule: the library's ``tau_level``.
+    digit-rule: the library's ``tau_level`` (running parities of the level
+    word over two periods).
     pair-substitution: expand the pair coding under PAIR_RULE and reduce
     the word's value.
     pq-recursion: p' = 2 + p(q-2), q' = 2 + q(q-2) from (2, 3).
@@ -265,6 +269,41 @@ def intersect(a, b) -> Interval:
     if lo > hi:
         raise ValueError("disjoint enclosures")
     return Interval(lo, hi)
+
+
+def flip_cf_of_enclosure(enclosure) -> list:
+    """Quotients provably shared by every point of an interval in [0, 1],
+    by one loop that steps both endpoints through the flipped interval.
+
+    Accepts a DyadicEnclosure or any (lo, hi) pair of rationals.  A quotient
+    is emitted only when the floors of the reciprocals agree at both
+    endpoints, so boundary coincidences are never overclaimed; the result
+    may be empty.  On a degenerate interval both endpoints run the same
+    Euclidean steps, so the loop returns the full expansion ([] at 0).
+    """
+    # endpoints as unreduced integer pairs ln/ld <= hn/hd: the floors need no
+    # gcd, so none is taken; a DyadicEnclosure's lie in [0, 1] by construction
+    if isinstance(enclosure, DyadicEnclosure):
+        n, d = enclosure.numerator, 1 << enclosure.bits
+        ln, ld, hn, hd = n, d, n + 1, d
+    else:
+        lo, hi = map(Fraction, enclosure)
+        if not 0 <= lo <= hi <= 1:
+            raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    out = []
+    while ln > 0:
+        a, rem = divmod(hd, hn)
+        if a != ld // ln:
+            break
+        out.append(a)
+        # taking reciprocals flips the interval: 1/hi - a is the new lower end
+        ln, ld, hn, hd = rem, hn, ld - a * ln, ln
+        if ln == 0:
+            # the upper endpoint terminated exactly here; interior points
+            # continue with arbitrarily large next quotients
+            break
+    return out
 
 
 def thue_morse_check(n: int) -> bool:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kneading.cfrac import (
@@ -16,6 +16,7 @@ from kneading.cfrac import (
     convergents,
 )
 from kneading.feigenbaum import DyadicEnclosure, tau_infinity_enclosure, tau_level
+from oracles import flip_cf_of_enclosure
 
 # expansions of the first eight period-doubling parameters, frozen from
 # exact Euclid runs on the closed-form p_j/q_j
@@ -117,26 +118,43 @@ def test_enclosure_boundary_cases():
         cf_of_enclosure((Fraction(1, 2), Fraction(1, 3)))
 
 
+def test_enclosure_matches_flip_loop_small_denominators():
+    # every pair lo <= hi of rationals in [0, 1] with denominators <= 30
+    points = sorted({Fraction(n, d) for d in range(1, 31) for n in range(d + 1)})
+    for i, lo in enumerate(points):
+        for hi in points[i:]:
+            assert cf_of_enclosure((lo, hi)) == flip_cf_of_enclosure((lo, hi)), (lo, hi)
+
+
 @st.composite
 def _dyadic(draw):
     bits = draw(st.integers(1, 600))
     return draw(st.integers(0, (1 << bits) - 1)), bits
 
 
+# lo = 0 and hi = 1, at both ends of the bits range
 @given(_dyadic())
+@example((0, 1))
+@example((0, 600))
+@example((1, 1))
+@example(((1 << 600) - 1, 600))
 @settings(max_examples=400, deadline=None)
 def test_enclosure_integer_pairs_match_fractions(nb):
     # the dyadic path reads n/2^bits and (n + 1)/2^bits unreduced; the
-    # floors, and so the quotients, are those of the reduced pairs
+    # floors, and so the quotients, are those of the reduced pairs, and
+    # the common prefix is what the interleaved loop certifies
     n, bits = nb
-    assert cf_of_enclosure(DyadicEnclosure(n, bits)) == cf_of_enclosure(
-        (Fraction(n, 2 ** bits), Fraction(n + 1, 2 ** bits)))
+    got = cf_of_enclosure(DyadicEnclosure(n, bits))
+    assert got == cf_of_enclosure((Fraction(n, 2 ** bits), Fraction(n + 1, 2 ** bits)))
+    assert got == flip_cf_of_enclosure(DyadicEnclosure(n, bits))
 
 
 def test_limit_parameter_integer_pairs_match_fractions():
     for bits in (4096, 16384):
         e = tau_infinity_enclosure(bits)
-        assert cf_of_enclosure(e) == cf_of_enclosure((e.lo, e.hi))
+        got = cf_of_enclosure(e)
+        assert got == cf_of_enclosure((e.lo, e.hi))
+        assert got == flip_cf_of_enclosure(e)
 
 
 def test_limit_parameter_certified_prefix():

@@ -262,6 +262,16 @@ def test_export_frequency_convergence(capsys):
     assert devs == [Fraction(1, 3 * 2 ** k) for k in range(8, 17)]
 
 
+def test_export_frequency_convergence_float(capsys):
+    # --float turns the exact deviations into floats in JSON and CSV alike
+    want = [1 / (3 * 2 ** k) for k in range(3, 7)]
+    argv = ("export", "frequency-convergence", "--kmin", "3", "--kmax", "6", "--float")
+    assert [r["deviation"] for r in run_json(capsys, *argv)] == want
+    rc, out = run(capsys, *argv, "--format", "csv")
+    assert rc == 0
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == [repr(x) for x in want]
+
+
 def test_export_bifurcation_scan_rows(capsys):
     rc, out = run(capsys, "export", "bifurcation-scan", "--steps", "100",
                   "--n", "12", "--format", "csv")
