@@ -161,10 +161,28 @@ def scan(steps: int, n: int):
     return monotonicity_scan([3.5 + 0.5 * i / (steps - 1) for i in range(steps)], n)
 
 
+def command(*argv):
+    """One ``kneading`` command through ``cli.main`` in this process; the
+    result is its exit code and stdout, so the digest covers what it prints."""
+    import contextlib
+    import io
+
+    from kneading import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
 # (name, callable, args); --tau p/q is capped at q <= 2^20, zeta --order at
 # 2048, lang complexity --nmax at 24, language_words at 16, freq --block at
 # 64 and --prefix at 2^22, dyn --n at 256 and --pairs and --steps at 4096,
-# tau --infinity and cf tau-infinity --bits at 2^16, cf table --jmax at 12
+# tau --infinity and cf tau-infinity --bits at 2^16, cf table --jmax at 12;
+# the command rows run the whole command at its cap: tau --j at 20, cf
+# tau-level --j at 12, export zeta-roots --j at 11, export
+# frequency-convergence --kmax at 25, lang forbidden --nmax at 4096 and zeta
+# --entropy --tol at 1/10^100
 ROWS = [
     (f"tau stream {tau}", tau_stream, (tau,))
     for tau in ("10006/10007", "100002/100003", "1000002/1000003", "1048572/1048573")
@@ -194,6 +212,18 @@ ROWS = [
     ("cf_of_enclosure bits 2^17", tau_infinity_quotients, (1 << 17,)),
 ] + [
     (f"cf_of_rational tau_level {j}", tau_level_quotients, (j,)) for j in (16, 17, 18)
+] + [
+    # the name is the command line, with --tol's 1/10^100 written out in full
+    (line, command, tuple(line.replace("10^100", str(10 ** 100)).split())) for line in (
+        "tau --j 20",
+        "cf tau-level --j 12",
+        "cf table --jmax 12",
+        "export zeta-roots --j 11",
+        "export frequency-convergence --kmax 25",
+        "lang forbidden --tau feigenbaum:inf --nmax 4096",
+        "zeta --tau feigenbaum:inf --order 2048 --entropy --tol 1/10^100",
+        "zeta --tau feigenbaum:14 --entropy",
+    )
 ]
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .feigenbaum import DyadicEnclosure, tau_level
+from .feigenbaum import DyadicEnclosure, _closed_form_pq
 from .symbolic import _Record
 
 
@@ -133,7 +133,7 @@ def cf_table(jmax: int) -> list:
         raise ValueError("jmax must be in 1..12")
     rows = []
     for j in range(1, jmax + 1):
-        q = list(cf_of_rational(tau_level(j).value).quotients)
+        q = list(_quotients(*_closed_form_pq(j)))
         rows.append((j, q, len(q)))
     return rows
 
@@ -148,8 +148,8 @@ def cf_continuation_check(j: int) -> ContinuationReport:
     """
     if not 1 <= j <= 11:
         raise ValueError("j must be in 1..11")
-    cur = cf_of_rational(tau_level(j).value).quotients
-    nxt = cf_of_rational(tau_level(j + 1).value).quotients
+    cur = tuple(_quotients(*_closed_form_pq(j)))
+    nxt = tuple(_quotients(*_closed_form_pq(j + 1)))
     n = len(cur)
     head = nxt[:n]
     if head == cur:

@@ -17,7 +17,7 @@ def run(args) -> _Result:
     if args.what == "tau-level":
         if not 1 <= args.j <= 12:
             raise ValueError("level must be in 1..12")
-        q = list(cfrac.cf_of_rational(feigenbaum.tau_level(args.j).value).quotients)
+        q = list(cfrac._quotients(*feigenbaum._closed_form_pq(args.j)))
         return _Result({"j": args.j, "quotients": q, "count": len(q)},
                        text=" ".join(map(str, q)))
     if args.what == "tau-infinity":

@@ -17,6 +17,9 @@ the intersection of two enclosures as an (lo, hi) ``Interval``, and powers
 and column sums of an incidence matrix.  ``flip_cf_of_enclosure`` runs the
 two endpoints' Euclids interleaved, the reference for the common prefix of
 two quotient streams that ``cf_of_enclosure`` takes.
+``lemma1_via_parity_words`` decides each sampled pair from both whole
+itineraries and parity words, the construction that ``lemma1_validate``
+replaced with a walk to the first symbol discrepancy.
 ``tau_level_via``, ``tau_infinity_enclosure_via`` and ``feigenbaum_word_via``
 take the method names the acceptance criteria use; each hands its reference
 method to the library.
@@ -25,9 +28,11 @@ method to the library.
 from __future__ import annotations
 
 import enum
+import random
 from fractions import Fraction
 from typing import NamedTuple
 
+from kneading.dynamics import Lemma1Report, UnimodalMap, itinerary
 from kneading.encoding import tau_of_periodic, xi
 from kneading.feigenbaum import (
     PAIR_RULE,
@@ -312,6 +317,38 @@ def thue_morse_check(n: int) -> bool:
     u = feigenbaum_limit().prefix(max(n - 1, 0))
     tm = FixedPointStream(THUE_MORSE_RULE, "0").prefix(n)
     return parity_word("0" + u)[:n] == tm
+
+
+# === float orbits =====================================================
+
+def lemma1_via_parity_words(m: UnimodalMap, pairs: int, n: int,
+                            seed: int = 0) -> Lemma1Report:
+    """``lemma1_validate`` from whole words: both itineraries, both parity
+    words, the first index d where they differ and every flag through d."""
+    if pairs < 0:
+        raise ValueError("pairs must be >= 0")
+    if n < 1:
+        raise ValueError("need at least one symbol")
+    rng = random.Random(seed)
+    tested = decided = excluded = violations = 0
+    while tested < pairs:
+        x, y = rng.random(), rng.random()
+        if x == y:
+            continue
+        if x > y:
+            x, y = y, x
+        tested += 1
+        wx, fx = itinerary(m, x, n)
+        wy, fy = itinerary(m, y, n)
+        tx, ty = parity_word(wx), parity_word(wy)
+        d = next((i for i in range(n) if tx[i] != ty[i]), None)
+        if d is None or not (all(fx[: d + 1]) and all(fy[: d + 1])):
+            excluded += 1
+            continue
+        decided += 1
+        if tx[d] > ty[d]:
+            violations += 1
+    return Lemma1Report(tested, decided, excluded, violations)
 
 
 # === cascade words ====================================================

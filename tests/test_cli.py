@@ -437,6 +437,8 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
      "error: nmax must be at most 24\n"),
     (["zeta", "--tau", "feigenbaum:x"], 2, "error: level must be in 1..14\n"),
     (["zeta", "--tau", "feigenbaum:"], 2, "error: level must be in 1..14\n"),
+    (["dyn", "lemma1", "--r", "4.1"], 2,
+     "error: orbit left [0, 1] at step 11: 1.023736001960129\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing

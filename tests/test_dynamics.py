@@ -28,7 +28,7 @@ from kneading.dynamics import (
 )
 from kneading.encoding import kneading_from_tau
 from kneading.symbolic import feigenbaum_stream, feigenbaum_word
-from oracles import tent
+from oracles import lemma1_via_parity_words, tent
 
 
 def digit_word(word):
@@ -334,3 +334,18 @@ _starts = st.one_of(_edge_points, st.floats(-2e-12, 1 + 2e-12),
 def test_itinerary_matches_per_step_loop(logistic, r, slope, x, n, eta):
     m = logistic_map(r, eta) if logistic else tent_map(slope, eta)
     assert _outcome(itinerary, m, x, n) == _outcome(_itinerary_per_step, m, x, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(logistic=st.booleans(), r=st.floats(3.3, 4.3), slope=st.floats(0.3, 2.3),
+       c0=st.sampled_from([0.5, 0.5, 0.3, 0.7]),
+       eta=st.sampled_from([1e-9, 1e-3, 0.05, 0.3, 0.6]), pairs=st.integers(0, 80),
+       n=st.integers(1, 64), seed=st.integers(0, 2 ** 32))
+def test_lemma1_matches_parity_words(logistic, r, slope, c0, eta, pairs, n, seed):
+    # escapes (r > 4, slope > 2) raise from the same orbit step in both; a
+    # symbol boundary c0 away from the peak (half the examples keep 0.5)
+    # breaks monotonicity on a branch, so decided pairs include violations
+    m = logistic_map(r) if logistic else tent_map(slope)
+    m = UnimodalMap(m.family, m.parameter, m.fn, c0, eta)
+    assert (_outcome(lemma1_validate, m, pairs, n, seed)
+            == _outcome(lemma1_via_parity_words, m, pairs, n, seed))
