@@ -104,8 +104,9 @@ def lang(what: str, tau: str, nmax: int, mode: str):
 
 
 def block_frequencies(block: int, prefix: int):
-    """``freq --block b --prefix N`` on the limit kneading stream: lanes up
-    to b = 8 (2^8 codes), one window at a time above."""
+    """``freq --block b --prefix N`` on the limit kneading stream, a uniform
+    substitution's fixed point: its windows are counted by recursion on the
+    prefix, which is built only below 2^12 symbols."""
     from kneading import empirical_frequencies, feigenbaum_limit
 
     return empirical_frequencies(feigenbaum_limit(), block, prefix)
@@ -177,12 +178,14 @@ def command(*argv):
 
 # (name, callable, args); --tau p/q is capped at q <= 2^20, zeta --order at
 # 2048, lang complexity --nmax at 24, language_words at 16, freq --block at
-# 64 and --prefix at 2^22, dyn --n at 256 and --pairs and --steps at 4096,
-# tau --infinity and cf tau-infinity --bits at 2^16, cf table --jmax at 12;
-# the command rows run the whole command at its cap: tau --j at 20, cf
-# tau-level --j at 12, export zeta-roots --j at 11, export
-# frequency-convergence --kmax at 25, lang forbidden --nmax at 4096 and zeta
-# --entropy --tol at 1/10^100
+# 64 and --prefix at 2^62 (the 2^22 rows are its old cap), dyn --n at 256 and
+# --pairs and --steps at 4096, tau --infinity and cf tau-infinity --bits at
+# 2^16, cf table --jmax at 12; the command rows run the whole command at its
+# cap: tau --j at 20, cf tau-level --j at 12, export zeta-roots --j at 11,
+# export frequency-convergence --kmax at 62 (25, its old cap, kept beside
+# it), lang forbidden --nmax at 4096 and zeta --entropy --tol at 1/10^100;
+# freq --stream tau-inf --block 3 --prefix 4194304 is the heaviest freq
+# command of the cascade benchmark workload
 ROWS = [
     (f"tau stream {tau}", tau_stream, (tau,))
     for tau in ("10006/10007", "100002/100003", "1000002/1000003", "1048572/1048573")
@@ -220,6 +223,9 @@ ROWS = [
         "cf table --jmax 12",
         "export zeta-roots --j 11",
         "export frequency-convergence --kmax 25",
+        "export frequency-convergence --kmax 62",
+        "freq --stream tau-inf --block 3 --prefix 4194304",
+        "freq --block 64 --prefix 4611686018427387904",
         "lang forbidden --tau feigenbaum:inf --nmax 4096",
         "zeta --tau feigenbaum:inf --order 2048 --entropy --tol 1/10^100",
         "zeta --tau feigenbaum:14 --entropy",

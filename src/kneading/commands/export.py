@@ -48,9 +48,9 @@ def _zeta_roots(args) -> _Result:
 def _frequency_convergence(args) -> _Result:
     if args.kmin < 1 or args.kmin > args.kmax:
         raise ValueError("need 1 <= kmin <= kmax")
-    # the prefixes add up to 2^(kmax+1) symbols: about 1.2 s and 180 MB at
-    # the cap on a 2-core Xeon
-    _check_cap("kmax", args.kmax, 25)
+    # each prefix 2^k is counted by recursion in O(k) levels, not built:
+    # tens of ms at the cap on a 2-core Xeon
+    _check_cap("kmax", args.kmax, 62)
     stream = symbolic.feigenbaum_limit()
     predicted = frequency.letter_frequencies(symbolic.FEIGENBAUM_RULE)
     rows = []

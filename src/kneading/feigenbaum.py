@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from kneading.encoding import xi
 from kneading.symbolic import (
+    FixedPointStream,
     SubstitutionRule,
     SymbolStream,
     _Record,
     _every_second,
-    feigenbaum_limit,
     feigenbaum_word,
     parity_word,
 )
@@ -140,10 +139,19 @@ def tau_level(j: int) -> TauLevel:
     return TauLevel(j, *_closed_form_pq(j), parity_word(w + w))
 
 
-def tau_infinity_digits() -> SymbolStream:
-    """The digit stream of tau_infinity (memoized): the running parities of
-    the limit kneading sequence, built by substitution and one parity pass."""
-    return xi(feigenbaum_limit())
+def tau_infinity_digits() -> FixedPointStream:
+    """The digit stream of tau_infinity (memoized), t_k = s_1 ^ ... ^ s_k for
+    the limit kneading sequence s, read as the fixed point of PAIR_RULE from
+    d, each letter written as its digit pair.
+
+    s = sigma(s) for sigma = (1 -> 10, 0 -> 11) gives s_(2i-1) = 1 and
+    s_(2i) = 1 - s_i, so t_(2i) = t_i and t_(2i-1) = 1 - t_(2i-2) (t_0 = 0).
+    So pair j, (x, y) = (t_(2j-1), t_(2j)), fixes pairs 2j - 1 and 2j:
+    (t_(4j-3), t_(4j-2)) = (1 - t_(2j-2), t_(2j-1)) = (x, x) and
+    (t_(4j-1), t_(4j)) = (1 - x, y), that is a -> ac, b -> ad, c -> da,
+    d -> db, which is PAIR_RULE.  The first pair is t_1 t_2 = 11, letter d.
+    """
+    return FixedPointStream(PAIR_RULE, "d", PAIR_TO_DIGITS)
 
 
 def tau_infinity_enclosure(bits: int) -> DyadicEnclosure:

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .feigenbaum import PAIR_RULE, PAIR_TO_DIGITS, tau_infinity_digits
-from .symbolic import SubstitutionRule, SymbolStream, _Record
+from .symbolic import (
+    FixedPointStream,
+    SubstitutionRule,
+    SymbolStream,
+    _Record,
+    _translate_columns,
+)
 
 
 class IncidenceMatrix(_Record):
@@ -143,21 +150,96 @@ def empirical_frequencies(
 
     Sliding windows by default; aligned=True advances in steps of
     block_len, which is the reading that matches the pair substitution.
+    A uniform substitution's fixed point is counted without building its
+    prefix (see _fixed_point_counts).
     """
     if block_len < 1:
         raise ValueError("block_len must be positive")
     if N < block_len:
         raise ValueError("prefix shorter than one block")
-    text = stream.prefix(N)
     step = block_len if aligned else 1
-    counts = _lane_block_counts(text, block_len, step)
+    counts = _fixed_point_counts(stream, block_len, N, step)
     if counts is None:
-        counts = {}
-        for i in range(0, N - block_len + 1, step):
-            b = text[i:i + block_len]
-            counts[b] = counts.get(b, 0) + 1
+        counts = _tally(stream.prefix(N), block_len, step)
     total = len(range(0, N - block_len + 1, step))
     return {b: Fraction(c, total) for b, c in sorted(counts.items())}
+
+
+# fixed-point prefixes up to this length are materialized and tallied
+_DIRECT_LEN = 1 << 12
+
+
+def _fixed_point_counts(stream, b: int, N: int, step: int) -> dict[str, int] | None:
+    """Counts of the length-b windows at 0, step, 2 step, ... of the first
+    N symbols of the fixed point u = phi(u) of a k-uniform rule, k >= 2,
+    read through its coding if it has one; None for any other stream, or
+    for N < _DIRECT_LEN.
+
+    A window at i = k q + r of phi(u) is phi(u[q:q+m])[r:r+b] with
+    m = ceil((r + b) / k).  The starts i <= N - b with i = c (mod M) are
+    those with q <= (N - b - r) // k and k q = c - r (mod M): none unless
+    g = gcd(k, M) divides c - r, else one class q0 (mod M / g).  M is 1
+    for sliding windows and b for aligned ones.  An l-uniform coding
+    gamma is one more level, with gamma and l for phi and k.  Each level
+    divides the length by about k and brings m down to at most 2, so there
+    are O(log N) levels of few (length, m, M, c) states, memoized;
+    each state maps the distinct windows its children found, at most the
+    factor complexity of u (linear for automatic sequences; Allouche and
+    Shallit, Automatic Sequences, 2003, ch. 10).  Lengths up to
+    _DIRECT_LEN are sliced from one materialized prefix of u, an offset c
+    as a slice, and tallied by _tally.  The counts are exact.
+    """
+    if not isinstance(stream, FixedPointStream) or N < _DIRECT_LEN:
+        return None
+    rule = stream.rule
+    lengths = {len(w) for w in rule.images.values()}
+    if len(lengths) != 1 or min(lengths) < 2:
+        return None
+    k = lengths.pop()
+    base = FixedPointStream(rule, stream.letter)._compute_prefix(_DIRECT_LEN)
+    memo = {}
+
+    def windows(L, m, M, c):
+        # windows u[q:q+m] with q <= L - m and q = c (mod M)
+        key = L, m, M, c
+        if key not in memo:
+            memo[key] = (_tally(base[c:L], m, M) if L <= _DIRECT_LEN
+                         else expand(rule._expand, k, L, m, M, c))
+        return memo[key]
+
+    def expand(h, K, L, m, M, c):
+        # the windows of h(u) that windows() describes, from windows of u;
+        # h is K-uniform
+        g = gcd(K, M)
+        Mq = M // g
+        out = {}
+        for r in range(K):
+            Q = (L - m - r) // K
+            if Q < 0 or (c - r) % g:
+                continue
+            n = -(-(r + m) // K)
+            q0 = (c - r) // g * pow(K // g, -1, Mq) % Mq
+            for w, count in windows(Q + n, n, Mq, q0).items():
+                v = h(w)[r:r + m]
+                out[v] = out.get(v, 0) + count
+        return out
+
+    if stream.coding is None:
+        return windows(N, b, step, 0)
+    code = stream._code
+    return expand(lambda w: _translate_columns(code, w), len(code), N, b, step, 0)
+
+
+def _tally(text: str, b: int, step: int) -> dict[str, int]:
+    """Counts of the length-b windows of text starting at 0, step, 2 step,
+    ...: byte lanes where they fit, else one slice per window."""
+    counts = _lane_block_counts(text, b, step)
+    if counts is None:
+        counts = {}
+        for i in range(0, len(text) - b + 1, step):
+            w = text[i:i + b]
+            counts[w] = counts.get(w, 0) + 1
+    return counts
 
 
 def _lane_block_counts(text: str, b: int, step: int) -> dict[str, int] | None:

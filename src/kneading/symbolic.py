@@ -107,6 +107,27 @@ def minimal_period(word: str) -> str:
     return word[:(word + word).find(word, 1)]
 
 
+def _byte_columns(images: dict[str, str]) -> tuple[bytes, ...] | None:
+    """Images of one length L >= 1 over Latin-1 symbols: the r-th letters of
+    the images, as byte tables, fill positions r, r + L, r + 2L, ... of the
+    output in one bytes.translate each.  None for any other images."""
+    lengths = {len(w) for w in images.values()}
+    if len(lengths) != 1 or 0 in lengths or max(
+            map(ord, "".join(images) + "".join(images.values()))) > 255:
+        return None
+    src = "".join(images).encode("latin-1")
+    return tuple(bytes.maketrans(src, "".join(w[r] for w in images.values())
+                                 .encode("latin-1")) for r in range(lengths.pop()))
+
+
+def _translate_columns(columns: tuple[bytes, ...], word: str) -> str:
+    src = word.encode("latin-1")
+    out = bytearray(len(columns) * len(src))
+    for r, column in enumerate(columns):
+        out[r::len(columns)] = src.translate(column)
+    return out.decode("latin-1")
+
+
 class SubstitutionRule:
     """Substitution on single-character symbols.
 
@@ -122,17 +143,7 @@ class SubstitutionRule:
             if not w or set(w) - self.alphabet:
                 raise ValueError(f"bad image for {a!r}: {w!r}")
         self._table = str.maketrans(self.images)
-        # Images of one length L over Latin-1 symbols: the r-th letters of
-        # the images, as byte tables, fill positions r, r + L, r + 2L, ...
-        # of the output in one bytes.translate each.
-        self._columns = None
-        lengths = {len(w) for w in self.images.values()}
-        if len(lengths) == 1 and all(ord(a) < 256 for a in self.alphabet):
-            src = "".join(self.images).encode("latin-1")
-            self._columns = tuple(
-                bytes.maketrans(src, "".join(w[r] for w in self.images.values())
-                                .encode("latin-1"))
-                for r in range(lengths.pop()))
+        self._columns = _byte_columns(self.images)
 
     def apply(self, word: str) -> str:
         if not self.alphabet.issuperset(word):
@@ -143,12 +154,7 @@ class SubstitutionRule:
         """apply() without the alphabet check, for words over the alphabet."""
         if self._columns is None:
             return word.translate(self._table)
-        src = word.encode("latin-1")
-        L = len(self._columns)
-        out = bytearray(L * len(src))
-        for r, column in enumerate(self._columns):
-            out[r::L] = src.translate(column)
-        return out.decode("latin-1")
+        return _translate_columns(self._columns, word)
 
     def __eq__(self, other):
         return isinstance(other, SubstitutionRule) and self.images == other.images
@@ -266,13 +272,14 @@ class _MemoizedStream(SymbolStream):
 
 
 class FixedPointStream(_MemoizedStream):
-    """Fixed point of a substitution, determined by its first letter.
+    """Fixed point of a substitution, determined by its first letter; with a
+    ``coding``, each letter is written as its word there (one length, >= 1).
 
     Requires the image of ``letter`` to start with ``letter`` and the
     iteration to grow, so the fixed point exists and is unique.
     """
 
-    def __init__(self, rule: SubstitutionRule, letter: str):
+    def __init__(self, rule: SubstitutionRule, letter: str, coding: dict | None = None):
         super().__init__()
         if letter not in rule.alphabet:
             raise ValueError(f"{letter!r} not in rule alphabet")
@@ -280,19 +287,27 @@ class FixedPointStream(_MemoizedStream):
             raise ValueError(f"image of {letter!r} must start with it")
         self.rule = rule
         self.letter = letter
+        self.coding = None if coding is None else dict(coding)
+        self._code = (self.coding and self.coding.keys() == rule.alphabet
+                      and _byte_columns(self.coding))
+        if coding is not None and not self._code:
+            raise ValueError("coding: a Latin-1 word per letter, all of one length")
 
     def _compute_prefix(self, n: int) -> str:
-        # the iterates stay over the rule's alphabet, so no symbol check
+        # the iterates stay over the rule's alphabet, so no symbol check; a
+        # coding by words of length L needs ceil(n / L) letters
+        L = len(self._code) if self.coding else 1
         w = self.letter
-        while len(w) < n:
+        while len(w) * L < n:
             grown = self.rule._expand(w)
             if len(grown) <= len(w):
                 raise ValueError("substitution iteration does not grow")
             w = grown
-        return w[:n]
+        return (_translate_columns(self._code, w) if self.coding else w)[:n]
 
     def __repr__(self):
-        return f"FixedPointStream({self.rule!r}, {self.letter!r})"
+        coded = "" if self.coding is None else f", coding={self.coding!r}"
+        return f"FixedPointStream({self.rule!r}, {self.letter!r}{coded})"
 
 
 class FunctionStream(_MemoizedStream):
@@ -389,7 +404,7 @@ def feigenbaum_limit() -> FixedPointStream:
 def stream_to_json(s: SymbolStream) -> dict:
     if isinstance(s, PeriodicStream):
         return {"preperiod": s.preperiod, "period": s.period}
-    if isinstance(s, FixedPointStream):
+    if isinstance(s, FixedPointStream) and s.coding is None:
         return {"rule": dict(s.rule.images), "prefix": s.letter}
     raise TypeError(f"cannot serialize {type(s).__name__}")
 

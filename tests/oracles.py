@@ -20,6 +20,9 @@ two quotient streams that ``cf_of_enclosure`` takes.
 ``lemma1_via_parity_words`` decides each sampled pair from both whole
 itineraries and parity words, the construction that ``lemma1_validate``
 replaced with a walk to the first symbol discrepancy.
+``tau_infinity_parity_digits`` reads the digits of tau_infinity as the
+running parities of the limit kneading sequence, the construction that
+``tau_infinity_digits`` replaced with the pair substitution's fixed point.
 ``tau_level_via``, ``tau_infinity_enclosure_via`` and ``feigenbaum_word_via``
 take the method names the acceptance criteria use; each hands its reference
 method to the library.
@@ -229,6 +232,13 @@ def tau_infinity_digit(k: int) -> int:
         raise IndexError("digit indices are 1-based")
     p = k >> ((k & -k).bit_length() - 1)
     return p.bit_count() % 2
+
+
+def tau_infinity_parity_digits():
+    """The digit stream of tau_infinity as the running parities of the limit
+    kneading sequence, one ``xi`` pass over its substitution prefix: the
+    construction that the pair substitution's coded fixed point replaced."""
+    return xi(feigenbaum_limit())
 
 
 class Interval(NamedTuple):

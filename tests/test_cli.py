@@ -491,7 +491,9 @@ def test_refused_output_is_not_blamed_on_input_or_code(capsys, monkeypatch, tmp_
 
 
 # Every subcommand at its documented boundaries: each cap and one past it,
-# the smallest accepted value and one below, and malformed --tau.  Bad input
+# the smallest accepted value and one below, and malformed --tau; freq
+# --prefix and export frequency-convergence --kmax keep their old caps, 2^22
+# and 25, as rows too.  Bad input
 # exits 2, never 3 (a bug here) or with an escaping exception.  The slowest
 # cases, export zeta-roots at j = 11 and zeta --order 2048 --counts, take
 # under 2 s on a 2-core Xeon.
@@ -528,7 +530,10 @@ export frequency-convergence --kmin 0|export frequency-convergence --kmin 1 --km
 zeta --tau feigenbaum:14 --order 8 --counts --entropy|zeta --tau feigenbaum:15
 lang complexity --tau feigenbaum:15
 freq --prefix 4194304|freq --prefix 4194305|freq --block 64|freq --block 65
+freq --prefix 4611686018427387904|freq --prefix 4611686018427387905
+freq --stream tau-inf --block 64 --aligned --prefix 4611686018427387904
 export frequency-convergence --kmax 25|export frequency-convergence --kmax 26
+export frequency-convergence --kmax 62|export frequency-convergence --kmax 63
 dyn kneading --n 256|dyn kneading --n 257|dyn scan --steps 4096|dyn scan --steps 4097
 dyn lemma1 --pairs 4096|dyn lemma1 --pairs 4097|export bifurcation-scan --n 256
 export bifurcation-scan --n 257

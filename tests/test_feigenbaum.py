@@ -22,6 +22,7 @@ from oracles import (
     tau_from_kneading,
     tau_infinity_digit,
     tau_infinity_enclosure_via,
+    tau_infinity_parity_digits,
     tau_level_via,
     thue_morse_check,
 )
@@ -128,6 +129,12 @@ def test_tau_infinity_digit_invariance():
 def test_tau_infinity_digits_match_digit_oracle():
     prefix = tau_infinity_digits().prefix(5000)
     assert prefix == "".join(str(tau_infinity_digit(k)) for k in range(1, 5001))
+
+
+def test_tau_infinity_digits_match_parity_oracle():
+    # the pair substitution's coded fixed point against the running
+    # parities of the limit kneading sequence
+    assert tau_infinity_digits().prefix(2 ** 20) == tau_infinity_parity_digits().prefix(2 ** 20)
 
 
 def test_tau_infinity_prefix_matches_levels():

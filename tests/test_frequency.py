@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kneading.encoding import xi
-from kneading.feigenbaum import PAIR_RULE
+from kneading.feigenbaum import PAIR_RULE, tau_infinity_digits
 from kneading.frequency import (
+    _DIRECT_LEN,
     IncidenceMatrix,
+    _fixed_point_counts,
     empirical_frequencies,
     incidence,
     letter_frequencies,
@@ -23,6 +25,7 @@ from kneading.symbolic import (
     THUE_MORSE_RULE,
     FixedPointStream,
     PeriodicStream,
+    SubstitutionRule,
     SymbolStream,
     feigenbaum_limit,
 )
@@ -271,3 +274,61 @@ def test_lane_counts_on_pair_rule_stream(b, aligned):
     for N in (b, 1000, 4099):
         got = empirical_frequencies(stream, b, N, aligned)
         assert got == _window_frequencies(stream.prefix(N), b, aligned)
+
+
+# the streams of `kneading freq`
+_CLI_STREAMS = {
+    "feigenbaum": feigenbaum_limit,
+    "thue-morse": lambda: FixedPointStream(THUE_MORSE_RULE, "0"),
+    "tau-inf": tau_infinity_digits,
+}
+
+
+@st.composite
+def _uniform_fixed_points(draw):
+    # 2 to 4 letters, every image of length k in {2, 3}, "a" starting its own;
+    # half the time each letter is written as a word of one length 1..3
+    letters = "abcd"[:draw(st.integers(2, 4))]
+    k = draw(st.sampled_from([2, 3]))
+    images = {a: draw(st.text(alphabet=letters, min_size=k, max_size=k)) for a in letters}
+    images["a"] = "a" + images["a"][1:]
+    coding = None
+    if draw(st.booleans()):
+        L = draw(st.integers(1, 3))
+        coding = {a: draw(st.text(alphabet="01x", min_size=L, max_size=L)) for a in letters}
+    return FixedPointStream(SubstitutionRule(images), "a", coding)
+
+
+@settings(max_examples=80, deadline=None)
+@example(tau_infinity_digits(), 64, 200_000, True)
+@example(feigenbaum_limit(), 3, 200_000, True)
+@given(st.one_of(st.sampled_from(sorted(_CLI_STREAMS)).map(lambda name: _CLI_STREAMS[name]()),
+                 _uniform_fixed_points()),
+       st.integers(min_value=1, max_value=64),
+       st.integers(min_value=_DIRECT_LEN, max_value=200_000), st.booleans())
+def test_recursive_counts_match_window_loop(stream, b, N, aligned):
+    counts = _fixed_point_counts(stream, b, N, b if aligned else 1)
+    total = sum(counts.values())
+    got = {w: Fraction(c, total) for w, c in sorted(counts.items())}
+    assert got == _window_frequencies(stream.prefix(N), b, aligned)
+
+
+@pytest.mark.parametrize("name, b, aligned", [
+    ("feigenbaum", 64, False), ("thue-morse", 5, True), ("tau-inf", 3, False)])
+def test_recursive_counts_at_2_20(name, b, aligned):
+    got = empirical_frequencies(_CLI_STREAMS[name](), b, 2 ** 20, aligned)
+    assert got == _window_frequencies(_CLI_STREAMS[name]().prefix(2 ** 20), b, aligned)
+
+
+def test_only_uniform_growing_rules_recurse():
+    # images of length 1 take the prefix path, which refuses them
+    still = FixedPointStream(SubstitutionRule({"0": "0", "1": "1"}), "0")
+    assert _fixed_point_counts(still, 1, 2 ** 20, 1) is None
+    with pytest.raises(ValueError, match="substitution iteration does not grow"):
+        empirical_frequencies(still, 1, 2 ** 20)
+    # images of two lengths, and short prefixes, are tallied from the prefix
+    fibonacci = FixedPointStream(SubstitutionRule({"0": "01", "1": "0"}), "0")
+    assert _fixed_point_counts(fibonacci, 3, 2 ** 14, 1) is None
+    assert empirical_frequencies(fibonacci, 3, 2 ** 14) == _window_frequencies(
+        fibonacci.prefix(2 ** 14), 3, False)
+    assert _fixed_point_counts(feigenbaum_limit(), 3, _DIRECT_LEN - 1, 1) is None

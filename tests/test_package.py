@@ -36,11 +36,12 @@ print(rc, *sorted(name for name in kneading._EXPORTS
 @pytest.mark.parametrize("argv, ran", [
     ("dyn kneading --n 20", "dynamics symbolic"),
     ("dyn scan --steps 3", "dynamics symbolic"),
-    ("tau --j 3", "encoding feigenbaum symbolic"),
+    ("tau --j 3", "feigenbaum symbolic"),
+    ("tau --infinity --bits 64", "feigenbaum symbolic"),
     ("lang complexity --tau 5/6 --nmax 6", "encoding language symbolic"),
     ("zeta --tau 5/6 --order 8 --counts --entropy", "encoding spectral symbolic"),
-    ("cf tau-level --j 4", "cfrac encoding feigenbaum symbolic"),
-    ("freq --prefix 1024", "encoding feigenbaum frequency symbolic"),
+    ("cf tau-level --j 4", "cfrac feigenbaum symbolic"),
+    ("freq --prefix 1024", "feigenbaum frequency symbolic"),
     ("export zeta-roots --j 2", ""),
     ("reproduce all", "cfrac encoding feigenbaum frequency spectral symbolic"),
 ])

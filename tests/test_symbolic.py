@@ -276,7 +276,10 @@ def _fixed_points(draw):
     other = "10"["01".index(letter)]
     images = {letter: letter + draw(st.text(alphabet="01", min_size=1, max_size=3)),
               other: draw(st.text(alphabet="01", min_size=1, max_size=3))}
-    return FixedPointStream(SubstitutionRule(images), letter)
+    # and, half the time, each letter is written as a binary word of one length
+    coding = draw(st.none() | st.integers(1, 3).flatmap(lambda L: st.fixed_dictionaries(
+        dict.fromkeys("01", st.text(alphabet="01", min_size=L, max_size=L)))))
+    return FixedPointStream(SubstitutionRule(images), letter, coding)
 
 
 _functions = _periodic.map(lambda s: FunctionStream(s.at))
@@ -336,6 +339,38 @@ def test_serialization_round_trip():
     g = feigenbaum_limit()
     g2 = stream_from_json(stream_to_json(g))
     assert g2.prefix(64) == g.prefix(64)
+
+
+def test_serialization_refuses_a_coding():
+    # the JSON form has no field for a coding, so a coded stream is refused,
+    # as the derived streams are, rather than written as its bare fixed point
+    coded = FixedPointStream(THUE_MORSE_RULE, "0", {"0": "00", "1": "10"})
+    with pytest.raises(TypeError, match="cannot serialize FixedPointStream"):
+        stream_to_json(coded)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        stream_to_json(feigenbaum.tau_infinity_digits())
+
+
+def test_coded_fixed_point():
+    plain = FixedPointStream(THUE_MORSE_RULE, "0")
+    coding = {"0": "00", "1": "10"}
+    coded = FixedPointStream(THUE_MORSE_RULE, "0", coding)
+    coding["1"] = "11"  # the stream keeps its own copy
+    word = "".join({"0": "00", "1": "10"}[a] for a in plain.prefix(200))
+    for n in (0, 1, 63, 64, 65, 127, 400):
+        assert coded.prefix(n) == word[:n]
+    assert repr(coded) == ("FixedPointStream(SubstitutionRule(0->01, 1->10), '0', "
+                           "coding={'0': '00', '1': '10'})")
+    assert repr(plain) == "FixedPointStream(SubstitutionRule(0->01, 1->10), '0')"
+
+
+@pytest.mark.parametrize("coding", [{"0": "x", "1": "yz"}, {"0": "1"}, {},
+                                    {"0": "", "1": ""}, {"0": "0", "1": "1", "2": "0"},
+                                    {"0": "0", "1": "1", "01": "1"},
+                                    {"0": "\u0100", "1": "1"}])
+def test_coding_must_be_uniform_over_the_alphabet(coding):
+    with pytest.raises(ValueError, match="coding"):
+        FixedPointStream(THUE_MORSE_RULE, "0", coding)
 
 
 @given(st.text(alphabet="01", max_size=300))
