@@ -18,9 +18,14 @@ the median of the bare-interpreter probes around it; it is meant to cancel
 a machine that runs slow for the length of a row.  ``--src`` puts a source
 tree first on ``sys.path``, so the same table times any checkout, for
 example the parent of a change.
+A command row also records its exit code.
 ``--out`` merges the rows into the ``caps`` block of a JSON file under
 ``--label``; once the block holds both ``parent`` and ``change`` it also
-records whether every digest agrees.  The standard library is all it needs.
+records whether every row that both ran to the same exit code has the same
+digest (``digests_identical``), the rows the parent refused with exit 2
+and the change runs to exit 0 (``rows_newly_accepted``), and every other
+row whose exit code or digest differs (``rows_changed``).  The standard
+library is all it needs.
 """
 
 from __future__ import annotations
@@ -177,15 +182,17 @@ def command(*argv):
 
 
 # (name, callable, args); --tau p/q is capped at q <= 2^20, zeta --order at
-# 2048, lang complexity --nmax at 24, language_words at 16, freq --block at
-# 64 and --prefix at 2^62 (the 2^22 rows are its old cap), dyn --n at 256 and
-# --pairs and --steps at 4096, tau --infinity and cf tau-infinity --bits at
-# 2^16, cf table --jmax at 12; the command rows run the whole command at its
-# cap: tau --j at 20, cf tau-level --j at 12, export zeta-roots --j at 11,
-# export frequency-convergence --kmax at 62 (25, its old cap, kept beside
-# it), lang forbidden --nmax at 4096 and zeta --entropy --tol at 1/10^100;
-# freq --stream tau-inf --block 3 --prefix 4194304 is the heaviest freq
-# command of the cascade benchmark workload
+# 2048 (entropy 4098/4099 certifies a symbol period of 2049, the entropy
+# cap still wanted), lang complexity --nmax at 24, language_words at 16,
+# freq --block at 64 and --prefix at 2^62 (the 2^22 rows are its old cap),
+# dyn --n at 256 and --pairs and --steps at 4096, tau --infinity and
+# cf tau-infinity --bits at 2^16, cf table --jmax at 12; the command rows
+# run the whole command at its cap: tau --j at 20, cf tau-level --j at 12,
+# export zeta-roots --j at 11, export frequency-convergence --kmax at 62
+# (25, its old cap, kept beside it), lang forbidden --nmax at 4096 and
+# zeta --entropy --tol at 1/10^100; freq --stream tau-inf --block 3
+# --prefix 4194304 is the heaviest freq command of the cascade benchmark
+# workload
 ROWS = [
     (f"tau stream {tau}", tau_stream, (tau,))
     for tau in ("10006/10007", "100002/100003", "1000002/1000003", "1048572/1048573")
@@ -198,6 +205,7 @@ ROWS = [
     ("zeta --counts feigenbaum:inf order 2048", zeta_counts, ("feigenbaum:inf", 2048)),
     ("determinant + zeta 1001/4006 order 2048", determinant_zeta, ("1001/4006", 2048)),
     ("entropy 1018/1019", entropy, ("1018/1019",)),
+    ("entropy 4098/4099", entropy, ("4098/4099",)),
 ] + [
     (f"lang complexity {tau} {mode} nmax 24", lang, ("complexity", tau, 24, mode))
     for tau in ("6/7", "1018/1019") for mode in ("core", "full-interval")
@@ -266,10 +274,35 @@ def measure(fn, args) -> dict:
         times.append(time.perf_counter() - t0)
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
     scaled = median * REF_PROBE_S / statistics.median(probes)
-    return {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4),
-            "scaled_median_s": round(scaled, 4),
-            "runs_s": [round(t, 4) for t in times],
-            "sha256": _digest(result)}
+    row = {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4),
+           "scaled_median_s": round(scaled, 4),
+           "runs_s": [round(t, 4) for t in times],
+           "sha256": _digest(result)}
+    if fn is command:
+        row["exit"] = result[0]
+    return row
+
+
+def compare(parent: dict, change: dict) -> dict:
+    """How the change's rows differ from the parent's, row by row.  Only
+    rows that both ran to the same exit code are compared by digest (a row
+    without an exit code is a library call, compared always); a row that
+    the parent refused with exit 2 and the change runs to exit 0 is newly
+    accepted, not changed."""
+    identical, changed, accepted = True, [], []
+    for name, row in change.items():
+        old = parent.get(name)
+        if old is None:
+            continue
+        if old.get("exit") == 2 and row.get("exit") == 0:
+            accepted.append(name)
+        elif old.get("exit") != row.get("exit"):
+            changed.append(name)
+        elif old["sha256"] != row["sha256"]:
+            identical = False
+            changed.append(name)
+    return {"digests_identical": identical, "rows_changed": changed,
+            "rows_newly_accepted": accepted}
 
 
 def main(argv=None) -> int:
@@ -301,9 +334,7 @@ def main(argv=None) -> int:
     caps["python"] = platform.python_version()
     caps[args.label] = rows
     if "parent" in caps and "change" in caps:
-        caps["digests_identical"] = all(
-            caps["parent"].get(name, {}).get("sha256") == row["sha256"]
-            for name, row in caps["change"].items())
+        caps.update(compare(caps["parent"], caps["change"]))
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)
         f.write("\n")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .feigenbaum import DyadicEnclosure, _closed_form_pq
 from .symbolic import _Record
 
@@ -26,6 +24,7 @@ class ContinuedFraction(_Record):
             raise ValueError("canonical expansion cannot end in 1")
 
     def value(self) -> Fraction:
+        from fractions import Fraction
         for r, s in _convergent_pairs(self.quotients):
             pass
         return Fraction(r, s)
@@ -39,6 +38,7 @@ class Convergent(_Record):
     index: int
 
     def value(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.r, self.s)
 
 
@@ -69,6 +69,7 @@ def _quotients(n: int, d: int):
 
 def cf_of_rational(x) -> ContinuedFraction:
     """Canonical continued fraction of a rational x with 0 < x <= 1."""
+    from fractions import Fraction
     x = Fraction(x)
     if not 0 < x <= 1:
         raise ValueError(f"need 0 < x <= 1, got {x}")
@@ -95,6 +96,7 @@ def cf_of_enclosure(enclosure) -> list:
         n, d = enclosure.numerator, 1 << enclosure.bits
         ln, ld, hn, hd = n, d, n + 1, d
     else:
+        from fractions import Fraction
         lo, hi = map(Fraction, enclosure)
         if not 0 <= lo <= hi <= 1:
             raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo}, {hi}]")

@@ -12,9 +12,7 @@ runs as ``__main__``, and importing it by name would run it a second time.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from typing import NamedTuple
 
 # the layers load on first use (see the package docstring), so each command
@@ -40,6 +38,7 @@ def _num(x, args):
 
 
 def _json_text(obj) -> str:
+    import json
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -49,6 +48,7 @@ def _require_dir(d: str):
 
 
 def _atomic_write(path: str, text: str):
+    import tempfile
     _require_dir(os.path.dirname(path))
     if os.path.isdir(path):
         raise ValueError(f"output path is a directory: {path}")

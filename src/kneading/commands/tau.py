@@ -18,9 +18,10 @@ def run(args) -> _Result:
     if not 1 <= args.j <= 20:
         raise ValueError("level must be in 1..20")
     lvl = feigenbaum.tau_level(args.j)
-    # p/q is in lowest terms; Fraction(p, q) would only repeat a gcd of
-    # 2^(j-1)-bit integers, and str() refuses q past level 14
-    p, q = feigenbaum._decimal_str(lvl.p), feigenbaum._decimal_str(lvl.q)
+    # p/q is in lowest terms, so no Fraction repeats a gcd of 2^(j-1)-bit
+    # integers; str() refuses q past level 14, and the decimal digits come
+    # from the closed form evaluated in decimal, at a multiplication's cost
+    p, q = feigenbaum._decimal_pq(args.j)
     return _Result({"j": lvl.j, "p": p, "q": q,
                     "tau": lvl.p / lvl.q if args.as_float else f"{p}/{q}",
                     "digits": lvl.period_digits},

@@ -7,16 +7,12 @@ sequence; tau_infinity is its limit at the accumulation point.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from kneading.symbolic import (
     FixedPointStream,
     SubstitutionRule,
     SymbolStream,
     _Record,
     _every_second,
-    feigenbaum_word,
-    parity_word,
 )
 
 # Pair coding of digit streams: two digits at a time, a=00 b=01 c=10 d=11.
@@ -27,6 +23,16 @@ PAIR_TO_DIGITS = {"a": "00", "b": "01", "c": "10", "d": "11"}
 # Integers up to this many bits go through str(), which is quadratic but
 # fast at this size and far below the 4300-digit conversion limit.
 _DECIMAL_CHUNK_BITS = 8192
+
+
+def _exact_context():
+    """A decimal context in which integer arithmetic is exact (any rounding
+    raises); libmpdec's multiplication is subquadratic, CPython's int to
+    str conversion is not."""
+    import decimal  # only big integers pay for the import
+
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                           Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
 
 
 def _decimal_str(n: int) -> str:
@@ -43,19 +49,16 @@ def _decimal_str(n: int) -> str:
     chunk = _DECIMAL_CHUNK_BITS
     if n.bit_length() <= chunk:
         return str(n)
-    import decimal  # only big integers pay for the import
-
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                          Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+    ctx = _exact_context()
     # powers[i] = 2^(chunk * 2^i), up to the top split of n
-    powers = [ctx.power(decimal.Decimal(2), chunk)]
+    powers = [ctx.power(ctx.create_decimal(2), chunk)]
     while chunk << len(powers) < n.bit_length():
         powers.append(ctx.multiply(powers[-1], powers[-1]))
 
     def convert(x: int, i: int):
         # x < 2^(chunk * 2^(i+1))
         if i < 0:
-            return decimal.Decimal(x)
+            return ctx.create_decimal(x)
         w = chunk << i
         hi = x >> w
         if not hi:
@@ -80,14 +83,17 @@ class DyadicEnclosure(_Record):
 
     @property
     def lo(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.numerator, 1 << self.bits)
 
     @property
     def hi(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.numerator + 1, 1 << self.bits)
 
     @property
     def width(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(1, 1 << self.bits)
 
     def to_json(self) -> dict:
@@ -110,6 +116,7 @@ class TauLevel(_Record):
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.p, self.q)
 
 
@@ -131,12 +138,43 @@ def _closed_form_pq(j: int) -> tuple[int, int]:
     return q - prod, q
 
 
+def _decimal_pq(j: int) -> tuple[str, str]:
+    """Decimal digits of p and q of tau_j, the closed form of _closed_form_pq.
+
+    Past _DECIMAL_CHUNK_BITS the product is evaluated in exact decimal
+    arithmetic: from f = 2 and P = 1, j - 1 steps of P <- P (f - 1) and
+    f <- f^2 leave f = 2^(2^(j-1)), so q = f + 1 and p = q - P.  The
+    operands double in size at each step, so the whole costs a constant
+    times the last multiplication, O(M(n)) for n = 2^(j-1) bits, where
+    _decimal_str of the two finished integers costs O(M(n) log n).  The
+    int closed form keeps its shifts, which no multiplication beats.
+    """
+    if 1 << (j - 1) < _DECIMAL_CHUNK_BITS:
+        p, q = _closed_form_pq(j)
+        return str(p), str(q)
+    ctx = _exact_context()
+    one = ctx.create_decimal(1)
+    f, prod = ctx.create_decimal(2), one
+    for _ in range(j - 1):
+        prod = ctx.multiply(prod, ctx.subtract(f, one))
+        f = ctx.multiply(f, f)
+    q = ctx.add(f, one)
+    return str(ctx.subtract(q, prod)), str(q)
+
+
 def tau_level(j: int) -> TauLevel:
-    """tau_j: the digit period is the running parities of the level-j word
-    over two periods (the word has odd weight); p/q from the closed form, as
-    reducing w / (2^(2^j) - 1) would cost a gcd of 2^j-bit integers."""
-    w = feigenbaum_word(j)
-    return TauLevel(j, *_closed_form_pq(j), parity_word(w + w))
+    """tau_j = p/q from the closed form, with its digit period.
+
+    The period is the binary of D = p (2^n - 1) = (p << n) - p for
+    n = 2^(j-1), zero-filled to 2n digits.  Proof: 2^(2n) - 1 =
+    (2^n - 1)(2^n + 1) = (2^n - 1) q, so tau_j = D / (2^(2n) - 1), and
+    0 <= D < 2^(2n) - 1 since p < q.  Any such D / (2^m - 1) =
+    D (2^-m + 2^-2m + ...) is the m binary digits of D repeated, and
+    tau_j has no other binary expansion, as q is odd and greater than 1.
+    """
+    p, q = _closed_form_pq(j)
+    n = 1 << (j - 1)
+    return TauLevel(j, p, q, format((p << n) - p, f"0{2 * n}b"))
 
 
 def tau_infinity_digits() -> FixedPointStream:

@@ -23,9 +23,12 @@ replaced with a walk to the first symbol discrepancy.
 ``tau_infinity_parity_digits`` reads the digits of tau_infinity as the
 running parities of the limit kneading sequence, the construction that
 ``tau_infinity_digits`` replaced with the pair substitution's fixed point.
-``tau_level_via``, ``tau_infinity_enclosure_via`` and ``feigenbaum_word_via``
-take the method names the acceptance criteria use; each hands its reference
-method to the library.
+``parity_digit_period`` builds tau_j's digit period as the running parities
+of the level word over two periods, the construction that ``tau_level``
+replaced with the binary of p (2^n - 1); it is ``tau_level_via``'s
+digit-rule method.  ``tau_level_via``, ``tau_infinity_enclosure_via`` and
+``feigenbaum_word_via`` take the method names the acceptance criteria use;
+the last two hand their reference method to the library.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from kneading.feigenbaum import (
     TauLevel,
     _closed_form_pq,
     tau_infinity_enclosure,
-    tau_level,
 )
 from kneading.frequency import (
     IncidenceMatrix,
@@ -176,11 +178,18 @@ def _level_from_word(j: int, word: str) -> TauLevel:
     return TauLevel(j, v.numerator, v.denominator, word)
 
 
+def parity_digit_period(j: int) -> str:
+    """The 2^j-digit period of tau_j: the running parities of the level-j
+    word over two periods (the word has odd weight, so one period of
+    parities does not close the cycle)."""
+    return parity_word(feigenbaum_word(j) * 2)
+
+
 def tau_level_via(j: int, method: str = "digit-rule") -> TauLevel:
     """tau_j by any of four equivalent constructions.
 
-    digit-rule: the library's ``tau_level`` (running parities of the level
-    word over two periods).
+    digit-rule: the running parities of the level word over two periods
+    (``parity_digit_period``), whose value is reduced to lowest terms.
     pair-substitution: expand the pair coding under PAIR_RULE and reduce
     the word's value.
     pq-recursion: p' = 2 + p(q-2), q' = 2 + q(q-2) from (2, 3).
@@ -191,7 +200,7 @@ def tau_level_via(j: int, method: str = "digit-rule") -> TauLevel:
     if method not in _TAU_METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "digit-rule":
-        return tau_level(j)
+        return _level_from_word(j, parity_digit_period(j))
     if method == "pair-substitution":
         w = "c"
         for _ in range(j - 1):

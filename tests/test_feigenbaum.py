@@ -6,6 +6,8 @@ import pytest
 from kneading.encoding import binary_digits, xi
 from kneading.feigenbaum import (
     _DECIMAL_CHUNK_BITS,
+    _closed_form_pq,
+    _decimal_pq,
     _decimal_str,
     PAIR_RULE,
     DyadicEnclosure,
@@ -18,6 +20,7 @@ from kneading.feigenbaum import (
 from kneading.symbolic import PeriodicStream, feigenbaum_limit
 from oracles import (
     intersect,
+    parity_digit_period,
     tau_difference,
     tau_from_kneading,
     tau_infinity_digit,
@@ -70,11 +73,26 @@ def test_methods_agree_deep():
 
 
 def test_digit_rule_matches_closed_form_and_recursion():
-    # digit-rule takes p/q from the closed form; pq-recursion derives it
-    # independently, and both derive the word's value from p/q
+    # the library and closed-form share the closed form's p/q, but the
+    # library shifts for its period where closed-form divides by q;
+    # pq-recursion derives p/q independently, and digit-rule reduces the
+    # value of the parity word
     for j in range(1, 15):
         lvl = tau_level(j)
         assert lvl == tau_level_via(j, "closed-form") == tau_level_via(j, "pq-recursion")
+        assert lvl == tau_level_via(j, "digit-rule")
+
+
+@pytest.mark.parametrize("j", range(1, 21))
+def test_period_matches_parity_word(j):
+    assert tau_level(j).period_digits == parity_digit_period(j)
+
+
+@pytest.mark.parametrize("j", range(1, 21))
+def test_decimal_pq_matches_decimal_str(j):
+    # below and past _DECIMAL_CHUNK_BITS (q has 2^(j-1) + 1 bits)
+    p, q = _closed_form_pq(j)
+    assert _decimal_pq(j) == (_decimal_str(p), _decimal_str(q))
 
 
 def test_tau_matches_kneading_encoding():

@@ -103,15 +103,18 @@ def test_cli_runs_once_as_main(argv, tmp_path):
 
 # Start-up modules a command may not load: dataclasses and inspect (about
 # 10 ms of imports) never; fractions only where exact numbers are computed,
-# csv only where a table is written.  Modules the interpreter had already
-# loaded before the package was imported do not count.
+# csv only where a table is written, and json exactly where JSON is printed
+# (the last field, True when the two agree).  Modules the interpreter had
+# already loaded before the package was imported do not count.
 _LOADED = """
 import contextlib, io, sys
 before = set(sys.modules)
 import kneading.cli
-with contextlib.redirect_stdout(io.StringIO()):
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
     rc = kneading.cli.main(sys.argv[1:])
-print(rc, *sorted({"csv", "dataclasses", "fractions", "inspect"} & set(sys.modules) - before))
+loaded = {"csv", "dataclasses", "fractions", "inspect", "json"} & set(sys.modules) - before
+print(rc, *sorted(loaded - {"json"}), ("json" in loaded) == (out.getvalue()[:1] in ("{", "[")))
 """
 
 
@@ -120,16 +123,18 @@ print(rc, *sorted({"csv", "dataclasses", "fractions", "inspect"} & set(sys.modul
     ("dyn scan --steps 3", ""),
     ("dyn lemma1 --pairs 10 --n 10", ""),
     ("dyn scan --steps 3 --format csv", "csv"),
-    ("tau --j 3", "fractions"),
-    ("cf tau-level --j 4", "fractions"),
+    ("tau --j 3", ""),
+    ("tau --j 3 --format text", ""),
+    ("cf tau-level --j 4", ""),
+    ("cf table --jmax 3 --format csv", "csv"),
     ("zeta --tau 5/6 --order 8 --counts --entropy", "fractions"),
     ("lang complexity --tau 5/6 --nmax 6", "fractions"),
     ("freq --prefix 1024", "fractions"),
     ("export zeta-roots --j 2", ""),
-    ("reproduce nj-sequence", "fractions"),
+    ("reproduce nj-sequence", ""),
 ])
 def test_command_loads_no_idle_modules(argv, loaded):
-    assert _fresh(_LOADED, *argv.split()).split() == ["0", *loaded.split()]
+    assert _fresh(_LOADED, *argv.split()).split() == ["0", *loaded.split(), "True"]
 
 
 _THREADS = """
