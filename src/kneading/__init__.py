@@ -8,7 +8,7 @@ letter frequencies, and a floating-point laboratory for logistic and tent
 maps.  Everything outside :mod:`kneading.dynamics` computes over integers
 and :class:`fractions.Fraction`; no third-party runtime dependencies.
 
-Layers load on first use.  Importing the package registers its eight layers
+Layers load on first use.  Importing the package registers its nine layers
 in ``sys.modules`` without running them; a layer's code runs on the first
 attribute read, so a command compiles only the layers it touches.  The names
 in ``__all__`` resolve through the module ``__getattr__`` (PEP 562), and
@@ -24,10 +24,12 @@ __version__ = "0.1.0"
 
 # public names, by the layer that defines them
 _EXPORTS = {
+    "words": (
+        "SubstitutionRule", "FEIGENBAUM_RULE", "THUE_MORSE_RULE", "check_word",
+        "complement", "minimal_period", "parity_word", "unparity_word",
+    ),
     "symbolic": (
-        "SubstitutionRule", "SymbolStream", "PeriodicStream", "FixedPointStream",
-        "FunctionStream", "FEIGENBAUM_RULE", "THUE_MORSE_RULE", "check_word",
-        "complement", "minimal_period", "parity_word", "unparity_word", "shift",
+        "SymbolStream", "PeriodicStream", "FixedPointStream", "FunctionStream", "shift",
         "renormalize_seq", "feigenbaum_word", "feigenbaum_stream", "feigenbaum_limit",
         "stream_to_json", "stream_from_json",
     ),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .feigenbaum import DyadicEnclosure, _closed_form_pq
-from .symbolic import _Record
+from .words import _Record
 
 
 class ContinuedFraction(_Record):
@@ -23,7 +23,8 @@ class ContinuedFraction(_Record):
         if len(q) >= 2 and q[-1] < 2:
             raise ValueError("canonical expansion cannot end in 1")
 
-    def value(self) -> Fraction:
+    def value(self):
+        """The expansion's value, a Fraction."""
         from fractions import Fraction
         for r, s in _convergent_pairs(self.quotients):
             pass
@@ -37,7 +38,8 @@ class Convergent(_Record):
     s: int
     index: int
 
-    def value(self) -> Fraction:
+    def value(self):
+        """r/s, a Fraction."""
         from fractions import Fraction
         return Fraction(self.r, self.s)
 

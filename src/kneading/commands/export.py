@@ -2,7 +2,7 @@
 
 import math
 
-from .. import frequency, symbolic
+from .. import frequency, symbolic, words
 from . import _check_cap, _num, _Result
 
 
@@ -52,7 +52,7 @@ def _frequency_convergence(args) -> _Result:
     # tens of ms at the cap on a 2-core Xeon
     _check_cap("kmax", args.kmax, 62)
     stream = symbolic.feigenbaum_limit()
-    predicted = frequency.letter_frequencies(symbolic.FEIGENBAUM_RULE)
+    predicted = frequency.letter_frequencies(words.FEIGENBAUM_RULE)
     rows = []
     for k in range(args.kmin, args.kmax + 1):
         n = 1 << k

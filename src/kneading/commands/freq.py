@@ -1,11 +1,11 @@
 """``kneading freq``: block frequencies of symbol streams."""
 
-from .. import feigenbaum, frequency, symbolic
+from .. import feigenbaum, frequency, symbolic, words
 from . import _check_cap, _num, _Result
 
 _STREAMS = {
     "feigenbaum": lambda: symbolic.feigenbaum_limit(),
-    "thue-morse": lambda: symbolic.FixedPointStream(symbolic.THUE_MORSE_RULE, "0"),
+    "thue-morse": lambda: symbolic.FixedPointStream(words.THUE_MORSE_RULE, "0"),
     "tau-inf": lambda: feigenbaum.tau_infinity_digits(),
 }
 
@@ -28,7 +28,7 @@ def run(args) -> _Result:
                                             aligned=args.aligned)
     predicted = None
     if args.stream == "feigenbaum" and args.block == 1:
-        predicted = frequency.letter_frequencies(symbolic.FEIGENBAUM_RULE)
+        predicted = frequency.letter_frequencies(words.FEIGENBAUM_RULE)
     elif args.stream == "tau-inf" and args.block == 2 and args.aligned:
         predicted = frequency.pair_frequencies()
     payload = {"stream": args.stream, "block": args.block, "prefix": args.prefix,

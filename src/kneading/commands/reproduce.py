@@ -3,7 +3,7 @@
 import math
 import os
 
-from .. import cfrac, encoding, feigenbaum, frequency, spectral, symbolic
+from .. import cfrac, encoding, feigenbaum, frequency, spectral, symbolic, words
 from . import _atomic_write, _fraction, _json_text, _require_dir
 
 # reference values, exact strings only
@@ -88,7 +88,7 @@ def _target_xi_series():
 def _target_frequencies():
     rows, ok = [], True
     checks = (
-        ("letters", frequency.letter_frequencies(symbolic.FEIGENBAUM_RULE),
+        ("letters", frequency.letter_frequencies(words.FEIGENBAUM_RULE),
          _GOLDEN_LETTERS),
         ("pairs", frequency.pair_frequencies(), _GOLDEN_PAIRS),
         ("letters-64k",

@@ -10,7 +10,7 @@ import math
 import random
 from typing import Callable
 
-from .symbolic import _Record, complement, parity_word
+from .words import _Record, complement, parity_word
 
 _BOUNDARY_TOL = 1e-12
 

@@ -9,15 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from kneading.symbolic import (
-    PeriodicStream,
-    SymbolStream,
-    _DerivedStream,
-    complement,
-    parity_word,
-    shift,
-    unparity_word,
-)
+from kneading.symbolic import PeriodicStream, SymbolStream, _DerivedStream, shift
+from kneading.words import complement, parity_word, unparity_word
 
 
 def xi(s: SymbolStream) -> SymbolStream:

@@ -7,13 +7,7 @@ sequence; tau_infinity is its limit at the accumulation point.
 
 from __future__ import annotations
 
-from kneading.symbolic import (
-    FixedPointStream,
-    SubstitutionRule,
-    SymbolStream,
-    _Record,
-    _every_second,
-)
+from kneading.words import SubstitutionRule, _Record
 
 # Pair coding of digit streams: two digits at a time, a=00 b=01 c=10 d=11.
 PAIR_RULE = SubstitutionRule({"a": "ac", "b": "ad", "c": "da", "d": "db"})
@@ -177,8 +171,9 @@ def tau_level(j: int) -> TauLevel:
     return TauLevel(j, p, q, format((p << n) - p, f"0{2 * n}b"))
 
 
-def tau_infinity_digits() -> FixedPointStream:
-    """The digit stream of tau_infinity (memoized), t_k = s_1 ^ ... ^ s_k for
+def tau_infinity_digits():
+    """The digit stream of tau_infinity (memoized), a
+    ``kneading.symbolic.FixedPointStream``: t_k = s_1 ^ ... ^ s_k for
     the limit kneading sequence s, read as the fixed point of PAIR_RULE from
     d, each letter written as its digit pair.
 
@@ -189,6 +184,10 @@ def tau_infinity_digits() -> FixedPointStream:
     (t_(4j-1), t_(4j)) = (1 - x, y), that is a -> ac, b -> ad, c -> da,
     d -> db, which is PAIR_RULE.  The first pair is t_1 t_2 = 11, letter d.
     """
+    # the stream layer loads here, so the finite levels (tau --j, cf
+    # tau-level, cf table) compile no stream code
+    from kneading.symbolic import FixedPointStream
+
     return FixedPointStream(PAIR_RULE, "d", PAIR_TO_DIGITS)
 
 
@@ -200,7 +199,10 @@ def tau_infinity_enclosure(bits: int) -> DyadicEnclosure:
     return DyadicEnclosure(int(tau_infinity_digits().prefix(bits), 2), bits)
 
 
-def renormalize_tau(t: SymbolStream) -> SymbolStream:
-    """Digit renormalization: keep every second digit (t_2 t_4 t_6 ...)."""
+def renormalize_tau(t):
+    """Digit renormalization of a ``kneading.symbolic.SymbolStream``: the
+    stream of every second digit (t_2 t_4 t_6 ...)."""
+    from kneading.symbolic import _every_second
+
     return _every_second(t, flip=False)
 

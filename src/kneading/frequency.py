@@ -7,13 +7,8 @@ from math import gcd
 from operator import mul
 
 from .feigenbaum import PAIR_RULE, PAIR_TO_DIGITS, tau_infinity_digits
-from .symbolic import (
-    FixedPointStream,
-    SubstitutionRule,
-    SymbolStream,
-    _Record,
-    _translate_columns,
-)
+from .symbolic import FixedPointStream, SymbolStream
+from .words import SubstitutionRule, _Record, _translate_columns
 
 
 class IncidenceMatrix(_Record):

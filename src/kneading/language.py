@@ -5,7 +5,8 @@ from __future__ import annotations
 from itertools import chain
 
 from .encoding import is_maximal, xi
-from .symbolic import SymbolStream, _Record, complement, shift, unparity_word
+from .symbolic import SymbolStream, shift
+from .words import _Record, complement, unparity_word
 
 MODES = ("core", "full-interval")
 

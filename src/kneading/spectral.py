@@ -9,7 +9,8 @@ from itertools import accumulate
 from operator import mul, sub
 
 from .encoding import xi
-from .symbolic import PeriodicStream, _Record, parity_word
+from .symbolic import PeriodicStream
+from .words import _Record, parity_word
 
 
 class EntropyInconclusive(RuntimeError):

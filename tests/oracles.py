@@ -57,16 +57,13 @@ from kneading.frequency import (
 from kneading.language import LanguageQuery, _references
 from kneading.spectral import IntSeries, _times_one_minus_z, series_of_rational
 from kneading.symbolic import (
-    FEIGENBAUM_RULE,
-    THUE_MORSE_RULE,
     FixedPointStream,
     PeriodicStream,
-    complement,
     feigenbaum_limit,
     feigenbaum_stream,
     feigenbaum_word,
-    parity_word,
 )
+from kneading.words import FEIGENBAUM_RULE, THUE_MORSE_RULE, complement, parity_word
 
 
 # === tent map and word order ===========================================
@@ -138,7 +135,7 @@ def remainder_binary_digits(x: Fraction) -> PeriodicStream:
 
 def divisor_scan_minimal_period(word: str) -> str:
     """Shortest word whose repetition equals ``word``, by trying every
-    divisor of its length, the scan ``symbolic.minimal_period`` replaced."""
+    divisor of its length, the scan ``words.minimal_period`` replaced."""
     n = len(word)
     for d in range(1, n + 1):
         if n % d == 0 and word == word[:d] * (n // d):

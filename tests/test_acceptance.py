@@ -33,13 +33,13 @@ from kneading.spectral import (
     zeta_series,
 )
 from kneading.symbolic import (
-    FEIGENBAUM_RULE,
     PeriodicStream,
     feigenbaum_limit,
     feigenbaum_stream,
     feigenbaum_word,
     shift,
 )
+from kneading.words import FEIGENBAUM_RULE
 from oracles import (
     characteristic_polynomial,
     feigenbaum_word_via,

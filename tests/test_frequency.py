@@ -21,14 +21,12 @@ from kneading.frequency import (
     perron_frobenius,
 )
 from kneading.symbolic import (
-    FEIGENBAUM_RULE,
-    THUE_MORSE_RULE,
     FixedPointStream,
     PeriodicStream,
-    SubstitutionRule,
     SymbolStream,
     feigenbaum_limit,
 )
+from kneading.words import FEIGENBAUM_RULE, THUE_MORSE_RULE, SubstitutionRule
 from oracles import (
     characteristic_polynomial,
     column_sums,

@@ -33,20 +33,28 @@ print(rc, *sorted(name for name in kneading._EXPORTS
 """
 
 
+# each row names the layers a command runs besides words, which every other
+# layer imports and so runs with any of them; the float lab and the finite
+# cascade values compile no stream code
 @pytest.mark.parametrize("argv, ran", [
-    ("dyn kneading --n 20", "dynamics symbolic"),
-    ("dyn scan --steps 3", "dynamics symbolic"),
-    ("tau --j 3", "feigenbaum symbolic"),
+    ("dyn kneading --n 20", "dynamics"),
+    ("dyn scan --steps 3", "dynamics"),
+    ("dyn lemma1 --pairs 10 --n 10", "dynamics"),
+    ("export bifurcation-scan --steps 3", "dynamics"),
+    ("tau --j 3", "feigenbaum"),
     ("tau --infinity --bits 64", "feigenbaum symbolic"),
     ("lang complexity --tau 5/6 --nmax 6", "encoding language symbolic"),
     ("zeta --tau 5/6 --order 8 --counts --entropy", "encoding spectral symbolic"),
-    ("cf tau-level --j 4", "cfrac feigenbaum symbolic"),
+    ("cf tau-level --j 4", "cfrac feigenbaum"),
+    ("cf table --jmax 3", "cfrac feigenbaum"),
+    ("cf tau-infinity --bits 64", "cfrac feigenbaum symbolic"),
     ("freq --prefix 1024", "feigenbaum frequency symbolic"),
     ("export zeta-roots --j 2", ""),
     ("reproduce all", "cfrac encoding feigenbaum frequency spectral symbolic"),
 ])
 def test_command_runs_only_its_layers(argv, ran):
-    assert _fresh(_RAN, *argv.split()).split() == ["0", *ran.split()]
+    layers = sorted([*ran.split(), "words"]) if ran else []
+    assert _fresh(_RAN, *argv.split()).split() == ["0", *layers]
 
 
 # each subcommand's argv, with the kneading.commands modules it needs
@@ -102,10 +110,12 @@ def test_cli_runs_once_as_main(argv, tmp_path):
 
 
 # Start-up modules a command may not load: dataclasses and inspect (about
-# 10 ms of imports) never; fractions only where exact numbers are computed,
-# csv only where a table is written, and json exactly where JSON is printed
-# (the last field, True when the two agree).  Modules the interpreter had
-# already loaded before the package was imported do not count.
+# 10 ms of imports) and json (JSON is written by kneading._jsontext) never;
+# fractions only where exact numbers are computed, and csv only where a table
+# is written.  The last field tells whether the output parses as JSON, which
+# it must exactly when no --format is given, except for reproduce's report
+# lines.  Modules the interpreter had already loaded before the package was
+# imported do not count.
 _LOADED = """
 import contextlib, io, sys
 before = set(sys.modules)
@@ -114,7 +124,13 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     rc = kneading.cli.main(sys.argv[1:])
 loaded = {"csv", "dataclasses", "fractions", "inspect", "json"} & set(sys.modules) - before
-print(rc, *sorted(loaded - {"json"}), ("json" in loaded) == (out.getvalue()[:1] in ("{", "[")))
+import json
+try:
+    json.loads(out.getvalue())
+    printed_json = True
+except ValueError:
+    printed_json = False
+print(rc, *sorted(loaded), printed_json)
 """
 
 
@@ -134,7 +150,9 @@ print(rc, *sorted(loaded - {"json"}), ("json" in loaded) == (out.getvalue()[:1] 
     ("reproduce nj-sequence", ""),
 ])
 def test_command_loads_no_idle_modules(argv, loaded):
-    assert _fresh(_LOADED, *argv.split()).split() == ["0", *loaded.split(), "True"]
+    prints_json = "--format" not in argv and not argv.startswith("reproduce")
+    assert _fresh(_LOADED, *argv.split()).split() == [
+        "0", *loaded.split(), str(prints_json)]
 
 
 _THREADS = """
@@ -182,6 +200,40 @@ def test_exports_resolve_to_their_layer():
     assert len(kneading.__all__) == 1 + sum(map(len, kneading._EXPORTS.values()))
     with pytest.raises(AttributeError):
         kneading.no_such_name
+
+
+def test_words_names_keep_their_symbolic_path():
+    # every name words defines (bar the private flip table) is the same
+    # object under kneading.symbolic, where it lived before words split off
+    import types
+
+    from kneading import symbolic, words
+
+    moved = [name for name, value in vars(words).items()
+             if getattr(value, "__module__", "kneading.words") == "kneading.words"
+             and not isinstance(value, types.ModuleType)
+             and not name.startswith("__") and name != "_FLIP"]
+    assert {"_Record", "parity_word", "THUE_MORSE_RULE", "_byte_columns"} <= set(moved)
+    for name in moved:
+        assert getattr(symbolic, name) is getattr(words, name), name
+
+
+def test_public_annotations_resolve():
+    # typing.get_type_hints (and doc tools) evaluate annotations in the
+    # defining module: no public function names a type bound only lazily
+    import inspect
+    import typing
+
+    for layer, names in kneading._EXPORTS.items():
+        module = sys.modules[f"kneading.{layer}"]
+        for name in names:
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                funcs = [f for f in vars(obj).values() if inspect.isfunction(f)]
+            else:
+                funcs = [obj] if inspect.isfunction(obj) else []
+            for f in funcs:
+                typing.get_type_hints(f)
 
 
 def test_stream_classes_live_in_symbolic():

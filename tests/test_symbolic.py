@@ -8,27 +8,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kneading.symbolic import (
-    FEIGENBAUM_RULE,
-    THUE_MORSE_RULE,
     FixedPointStream,
     FunctionStream,
     PeriodicStream,
-    SubstitutionRule,
-    complement,
     feigenbaum_limit,
     feigenbaum_stream,
     feigenbaum_word,
-    minimal_period,
-    parity_word,
     renormalize_seq,
     shift,
     stream_from_json,
     stream_to_json,
+)
+from kneading.words import (
+    FEIGENBAUM_RULE,
+    THUE_MORSE_RULE,
+    SubstitutionRule,
+    complement,
+    minimal_period,
+    parity_word,
     unparity_word,
 )
 import kneading
 from kneading import cfrac, dynamics, encoding, feigenbaum, frequency, language, spectral
-from kneading.symbolic import SymbolStream, _DerivedStream, _MemoizedStream, _Record
+from kneading.symbolic import SymbolStream, _DerivedStream, _MemoizedStream
+from kneading.words import _Record
 from oracles import divisor_scan_minimal_period, feigenbaum_word_via, stepwise_canonical_form
 
 # Frozen period words of the doubling cascade, levels 1..5.
