@@ -76,22 +76,6 @@ def periodic_stream(preperiod: str, period: str):
     return PeriodicStream(preperiod, period)
 
 
-def zeta_counts(tau: str, order: int):
-    """Zeta series and orbit counts, the work of ``zeta --counts``."""
-    from kneading import spectral
-
-    z = spectral.zeta_series(spectral.kneading_determinant(tau_stream(tau), order))
-    return z, spectral.orbit_counts(z)
-
-
-def determinant_zeta(tau: str, order: int):
-    """Determinant and zeta series, the series of a ``zeta`` payload."""
-    from kneading import spectral
-
-    D = spectral.kneading_determinant(tau_stream(tau), order)
-    return D, spectral.zeta_series(D)
-
-
 def entropy(tau: str):
     """Certified entropy from the determinant at order 256 (the order
     ``entropy`` took by default before it read a determinant) and the
@@ -181,13 +165,15 @@ def command(*argv):
     return code, out.getvalue()
 
 
-# (name, callable, args); --tau p/q is capped at q <= 2^20, zeta --order at
-# 2048 (entropy 4098/4099 certifies a symbol period of 2049, the entropy
-# cap still wanted), lang complexity --nmax at 24, language_words at 16,
+# (name, callable, args); --tau p/q is capped at q <= 2^20 (entropy
+# 4098/4099 certifies a symbol period of 2049, the entropy cap still
+# wanted), lang complexity --nmax at 24, language_words at 16,
 # freq --block at 64 and --prefix at 2^62 (the 2^22 rows are its old cap),
 # dyn --n at 256 and --pairs and --steps at 4096, tau --infinity and
 # cf tau-infinity --bits at 2^16, cf table --jmax at 12; the command rows
-# run the whole command at its cap: tau --j at 20, cf tau-level --j at 12,
+# run the whole command at its cap: zeta --order at 2048 (series, and
+# orbit counts from the determinant, digested as printed), tau --j at 20,
+# cf tau-level --j at 12,
 # export zeta-roots --j at 11, export frequency-convergence --kmax at 62
 # (25, its old cap, kept beside it), lang forbidden --nmax at 4096 and
 # zeta --entropy --tol at 1/10^100; freq --stream tau-inf --block 3
@@ -199,11 +185,6 @@ ROWS = [
 ] + [
     ("is_maximal 100002/100003", maximal, ("100002/100003",)),
     ("PeriodicStream 1011*40000 1011", periodic_stream, ("1011" * 40000, "1011")),
-    ("zeta --counts 61/62 order 2048", zeta_counts, ("61/62", 2048)),
-    ("zeta --counts 38/39 order 2048", zeta_counts, ("38/39", 2048)),
-    ("zeta --counts feigenbaum:14 order 2048", zeta_counts, ("feigenbaum:14", 2048)),
-    ("zeta --counts feigenbaum:inf order 2048", zeta_counts, ("feigenbaum:inf", 2048)),
-    ("determinant + zeta 1001/4006 order 2048", determinant_zeta, ("1001/4006", 2048)),
     ("entropy 1018/1019", entropy, ("1018/1019",)),
     ("entropy 4098/4099", entropy, ("4098/4099",)),
 ] + [
@@ -226,6 +207,11 @@ ROWS = [
 ] + [
     # the name is the command line, with --tol's 1/10^100 written out in full
     (line, command, tuple(line.replace("10^100", str(10 ** 100)).split())) for line in (
+        "zeta --tau 61/62 --order 2048 --counts",
+        "zeta --tau 38/39 --order 2048 --counts",
+        "zeta --tau feigenbaum:14 --order 2048 --counts",
+        "zeta --tau feigenbaum:inf --order 2048 --counts",
+        "zeta --tau 1001/4006 --order 2048",
         "tau --j 20",
         "cf tau-level --j 12",
         "cf table --jmax 12",

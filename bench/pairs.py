@@ -14,12 +14,18 @@ each run: with bytecode writes off a stale ``.pyc`` makes every child of one
 tree compile a module while the other loads it from the cache, or the other
 way round.
 
-For each end-to-end metric the summary gives both sides' medians and
-quartiles, the number of pairs the change won (lower is better; ties count for
-neither side), the median gap (parent minus change) and whether that gap
-exceeds the parent's interquartile range.  It also says whether each pair's
-round digests agree and whether every run was correct.  ``--out`` merges the
-summary into the ``workloads`` block of a JSON file under the workload's name.
+For each end-to-end metric of the parent's ``BENCHMARK.json`` the summary
+gives both sides' medians and quartiles, the number of pairs the change won
+(lower is better; ties count for neither side), the median gap (parent minus
+change), whether that gap exceeds the parent's interquartile range, and a
+no-regression verdict against the metric's bound, a fraction of the parent's
+median: ``worse`` when the change's median exceeds the parent's by more than
+the bound, else ``unresolved`` when the parent's interquartile range is wider
+than the bound, else ``within bound``; a change whose every run beats every
+parent run is ``within bound`` whatever the spread.  It also says whether
+each pair's round digests agree and whether every run was correct.  ``--out``
+merges the summary into the ``workloads`` block of a JSON file under the
+workload's name.
 The standard library is all it needs.
 """
 
@@ -33,9 +39,6 @@ import shutil
 import statistics
 import subprocess
 import sys
-
-METRICS = ("setup_s", "wall_s", "cpu_s", "op_p50_s", "op_tail_s", "peak_rss_mb")
-
 
 def clear_bytecode(root: str):
     for d, subdirs, _ in os.walk(root):
@@ -59,16 +62,36 @@ def perfbench(root: str, workload: str, seed: int) -> dict:
             "correct": result["correct"], "digest": digest and digest.group(1)}
 
 
+def bounds(root: str) -> dict:
+    """Bound of each end-to-end metric in ``root``'s BENCHMARK.json."""
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+    if any(m["better"] != "lower" for m in metrics):
+        raise ValueError("only lower-is-better metrics are compared")
+    return {m["name"]: m["bound"] for m in metrics}
+
+
+def verdict(par: list[float], chg: list[float], bound: float) -> str:
+    """No-regression verdict on one metric (see the module docstring)."""
+    allowed = bound * statistics.median(par)
+    if max(chg) < min(par):
+        return "within bound"
+    if statistics.median(chg) - statistics.median(par) > allowed:
+        return "worse"
+    q1, _, q3 = statistics.quantiles(par, n=4, method="inclusive")
+    return "unresolved" if q3 - q1 > allowed else "within bound"
+
+
 def quartiles(xs: list[float]) -> list[float]:
     q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return [round(q1, 4), round(q3, 4)]
 
 
-def summarize(runs: list[tuple[dict, dict]]) -> dict:
+def summarize(runs: list[tuple[dict, dict]], bound: dict) -> dict:
     out = {"pairs": len(runs),
            "correct": all(p["correct"] and c["correct"] for p, c in runs),
            "round_digests_identical": all(p["digest"] == c["digest"] for p, c in runs)}
-    for m in METRICS:
+    for m in bound:
         par = [p["metrics"][m] for p, _ in runs]
         chg = [c["metrics"][m] for _, c in runs]
         pq = quartiles(par)
@@ -79,6 +102,7 @@ def summarize(runs: list[tuple[dict, dict]]) -> dict:
                   "change_better": sum(c < p for p, c in zip(par, chg)),
                   "median_gap": round(gap, 4), "parent_iqr": round(pq[1] - pq[0], 4),
                   "gap_exceeds_parent_iqr": gap > pq[1] - pq[0],
+                  "bound": bound[m], "verdict": verdict(par, chg, bound[m]),
                   "parent_runs": [round(x, 4) for x in par],
                   "change_runs": [round(x, 4) for x in chg]}
     return out
@@ -97,6 +121,7 @@ def main(argv=None) -> int:
     if args.pairs < 10:
         ap.error("need at least 10 pairs")
 
+    bound = bounds(args.parent)
     runs = []
     for i in range(args.pairs):
         seed = args.seed + i
@@ -107,17 +132,18 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs} seed {seed}: " + "  ".join(
             f"{m} {got['parent']['metrics'][m]:.4f} -> {got['change']['metrics'][m]:.4f}"
             for m in ("wall_s", "cpu_s", "setup_s")), flush=True)
-    summary = {"seeds": [args.seed + i for i in range(args.pairs)], **summarize(runs)}
+    summary = {"seeds": [args.seed + i for i in range(args.pairs)], **summarize(runs, bound)}
 
     print(f"{args.workload}: {args.pairs} pairs, correct={summary['correct']}, "
           f"round digests identical={summary['round_digests_identical']}")
-    for m in METRICS:
+    for m in bound:
         s = summary[m]
         print(f"  {m:12} parent {s['parent_median']:.4f} {s['parent_quartiles']}  "
               f"change {s['change_median']:.4f} {s['change_quartiles']}  "
               f"change better {s['change_better']}/{args.pairs}  gap {s['median_gap']:+.4f} "
               f"vs parent IQR {s['parent_iqr']:.4f}: "
-              f"{'exceeds' if s['gap_exceeds_parent_iqr'] else 'within'}")
+              f"{'exceeds' if s['gap_exceeds_parent_iqr'] else 'within'}; "
+              f"bound {s['bound']:.0%}: {s['verdict']}")
     if args.out:
         record = {}
         if os.path.exists(args.out):

@@ -32,7 +32,7 @@ def run(args) -> _Result:
     payload = {"tau": args.tau, "order": args.order,
                "determinant": list(det.coefficients), "zeta": list(zeta.coefficients)}
     if args.counts:
-        oc = spectral.orbit_counts(zeta)
+        oc = spectral.orbit_counts(det)
         payload["perCounts"] = {str(n): c for n, c in oc.per_counts.items()}
         payload["primeCounts"] = {str(n): c for n, c in oc.prime_counts.items()}
     if args.entropy:

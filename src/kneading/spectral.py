@@ -18,9 +18,15 @@ class EntropyInconclusive(RuntimeError):
 
 
 class IntSeries(_Record):
-    """Power series with integer coefficients c0..cN, truncated at order N."""
+    """Power series with integer coefficients c0..cN, truncated at order N.
+
+    exact is (P, R), integer coefficient tuples with series = P / R, or None
+    when the coefficients are all that is known; only kneading_determinant
+    sets it.  As a field it counts in repr, == and hash.
+    """
 
     coefficients: tuple
+    exact: tuple = None
 
     def __post_init__(self):
         c = tuple(map(int, self.coefficients))
@@ -77,15 +83,19 @@ def kneading_determinant(K, N: int) -> IntSeries:
     periodic or generated) gets the infinite sum truncated at order N.
 
     An eventually periodic stream's determinant is a fraction D = P / R of
-    integer polynomials, and the exact pair (P, R) rides on the result as
-    _exact, outside its fields (repr, == and hash ignore it).  Only this
-    function sets _exact, and zeta_series and entropy read it as the whole
-    determinant.  A purely periodic stream has P = D and R = 1.  With
-    xi(K) of preperiod m and period p, the tail resums geometrically:
-    D = A + z^m C / (1 - z^p) with deg A = m, deg C = p, so
-    P = A (1 - z^p) + z^m C and R = 1 - z^p.  R > 0 on (0, 1), so P has the
-    sign of D there.  A generated stream's determinant carries no pair: its
-    truncation is all that is known of it.
+    integer polynomials, and its exact field is the pair (P, R).  A purely
+    periodic stream has P = D and R = 1.  With xi(K) of preperiod m and
+    period p, the tail resums geometrically: D = A + z^m C / (1 - z^p) with
+    deg A = m, deg C = p, so P = A (1 - z^p) + z^m C and R = 1 - z^p.
+    R > 0 on (0, 1), so P has the sign of D there.  A generated stream's
+    determinant has exact None: its truncation is all that is known of it.
+
+    At z = 1/2 the determinant gives tau.  With t = xi(K), eps_k = (-1)^t_k
+    = 1 - 2 t_k, so S = 1 + sum_{k>=1} eps_k z^k has S(1/2) = 1 + sum
+    (1 - 2 t_k) 2^-k = 2 - 2 tau(K).  D = S, except for a purely periodic K:
+    there t_p = 0 (K has a period L and t_{k+L} = t_k + t_L, so t_p = t_{2L}
+    = 0), eps has period p and D = S (1 - z^p).  So tau(K) = 1 - P(1/2) /
+    (2 R(1/2)) with a preperiod, and 1 - P(1/2) / (2 (1 - 2^-p)) without one.
     """
     if N < 1:
         raise ValueError("order must be >= 1")
@@ -98,23 +108,21 @@ def kneading_determinant(K, N: int) -> IntSeries:
         poly = [1] + eps[: m + p]  # A + z^m C
         for k, a in enumerate(poly[: m + 1]):
             poly[k + p] -= a
-        fraction = tuple(_trimmed(poly)), (1,) + (0,) * (p - 1) + (-1,)
+        exact = tuple(_trimmed(poly)), (1,) + (0,) * (p - 1) + (-1,)
     else:
         eps = _epsilon_prefix(K, p - 1)
-        fraction = (1, *eps), (1,)
-    out = IntSeries(tuple(([1] + eps + [0] * N)[: N + 1]))
-    object.__setattr__(out, "_exact", fraction)
-    return out
+        exact = (1, *eps), (1,)
+    return IntSeries(tuple(([1] + eps + [0] * N)[: N + 1]), exact)
 
 
 def zeta_series(D: IntSeries) -> IntSeries:
     """Zeta series 1 / ((1 - z) D) of a kneading determinant, to D's order.
 
-    With the pair D = P / R that kneading_determinant attaches (P = D and
-    R = 1 for a generated stream's truncation), this is R / ((1 - z) P); an
-    eventually periodic stream costs O(N deg P) products, deg P <= m + p.
+    With D's exact pair P / R (P = D and R = 1 when it has none), this is
+    R / ((1 - z) P); an eventually periodic stream costs O(N deg P)
+    products, deg P <= m + p.
     """
-    P, R = getattr(D, "_exact", (D.coefficients, (1,)))
+    P, R = D.exact or (D.coefficients, (1,))
     return series_of_rational(R, _times_one_minus_z(P), D.order)
 
 
@@ -123,9 +131,7 @@ def series_of_rational(numerator, denominator, N: int) -> IntSeries:
 
     With d_0 = 1 or -1 (so 1/d_0 = d_0), comparing z^k in num = den * c
     gives c_k = d_0 (n_k - sum_{i=1}^{deg den} d_i c_{k-i}): O(N deg den)
-    products.  The truncated pair rides on the result outside its fields
-    (repr, == and hash ignore it), for orbit_counts alone: cut off at order
-    N, it says nothing exact beyond the series itself.
+    products.
     """
     num = tuple(numerator) + (0,) * (N + 1 - len(numerator))
     den = tuple(denominator) + (0,) * (N + 1 - len(denominator))
@@ -137,39 +143,31 @@ def series_of_rational(numerator, denominator, N: int) -> IntSeries:
     c = []
     for n in num.coefficients:
         c.append(d0 * (n - sum(map(mul, tail, reversed(c)))))
-    out = IntSeries(tuple(c))
-    object.__setattr__(out, "_fraction", (num.coefficients, den.coefficients))
-    return out
+    return IntSeries(tuple(c))
 
 
-def orbit_counts(zeta: IntSeries) -> OrbitCounts:
-    """Recover #Per_n = n [z^n] log zeta and prime-orbit counts N(p).
+def orbit_counts(D: IntSeries) -> OrbitCounts:
+    """#Per_n = n [z^n] log zeta and prime-orbit counts N(p), for the zeta
+    function zeta = 1 / ((1 - z) D) of a kneading determinant, to D's order.
 
-    With zeta = sum c_n z^n (c_0 = 1) and log zeta = sum #Per_n z^n / n,
-    differentiating gives z zeta' = zeta * sum #Per_n z^n; comparing the
-    coefficients of z^n yields the Newton identity
-
-        #Per_n = n c_n - sum_{i<n} #Per_i c_{n-i}.
-
-    It involves only integers and no division, so every #Per_n of an integer
-    series is an integer and only its sign needs checking.
-
-    For zeta = num / den, z zeta'/zeta = z num'/num - z den'/den =
-    s(den) - s(num), where s(f) = -z f'/f = sum s_n z^n.  With f normalised
-    to f_0 = 1, -z f' = f s(f) compared at z^n is the Newton identity of
-    f's power sums, s_n = -n f_n - sum_{i=1}^{min(n-1, deg f)} f_i s_{n-i}.
-    A series from series_of_rational carries its fraction, and the counts
-    cost O(N (deg num + deg den)) products.  Any other series is read as
-    zeta / 1, where -s(zeta) is the identity above, at O(N^2) products.
-    Negative counts, or prime counts that fail divisibility or sign, mean
-    the input is not a truncation of a topological zeta function and raise;
-    the first negative #Per_n is the one reported.
+    With D's exact pair P / R (P = D and R = 1 when it has none),
+    sum #Per_n z^n = z zeta'/zeta = s((1 - z) P) - s(R), where s(f) =
+    -z f'/f = sum s_n z^n.  With f normalised to f_0 = 1, -z f' = f s(f)
+    compared at z^n is the Newton identity of f's power sums,
+    s_n = -n f_n - sum_{i=1}^{min(n-1, deg f)} f_i s_{n-i}: integers and no
+    division, so only the sign of #Per_n needs checking.  O(N (deg P +
+    deg R)) products: O(N (m + p)) for an eventually periodic stream, O(N^2)
+    for a truncation.  Negative counts, or prime counts that fail
+    divisibility or sign, mean the input is not a truncation of a topological
+    zeta function and raise; the first negative #Per_n is the one reported.
     """
-    if zeta[0] != 1:
-        raise ValueError("zeta series must have constant term 1")
-    N = zeta.order
-    num, den = getattr(zeta, "_fraction", (zeta.coefficients, (1,)))
-    per = list(map(sub, _power_sums(den, N), _power_sums(num, N)))
+    if D[0] != 1:
+        raise ValueError("determinant must have constant term 1")
+    N = D.order
+    P, R = D.exact or (D.coefficients, (1,))
+    # s_1..s_N read f_0..f_N alone, so P and R are cut there
+    per = list(map(sub, _power_sums(_times_one_minus_z(P[: N + 1]), N),
+                   _power_sums(R[: N + 1], N)))
     for n, v in enumerate(per, start=1):
         if v < 0:
             raise ArithmeticError(f"#Per_{n} = {v} is not a nonnegative integer")
@@ -321,9 +319,9 @@ def entropy(D: IntSeries, *, tol=Fraction(1, 10 ** 10)) -> EntropyResult:
     determinant D.
 
     z* is the smallest root of D in (0, 1); when D provably has no such
-    root the entropy is 0.  A determinant that kneading_determinant marked
-    exact (a periodic or eventually periodic stream) gives one polynomial P
-    with the sign of D, upper = lower.  Any other D must be 1 + sum of
+    root the entropy is 0.  A determinant with an exact pair (P, R) (a
+    periodic or eventually periodic stream) gives one polynomial P with the
+    sign of D, upper = lower.  Any other D must be 1 + sum of
     eps_k z^k with every eps_k = +-1, the order-N truncation of a generated
     stream's determinant, or ValueError is raised.  Its tail then has
     coefficients of modulus at most 1, so |D - P| is at most x^(N+1)/(1-x)
@@ -341,9 +339,8 @@ def entropy(D: IntSeries, *, tol=Fraction(1, 10 ** 10)) -> EntropyResult:
         raise ValueError("tolerance must be below 4/3")
 
     N = D.order
-    fraction = getattr(D, "_exact", None)
-    if fraction is not None:
-        upper = lower = _strip_unit_factors(list(fraction[0]))
+    if D.exact is not None:
+        upper = lower = _strip_unit_factors(list(D.exact[0]))
         if upper == [1]:
             return EntropyResult(0.0, 0.0, "unit-root-factors")
     else:

@@ -180,11 +180,11 @@ def _brute_periodic_count(n, K):
 
 
 def test_criterion_09_orbit_counts():
-    full = orbit_counts(zeta_series(kneading_determinant(kneading_from_tau(Fraction(1)), 10)))
+    full = orbit_counts(kneading_determinant(kneading_from_tau(Fraction(1)), 10))
     for n in range(1, 11):
         assert full.per_counts[n] == 2 ** n
     window = kneading_from_tau(Fraction(6, 7))
-    oc = orbit_counts(zeta_series(kneading_determinant(window, 12)))
+    oc = orbit_counts(kneading_determinant(window, 12))
     for n in range(1, 13):
         assert oc.per_counts[n] == _brute_periodic_count(n, window)
     print("criterion 9 PASS: per-counts 2^n for the full shift and brute-force-exact for tau=6/7, n <= 12")

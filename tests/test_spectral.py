@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import kneading.spectral as spectral
 from kneading.encoding import is_maximal, kneading_from_tau, stream_tau
-from kneading.feigenbaum import tau_infinity_enclosure
+from kneading.feigenbaum import tau_infinity_enclosure, tau_level
 from kneading.spectral import (
     EntropyInconclusive,
     IntSeries,
@@ -56,6 +56,12 @@ def _one_minus_z(N):
 
 def _reciprocal(f):
     return series_of_rational((1,), f.coefficients, f.order)
+
+
+def _determinant(zeta):
+    # the determinant 1 / ((1 - z) zeta) of any zeta series, by the oracles;
+    # integral because zeta_0 = 1
+    return IntSeries(reciprocal_untrimmed(series_product(_one_minus_z(zeta.order), zeta)))
 
 
 def _euler_rebuild(counts, N):
@@ -117,7 +123,7 @@ def test_fraction_log_geometric():
     b = _fraction_log(f)
     for n in range(1, 11):
         assert b[n] == Fraction(2 ** n, n)
-    assert orbit_counts(f).per_counts == {n: 2 ** n for n in range(1, 11)}
+    assert orbit_counts(_determinant(f)).per_counts == {n: 2 ** n for n in range(1, 11)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,16 +136,17 @@ def test_fraction_log_geometric():
     st.integers(min_value=1, max_value=40),
 )
 def test_orbit_counts_match_fraction_log(K, N):
-    z = zeta_series(kneading_determinant(K, N))
+    D = kneading_determinant(K, N)
+    z = zeta_series(D)
     b = _fraction_log(z)
     per = {n: n * b[n] for n in range(1, N + 1)}
     assert all(v.denominator == 1 for v in per.values())
     if any(v < 0 for v in per.values()):
         with pytest.raises(ArithmeticError, match="#Per_"):
-            orbit_counts(z)
+            orbit_counts(D)
         return
     try:
-        oc = orbit_counts(z)
+        oc = orbit_counts(D)
     except ArithmeticError as e:
         # only the prime-orbit sign check may reject nonnegative #Per_n
         assert "is negative" in str(e)
@@ -147,24 +154,24 @@ def test_orbit_counts_match_fraction_log(K, N):
     assert oc.per_counts == per
 
 
-def _counts(z):
+def _counts(D):
     # an exception, by type and message, stands for the counts
     try:
-        return orbit_counts(z)
+        return orbit_counts(D)
     except ArithmeticError as e:
         return type(e), str(e)
 
 
 def _assert_matches_generic(K, N):
     # the expansion without the rational form or the library's recurrence,
-    # its counts from a series that carries no fraction, and #Per_n from the
+    # its counts from a determinant that carries no pair, and #Per_n from the
     # Newton identity on its own
-    generic = IntSeries(reciprocal_untrimmed(
-        series_product(_one_minus_z(N), kneading_determinant(K, N))))
-    z = zeta_series(kneading_determinant(K, N))
+    D = kneading_determinant(K, N)
+    generic = IntSeries(reciprocal_untrimmed(series_product(_one_minus_z(N), D)))
+    z = zeta_series(D)
     assert z.coefficients == generic.coefficients
-    counts = _counts(z)
-    assert counts == _counts(generic)
+    counts = _counts(D)
+    assert counts == _counts(_determinant(generic))
     per = newton_per_counts(generic)
     negative = [(n, v) for n, v in enumerate(per, start=1) if v < 0]
     if negative:
@@ -247,17 +254,20 @@ def test_determinant_cases():
     st.integers(min_value=1, max_value=60),
 )
 def test_determinant_carries_its_exact_fraction(K, N):
-    # the pair (P, R) that rides on the determinant is D itself: with a
-    # preperiod R = 1 - z^p resums the tail, without one P is the polynomial
+    # the determinant's exact pair (P, R) is D itself: with a preperiod
+    # R = 1 - z^p resums the tail, without one P is the polynomial
     D = kneading_determinant(K, N)
-    P, R = D._exact
+    P, R = D.exact
     if K.preperiod:
-        assert series_of_rational(P, R, N) == D
+        assert series_of_rational(P, R, N).coefficients == D.coefficients
     else:
         assert R == (1,)
-        assert _padded(P, N) == D
+        assert _padded(P, N).coefficients == D.coefficients
     # a stream seen only through a generator gives the truncation, no pair
-    assert not hasattr(kneading_determinant(FunctionStream(K.at), N), "_exact")
+    assert kneading_determinant(FunctionStream(K.at), N).exact is None
+    # no series but a determinant carries a pair
+    assert zeta_series(D).exact is None
+    assert series_of_rational(P, R, N).exact is None
 
 
 def test_xi_oracle_is_the_limit_determinant():
@@ -300,12 +310,43 @@ def test_functional_equation_residual_is_zero(N):
 
 
 def test_xi_half_evaluation_hits_limit_parameter():
-    N = 200
-    s = evaluate_series(kneading_determinant(feigenbaum_limit(), N), Fraction(1, 2))
-    err = Fraction(1, 2 ** N)
-    lo, hi = 1 - (s + err) / 2, 1 - (s - err) / 2
+    # the tail past z^N moves S(1/2) by at most 2^-N, so tau by 2^-(N+1)
     enc = tau_infinity_enclosure(200)
-    assert max(lo, enc.lo) <= min(hi, enc.hi)
+    for N in (1, 7, 64, 200):
+        s = evaluate_series(kneading_determinant(feigenbaum_limit(), N), Fraction(1, 2))
+        err = Fraction(1, 2 ** N)
+        lo, hi = 1 - (s + err) / 2, 1 - (s - err) / 2
+        assert max(lo, enc.lo) <= min(hi, enc.hi), N
+
+
+def _tau_at_one_half(K, D):
+    # tau(K) = 1 - S(1/2) / 2 (proof in kneading_determinant): S = P / R with
+    # a preperiod, S = P / (1 - z^p) with p = len P without one
+    P, R = (evaluate_series(IntSeries(f), Fraction(1, 2)) for f in D.exact)
+    if not K.preperiod:
+        R = 1 - Fraction(1, 2 ** len(D.exact[0]))
+    return 1 - P / (2 * R)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(
+        PeriodicStream,
+        st.text(alphabet="01", min_size=0, max_size=8),
+        st.text(alphabet="01", min_size=1, max_size=10),
+    ),
+    st.integers(min_value=1, max_value=40),
+)
+def test_tau_is_the_determinant_at_one_half(K, N):
+    assert _tau_at_one_half(K, kneading_determinant(K, N)) == stream_tau(K)
+
+
+def test_tau_level_is_the_cascade_determinant_at_one_half():
+    for j in range(1, 12):
+        K = feigenbaum_stream(j)
+        D = kneading_determinant(K, 1)
+        assert not K.preperiod and D.exact[1] == (1,)
+        assert _tau_at_one_half(K, D) == tau_level(j).value, j
 
 
 def test_cascade_zeta_polynomial():
@@ -345,16 +386,18 @@ def test_cascade_polynomial_roots_on_circle():
 
 
 def test_full_shift_orbit_counts():
-    z = zeta_series(kneading_determinant(kneading_from_tau(Fraction(1)), 10))
-    oc = orbit_counts(z)
+    D = kneading_determinant(kneading_from_tau(Fraction(1)), 10)
+    z = zeta_series(D)
+    oc = orbit_counts(D)
     assert [oc.per_counts[n] for n in range(1, 11)] == [2 ** n for n in range(1, 11)]
     assert [oc.prime_counts[p] for p in (1, 2, 3, 4)] == [2, 1, 2, 3]
     assert _euler_rebuild(oc, 10) == z
 
 
 def test_window_orbit_counts():
-    z = zeta_series(kneading_determinant(kneading_from_tau(Fraction(6, 7)), 12))
-    oc = orbit_counts(z)
+    D = kneading_determinant(kneading_from_tau(Fraction(6, 7)), 12)
+    z = zeta_series(D)
+    oc = orbit_counts(D)
     assert [oc.per_counts[n] for n in range(1, 13)] == WINDOW_PER
     assert _euler_rebuild(oc, 12) == z
     K = kneading_from_tau(Fraction(6, 7))
@@ -400,7 +443,7 @@ def test_orbit_counts_match_moebius_inversion(z):
             expected = dict(enumerate(per, start=1)), moebius_prime_counts(per)
         except ArithmeticError as e:
             expected = type(e), str(e)
-    got = _counts(z)
+    got = _counts(_determinant(z))
     if isinstance(got, OrbitCounts):
         got = got.per_counts, got.prime_counts
     assert got == expected
@@ -408,9 +451,9 @@ def test_orbit_counts_match_moebius_inversion(z):
 
 def test_orbit_counts_reject_invalid():
     with pytest.raises(ArithmeticError):
-        orbit_counts(IntSeries((1, -1, 0, 0)))
+        orbit_counts(_determinant(IntSeries((1, -1, 0, 0))))
     with pytest.raises(ArithmeticError):
-        orbit_counts(IntSeries((1, 1, 0, 0)))
+        orbit_counts(_determinant(IntSeries((1, 1, 0, 0))))
 
 
 def test_entropy_full_shift():
@@ -474,16 +517,17 @@ def test_entropy_cutoff_below_smallest_float():
 
 
 def test_entropy_trusts_only_the_determinants_mark():
-    # series_of_rational's pair is cut off at its order: a series equal to
-    # the determinant but built from it is read as a truncation, never as
-    # exact, and a series that no stream gives is refused
+    # a series with the determinant's coefficients but built from its pair
+    # carries no pair: it is read as a truncation, never as exact, and a
+    # series that no stream gives is refused
     K = kneading_from_tau(Fraction(37, 40))
     exact = entropy(kneading_determinant(K, 3))
     h = (exact.lo + exact.hi) / 2
     for N in (3, 64):
         D = kneading_determinant(K, N)
-        S = series_of_rational(*D._exact, N)
-        assert S == D
+        S = series_of_rational(*D.exact, N)
+        assert S.coefficients == D.coefficients
+        assert S.exact is None
         if N < 8:
             with pytest.raises(ValueError):
                 entropy(S)
@@ -634,5 +678,5 @@ def test_strip_unit_factors_matches_restarting_loop():
         assert all(_try_divide(got, 1 << i, s) is None
                    for i in range(len(got).bit_length()) for s in (1, -1))
     for j in range(1, 15):
-        poly = list(kneading_determinant(feigenbaum_stream(j), 8)._exact[0])
+        poly = list(kneading_determinant(feigenbaum_stream(j), 8).exact[0])
         assert _strip_unit_factors(poly) == _strip_unit_factors_restarting(poly) == [1]
