@@ -29,13 +29,12 @@ _EXPORTS = {
         "complement", "minimal_period", "parity_word", "unparity_word",
     ),
     "symbolic": (
-        "SymbolStream", "PeriodicStream", "FixedPointStream", "FunctionStream", "shift",
+        "SymbolStream", "PeriodicStream", "FixedPointStream", "shift",
         "renormalize_seq", "feigenbaum_word", "feigenbaum_stream", "feigenbaum_limit",
-        "stream_to_json", "stream_from_json",
     ),
     "encoding": (
         "xi", "xi_inverse", "tau_of_periodic", "stream_tau", "binary_digits",
-        "kneading_from_tau", "is_maximal", "admissible",
+        "kneading_from_tau", "is_maximal",
     ),
     "feigenbaum": (
         "PAIR_RULE", "PAIR_TO_DIGITS", "DyadicEnclosure", "TauLevel", "tau_level",
@@ -53,12 +52,11 @@ _EXPORTS = {
     "language": ("LanguageQuery", "complexity", "language_words", "forbidden_words"),
     "frequency": (
         "IncidenceMatrix", "incidence", "perron_frobenius", "letter_frequencies",
-        "pair_frequencies", "empirical_frequencies", "NormalityReport",
-        "normality_report",
+        "pair_frequencies", "empirical_frequencies",
     ),
     "dynamics": (
         "OrbitEscapeError", "NotRenormalizableError", "UnimodalMap", "logistic_map",
-        "tent_map", "skew_tent_map", "itinerary", "kneading", "renormalize_word",
+        "tent_map", "itinerary", "kneading", "renormalize_word",
         "renormalize_map", "superstable_parameter", "band_merging_parameter",
         "Lemma1Report", "lemma1_validate", "ScanRow", "ScanReport",
         "monotonicity_scan",

@@ -7,8 +7,7 @@ marking orbit points that came within eta of the critical point.
 from __future__ import annotations
 
 import math
-import random
-from typing import Callable
+from collections.abc import Callable
 
 from .words import _Record, complement, parity_word
 
@@ -54,17 +53,6 @@ def tent_map(slope: float = 2.0, eta: float = 1e-9) -> UnimodalMap:
         "tent", slope,
         lambda x: slope * x if x < 0.5 else slope * (1.0 - x),
         0.5, eta,
-    )
-
-
-def skew_tent_map(c0: float, eta: float = 1e-9) -> UnimodalMap:
-    """Full-height piecewise-linear map with its peak at c0."""
-    if not 0 < c0 < 1:
-        raise ValueError("peak must lie in (0, 1)")
-    return UnimodalMap(
-        "custom-piecewise-linear", c0,
-        lambda x: x / c0 if x < c0 else (1.0 - x) / (1.0 - c0),
-        c0, eta,
     )
 
 
@@ -227,6 +215,7 @@ def lemma1_validate(m: UnimodalMap, pairs: int, n: int, seed: int = 0) -> Lemma1
     if n < 1:
         # with no pairs no orbit is stepped, so n is checked here
         raise ValueError("need at least one symbol")
+    import random  # only sampling pays for the import
     rng = random.Random(seed)
     c0, eta = m.c0, m.eta
     tested = decided = violations = 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from kneading.symbolic import PeriodicStream, SymbolStream, _DerivedStream, shift
+from kneading.symbolic import PeriodicStream, SymbolStream, _DerivedStream
 from kneading.words import complement, parity_word, unparity_word
 
 
@@ -89,60 +89,37 @@ def kneading_from_tau(x: Fraction) -> PeriodicStream:
 _HORIZON = 4096
 
 
-def _shifts_within(s: SymbolStream, first: int, upper: SymbolStream,
-                   lower: SymbolStream | None = None) -> bool | None:
-    """Whether every shift m >= first of s has digits <= upper (and >= lower).
+def is_maximal(K: SymbolStream) -> bool | None:
+    """Whether every shift of K has tau <= tau(K): exact for eventually
+    periodic K, possibly None (undetermined) for generated streams.
 
-    Shift m's digits are t[m:], t = xi(s), complemented when t_m = 1: one
-    slice of t or of its complement, compared with the references as a
-    string.  For eventually periodic input, past P (the largest preperiod
-    of t and the references) a window has period a = len(t.period) and a
-    reference b; by Fine and Wilf two such sequences that agree on
-    H = P + a + b digits are equal, so H digits decide exactly, over the
-    distinct shifts m <= preperiod + period of s.  Otherwise _HORIZON
-    shifts are compared to _HORIZON digits, and a tie over all of them
-    gives None (undetermined) unless some shift violates.
+    Shift m's digits are t[m:], t = xi(K), complemented when t_m = 1: one
+    slice of t or of its complement, compared with t itself as a string.
+    For eventually periodic K, past P = len(t.preperiod) digits a window
+    and t both have period a = len(t.period); by Fine and Wilf two such
+    sequences that agree on H = P + 2a digits are equal, so H digits decide
+    exactly, over the distinct shifts 1 <= m <= preperiod + period of K.
+    Otherwise _HORIZON shifts are compared to _HORIZON digits, and a tie
+    over all of them gives None (undetermined) unless some shift violates.
 
     Digit order is value order here: no comparison meets the two
     expansions w01^inf and w10^inf of one dyadic rational.  A shift m >= 1
-    of s is never the other expansion of s, as it would put the last digit
-    change of t at two positions.  A maximal K with a reference ending in a
-    constant ends in 0^inf, so is 0^inf or 10^inf (else its last 1 starts
-    a shift 10^inf, digits 1^inf > tau(K)), and the references 0^inf and
-    1^inf have one expansion each.
+    of K is never the other expansion of K, as it would put the last digit
+    change of t at two positions.
     """
-    t_stream = xi(s)
-    refs = (upper,) if lower is None else (upper, lower)
-    if isinstance(s, PeriodicStream) and all(isinstance(r, PeriodicStream) for r in refs):
-        exact, last = True, len(s.preperiod) + len(s.period)
-        H = (max(len(x.preperiod) for x in (t_stream, *refs))
-             + len(t_stream.period) + max(len(r.period) for r in refs))
+    t_stream = xi(K)
+    if isinstance(K, PeriodicStream):
+        exact, last = True, len(K.preperiod) + len(K.period)
+        H = len(t_stream.preperiod) + 2 * len(t_stream.period)
     else:
         exact, last, H = False, _HORIZON, _HORIZON
     t = t_stream.prefix(last + H)
     tc = complement(t)
-    # "" is below every window: no lower bound
-    hi, lo = upper.prefix(H), "" if lower is None else lower.prefix(H)
+    head = t[:H]
     tied = False
-    for m in range(first, last + 1):
-        w = (tc if m and t[m - 1] == "1" else t)[m:m + H]
-        if w > hi or w < lo:
+    for m in range(1, last + 1):
+        w = (tc if t[m - 1] == "1" else t)[m:m + H]
+        if w > head:
             return False
-        tied = tied or w in (hi, lo)
+        tied = tied or w == head
     return None if tied and not exact else True
-
-
-def is_maximal(K: SymbolStream) -> bool | None:
-    """Whether every shift of K has tau <= tau(K): exact for eventually
-    periodic K, possibly None (undetermined) for generated streams."""
-    return _shifts_within(K, 1, xi(K))
-
-
-def admissible(s: SymbolStream, K: SymbolStream) -> bool | None:
-    """Two-sided admissibility of s relative to a maximal kneading stream K:
-    tau(shift(K)) <= tau(shift(s, m)) <= tau(K) for every m >= 0.
-
-    Exact when both streams are eventually periodic, possibly None
-    otherwise.  K must be maximal, for digit order to be value order.
-    """
-    return _shifts_within(s, 0, xi(K), xi(shift(K, 1)))

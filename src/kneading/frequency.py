@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .feigenbaum import PAIR_RULE, PAIR_TO_DIGITS, tau_infinity_digits
+from .feigenbaum import PAIR_RULE, PAIR_TO_DIGITS
 from .symbolic import FixedPointStream, SymbolStream
 from .words import SubstitutionRule, _Record, _translate_columns
 
@@ -274,29 +274,3 @@ def _byte_tally(data: bytes) -> dict[int, int]:
         counts[data[0]] = len(data) - len(rest)
         data = rest
     return counts
-
-
-class NormalityReport(_Record):
-    """Aligned pair statistics of the limit parameter's digits."""
-
-    prefix_len: int
-    frequencies: dict
-    deviation_from_uniform: Fraction
-    deviation_from_predicted: Fraction
-
-    @property
-    def non_normal_profile(self) -> bool:
-        return self.deviation_from_predicted < self.deviation_from_uniform
-
-
-def normality_report(N: int) -> NormalityReport:
-    """Compare observed digit-pair frequencies against uniform and predicted."""
-    observed = empirical_frequencies(tau_infinity_digits(), 2, N, aligned=True)
-    predicted = pair_frequencies()
-    blocks = sorted(set(observed) | set(predicted))
-    zero = Fraction(0)
-    dev_uniform = max(abs(observed.get(b, zero) - Fraction(1, 4)) for b in blocks)
-    dev_predicted = max(
-        abs(observed.get(b, zero) - predicted.get(b, zero)) for b in blocks
-    )
-    return NormalityReport(N, observed, dev_uniform, dev_predicted)

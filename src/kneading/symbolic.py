@@ -8,20 +8,14 @@ from __future__ import annotations
 
 import threading
 
-# every name that moved to words keeps its old path here too; words is
-# loaded with this module anyway
 from .words import (
     FEIGENBAUM_RULE,
-    THUE_MORSE_RULE,
     SubstitutionRule,
     _byte_columns,
-    _Record,
     _translate_columns,
     check_word,
     complement,
     minimal_period,
-    parity_word,
-    unparity_word,
 )
 
 
@@ -167,17 +161,6 @@ class FixedPointStream(_MemoizedStream):
         return f"FixedPointStream({self.rule!r}, {self.letter!r}{coded})"
 
 
-class FunctionStream(_MemoizedStream):
-    """Stream defined by a 1-based symbol function."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def _compute_prefix(self, n: int) -> str:
-        return "".join(str(self.fn(k)) for k in range(1, n + 1))
-
-
 class _DerivedStream(_MemoizedStream):
     """Stream read off a base stream prefix by prefix: its first n symbols
     are derive(base.prefix(stretch * n + skip))[:n].  Shifts, the
@@ -254,21 +237,3 @@ def feigenbaum_stream(j: int) -> PeriodicStream:
 def feigenbaum_limit() -> FixedPointStream:
     """The aperiodic limit kneading sequence (fixed point of 1->10, 0->11)."""
     return FixedPointStream(FEIGENBAUM_RULE, "1")
-
-
-# === serialization =====================================================
-
-def stream_to_json(s: SymbolStream) -> dict:
-    if isinstance(s, PeriodicStream):
-        return {"preperiod": s.preperiod, "period": s.period}
-    if isinstance(s, FixedPointStream) and s.coding is None:
-        return {"rule": dict(s.rule.images), "prefix": s.letter}
-    raise TypeError(f"cannot serialize {type(s).__name__}")
-
-
-def stream_from_json(obj: dict) -> SymbolStream:
-    if "period" in obj:
-        return PeriodicStream(obj.get("preperiod", ""), obj["period"])
-    if "rule" in obj:
-        return FixedPointStream(SubstitutionRule(obj["rule"]), obj["prefix"])
-    raise ValueError(f"unrecognized stream object: {obj!r}")

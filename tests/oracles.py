@@ -17,6 +17,9 @@ the intersection of two enclosures as an (lo, hi) ``Interval``, and powers
 and column sums of an incidence matrix.  ``flip_cf_of_enclosure`` runs the
 two endpoints' Euclids interleaved, the reference for the common prefix of
 two quotient streams that ``cf_of_enclosure`` takes.
+``FunctionStream`` reads a stream off a symbol function, so a test can
+hand a periodic stream to the library as a generated one, and
+``skew_tent_map`` is a third float family, with its peak off 1/2.
 ``lemma1_via_parity_words`` decides each sampled pair from both whole
 itineraries and parity words, the construction that ``lemma1_validate``
 replaced with a walk to the first symbol discrepancy.
@@ -59,6 +62,7 @@ from kneading.spectral import IntSeries, _times_one_minus_z, series_of_rational
 from kneading.symbolic import (
     FixedPointStream,
     PeriodicStream,
+    _MemoizedStream,
     feigenbaum_limit,
     feigenbaum_stream,
     feigenbaum_word,
@@ -337,6 +341,17 @@ def thue_morse_check(n: int) -> bool:
 
 # === float orbits =====================================================
 
+def skew_tent_map(c0: float, eta: float = 1e-9) -> UnimodalMap:
+    """Full-height piecewise-linear map with its peak at c0."""
+    if not 0 < c0 < 1:
+        raise ValueError("peak must lie in (0, 1)")
+    return UnimodalMap(
+        "custom-piecewise-linear", c0,
+        lambda x: x / c0 if x < c0 else (1.0 - x) / (1.0 - c0),
+        c0, eta,
+    )
+
+
 def lemma1_via_parity_words(m: UnimodalMap, pairs: int, n: int,
                             seed: int = 0) -> Lemma1Report:
     """``lemma1_validate`` from whole words: both itineraries, both parity
@@ -365,6 +380,19 @@ def lemma1_via_parity_words(m: UnimodalMap, pairs: int, n: int,
         if tx[d] > ty[d]:
             violations += 1
     return Lemma1Report(tested, decided, excluded, violations)
+
+
+# === generated streams ================================================
+
+class FunctionStream(_MemoizedStream):
+    """Stream defined by a 1-based symbol function."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def _compute_prefix(self, n: int) -> str:
+        return "".join(str(self.fn(k)) for k in range(1, n + 1))
 
 
 # === cascade words ====================================================

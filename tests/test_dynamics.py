@@ -22,13 +22,12 @@ from kneading.dynamics import (
     monotonicity_scan,
     renormalize_map,
     renormalize_word,
-    skew_tent_map,
     superstable_parameter,
     tent_map,
 )
 from kneading.encoding import kneading_from_tau
 from kneading.symbolic import feigenbaum_stream, feigenbaum_word
-from oracles import lemma1_via_parity_words, tent
+from oracles import lemma1_via_parity_words, skew_tent_map, tent
 
 
 def digit_word(word):
@@ -89,16 +88,6 @@ def test_unimodal_validation():
         UnimodalMap("custom", 0.0, lambda x: 4 * x * (1 - x), 1.5)
     with pytest.raises(ValueError):
         logistic_map(3.5, eta=0.0)
-
-
-def test_skew_tent_family():
-    m = skew_tent_map(0.25)
-    assert abs(m.fn(0.0)) <= 1e-12 and abs(m.fn(1.0)) <= 1e-12
-    assert abs(m.fn(0.25) - 1.0) <= 1e-12
-    word, flags = itinerary(m, 0.1, 3)
-    assert word[0] == "0" and all(flags)
-    with pytest.raises(ValueError):
-        skew_tent_map(1.0)
 
 
 def test_band_merging_parameter():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneading.encoding import (
-    admissible,
     binary_digits,
     is_maximal,
     kneading_from_tau,
@@ -17,14 +16,20 @@ from kneading.encoding import (
     xi_inverse,
 )
 from kneading.symbolic import (
-    FunctionStream,
     PeriodicStream,
     feigenbaum_limit,
     feigenbaum_stream,
     shift,
 )
 from kneading.spectral import _epsilon_prefix
-from oracles import Order, in_lambda, remainder_binary_digits, tent, word_order
+from oracles import (
+    FunctionStream,
+    Order,
+    in_lambda,
+    remainder_binary_digits,
+    tent,
+    word_order,
+)
 
 periodic_streams = st.builds(
     PeriodicStream,
@@ -224,41 +229,3 @@ def test_is_maximal_generated():
     # period ties with K over every compared digit, so it stays undetermined
     assert is_maximal(FunctionStream(feigenbaum_stream(3).at)) is None
     assert is_maximal(FunctionStream(PeriodicStream("", "01").at)) is False
-
-
-def test_admissible_exact():
-    K3 = feigenbaum_stream(3)
-    assert admissible(K3, K3) is True
-    # the all-ones itinerary (interior fixed point) lies between the
-    # bounds: tau = 2/3 in [6/17, 14/17]
-    assert admissible(PeriodicStream("", "1"), K3) is True
-    # the all-zeros itinerary violates the lower bound whenever
-    # tau(shift(K)) > 0
-    assert admissible(PeriodicStream("", "0"), K3) is False
-    # exceeding the kneading bound fails
-    assert admissible(PeriodicStream("", "100"), PeriodicStream("", "101")) is False
-
-
-def test_admissible_word_level():
-    limit = feigenbaum_limit()
-    assert admissible(limit, limit) in (True, None)
-    assert admissible(PeriodicStream("", "100"), limit) is False
-
-
-def test_admissible_matches_shift_values():
-    # oracle: the exact tau of each distinct shift against the two bounds
-    def oracle(s, K):
-        hi, lo = stream_tau(K), stream_tau(shift(K, 1))
-        shifts = range(len(s.preperiod) + len(s.period) + 1)
-        return all(lo <= stream_tau(shift(s, m)) <= hi for m in shifts)
-
-    rng = random.Random(17)
-    maximal = [K for K in all_streams() if in_lambda(stream_tau(K))]
-    maximal += [feigenbaum_stream(j) for j in range(1, 6)]
-    seen = set()
-    for _ in range(3000):
-        s, K = rand_stream(rng), rng.choice(maximal)
-        got = admissible(s, K)
-        assert got is oracle(s, K)
-        seen.add(got)
-    assert seen == {True, False}

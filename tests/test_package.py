@@ -12,13 +12,14 @@ import kneading
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(kneading.__file__)))
 
 
-def _fresh(script: str, *argv: str, cwd=None) -> str:
-    """stdout of ``script`` run in a fresh interpreter that imports this
-    checkout of the package, in ``cwd`` if given."""
+def _fresh(script: str, *argv: str, cwd=None, options=()) -> str:
+    """stdout of ``script`` run in a fresh interpreter, started with the
+    command-line ``options``, that imports this checkout of the package, in
+    ``cwd`` if given."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, *options, "-c", script, *argv], env=env,
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -155,6 +156,24 @@ def test_command_loads_no_idle_modules(argv, loaded):
         "0", *loaded.split(), str(prints_json)]
 
 
+_LOADED_BARE = """
+import contextlib, io, sys
+before = set(sys.modules)
+import kneading.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = kneading.cli.main(sys.argv[1:])
+print(rc, *sorted({"random", "typing"} & set(sys.modules) - before))
+"""
+
+
+# Under -S, with no site hooks (which may load both), the float lab's
+# printing commands load neither typing (about 3 ms) nor random (about 1 ms):
+# only lemma1 samples.
+@pytest.mark.parametrize("argv", ["dyn kneading --n 20", "dyn scan --steps 3"])
+def test_float_lab_loads_neither_typing_nor_random(argv):
+    assert _fresh(_LOADED_BARE, *argv.split(), options=("-S",)).split() == ["0"]
+
+
 _THREADS = """
 import json, sys, threading
 import kneading
@@ -202,25 +221,10 @@ def test_exports_resolve_to_their_layer():
         kneading.no_such_name
 
 
-def test_words_names_keep_their_symbolic_path():
-    # every name words defines (bar the private flip table) is the same
-    # object under kneading.symbolic, where it lived before words split off
-    import types
-
-    from kneading import symbolic, words
-
-    moved = [name for name, value in vars(words).items()
-             if getattr(value, "__module__", "kneading.words") == "kneading.words"
-             and not isinstance(value, types.ModuleType)
-             and not name.startswith("__") and name != "_FLIP"]
-    assert {"_Record", "parity_word", "THUE_MORSE_RULE", "_byte_columns"} <= set(moved)
-    for name in moved:
-        assert getattr(symbolic, name) is getattr(words, name), name
-
-
 def test_public_annotations_resolve():
     # typing.get_type_hints (and doc tools) evaluate annotations in the
-    # defining module: no public function names a type bound only lazily
+    # defining module: no public class, its fields included, and no public
+    # function names a type bound only lazily
     import inspect
     import typing
 
@@ -229,6 +233,7 @@ def test_public_annotations_resolve():
         for name in names:
             obj = getattr(module, name)
             if inspect.isclass(obj):
+                typing.get_type_hints(obj)
                 funcs = [f for f in vars(obj).values() if inspect.isfunction(f)]
             else:
                 funcs = [obj] if inspect.isfunction(obj) else []
@@ -271,3 +276,87 @@ def test_oracles_stay_out_of_the_package():
     for layer in kneading._EXPORTS:
         module = sys.modules[f"kneading.{layer}"]
         assert not {name for name in public if hasattr(module, name)}, layer
+
+
+# Public names that no command reaches yet, each with the ROADMAP item that
+# will call it.  A name leaves this table when its caller lands.
+_AWAITING_CALLER = {
+    "renormalize_seq": "D18(a)",
+    "renormalize_tau": "D18(a)",
+    "renormalize_word": "D18(a)",
+    "renormalize_map": "D18(a)",
+    "NotRenormalizableError": "D18(a)",
+    "band_merging_parameter": "D18(a)",
+    "superstable_parameter": "D18(a)",
+    "cf_continuation_check": "D19",
+    "ContinuationReport": "D19",
+    "convergents": "D19",
+    "Convergent": "D19",
+    "stream_tau": "D22",
+    "tau_of_periodic": "D22",
+    "cf_of_rational": "D14 (timed by bench/caps.py)",
+    "ContinuedFraction": "D14 (timed by bench/caps.py)",
+    "language_words": "D15 (capped by WORD_LIMIT, timed by bench/caps.py)",
+}
+
+
+def _reached_names() -> set:
+    """Every identifier that ``cli.py`` and the command modules reach through
+    the layers' top-level definitions.
+
+    A definition reaches each identifier in its body: names, attribute
+    names and imported names.  Identifiers are matched by spelling, so a
+    local that shares a public name's spelling counts as a reference.
+    """
+    import ast
+    import glob
+
+    package = os.path.dirname(os.path.abspath(kneading.__file__))
+
+    def identifiers(node) -> set:
+        out = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.alias):
+                out.add(n.name)
+        return out
+
+    def parse(path):
+        with open(path, encoding="utf-8") as f:
+            return ast.parse(f.read())
+
+    uses = {}    # top-level name of a layer -> identifiers its definition uses
+    for layer in kneading._EXPORTS:
+        for node in parse(os.path.join(package, f"{layer}.py")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                uses.setdefault(node.name, set()).update(identifiers(node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name):
+                            uses.setdefault(n.id, set()).update(identifiers(node.value))
+    todo = set()
+    for path in [os.path.join(package, "cli.py"),
+                 *glob.glob(os.path.join(package, "commands", "*.py"))]:
+        todo |= identifiers(parse(path))
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo |= uses.get(name, set())
+    return reached
+
+
+def test_every_public_name_has_a_caller():
+    # the version string is package metadata, not code, so it needs no caller
+    public = set(kneading.__all__) - {"__version__"}
+    reached = _reached_names()
+    waiting = set(_AWAITING_CALLER)
+    assert sorted(public - reached - waiting) == [], "no caller and no ROADMAP item"
+    assert sorted(waiting & reached) == [], "reached now: drop from _AWAITING_CALLER"
+    assert sorted(waiting - public) == [], "no longer public: drop from _AWAITING_CALLER"

@@ -26,13 +26,13 @@ from kneading.spectral import (
     zeta_series,
 )
 from kneading.symbolic import (
-    FunctionStream,
     PeriodicStream,
     feigenbaum_limit,
     feigenbaum_stream,
     shift,
 )
 from oracles import (
+    FunctionStream,
     evaluate_series,
     feigenbaum_zeta,
     moebius_prime_counts,
