@@ -21,10 +21,10 @@ example the parent of a change.
 A command row also records its exit code.
 ``--out`` merges the rows into the ``caps`` block of a JSON file under
 ``--label``; once the block holds both ``parent`` and ``change`` it also
-records whether every row that both ran to the same exit code has the same
-digest (``digests_identical``), the rows the parent refused with exit 2
-and the change runs to exit 0 (``rows_newly_accepted``), and every other
-row whose exit code or digest differs (``rows_changed``).  The standard
+records the rows the parent refused with exit 2 and the change runs to
+exit 0 (``rows_newly_accepted``), every other row whose exit code or
+digest differs (``rows_changed``), and whether there are none of those
+(``digests_identical``).  The standard
 library is all it needs.
 """
 
@@ -95,7 +95,7 @@ def lang(what: str, tau: str, nmax: int, mode: str):
 def block_frequencies(block: int, prefix: int):
     """``freq --block b --prefix N`` on the limit kneading stream, a uniform
     substitution's fixed point: its windows are counted by recursion on the
-    prefix, which is built only below 2^12 symbols."""
+    prefix, of which only the first 128 symbols are built."""
     from kneading import empirical_frequencies, feigenbaum_limit
 
     return empirical_frequencies(feigenbaum_limit(), block, prefix)
@@ -274,20 +274,18 @@ def compare(parent: dict, change: dict) -> dict:
     rows that both ran to the same exit code are compared by digest (a row
     without an exit code is a library call, compared always); a row that
     the parent refused with exit 2 and the change runs to exit 0 is newly
-    accepted, not changed."""
-    identical, changed, accepted = True, [], []
+    accepted, any other changed exit code or digest is changed, and the
+    digests are identical when no row changed."""
+    changed, accepted = [], []
     for name, row in change.items():
         old = parent.get(name)
         if old is None:
             continue
         if old.get("exit") == 2 and row.get("exit") == 0:
             accepted.append(name)
-        elif old.get("exit") != row.get("exit"):
+        elif old.get("exit") != row.get("exit") or old["sha256"] != row["sha256"]:
             changed.append(name)
-        elif old["sha256"] != row["sha256"]:
-            identical = False
-            changed.append(name)
-    return {"digests_identical": identical, "rows_changed": changed,
+    return {"digests_identical": not changed, "rows_changed": changed,
             "rows_newly_accepted": accepted}
 
 

@@ -74,10 +74,26 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+# Fraction("1e-10000000") builds 10^10000000 (8 s on a 2-core Xeon) before
+# any cap on the value can refuse it
+_MAX_EXPONENT = 1000
+
+
 def _fraction(text: str):
-    """Fraction(text), with a zero denominator reported as bad input
-    (ValueError, exit 2) like any other malformed number."""
+    """Fraction(text), with a zero denominator, an exponent past
+    _MAX_EXPONENT and a run of digits past Python's int-to-str limit
+    reported as bad input (ValueError, exit 2) like any other malformed
+    number, each before Fraction does the work."""
+    import re
+    import sys
     from fractions import Fraction
+    _, e, exp = text.lower().rpartition("e")
+    exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and exp.isdecimal() and (len(exp) > 4 or int(exp) > _MAX_EXPONENT):
+        raise ValueError(f"exponent must be in -{_MAX_EXPONENT}..{_MAX_EXPONENT}")
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(run) > limit for run in re.findall(r"\d+", text.replace("_", ""))):
+        raise ValueError(f"numbers must have at most {limit} digits")
     try:
         return Fraction(text)
     except ZeroDivisionError:

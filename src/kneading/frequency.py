@@ -160,15 +160,15 @@ def empirical_frequencies(
     return {b: Fraction(c, total) for b, c in sorted(counts.items())}
 
 
-# fixed-point prefixes up to this length are materialized and tallied
-_DIRECT_LEN = 1 << 12
+# fixed-point windows over up to this many symbols are sliced from one
+# materialized prefix and tallied
+_DIRECT_LEN = 1 << 7
 
 
 def _fixed_point_counts(stream, b: int, N: int, step: int) -> dict[str, int] | None:
     """Counts of the length-b windows at 0, step, 2 step, ... of the first
     N symbols of the fixed point u = phi(u) of a k-uniform rule, k >= 2,
-    read through its coding if it has one; None for any other stream, or
-    for N < _DIRECT_LEN.
+    read through its coding if it has one; None for any other stream.
 
     A window at i = k q + r of phi(u) is phi(u[q:q+m])[r:r+b] with
     m = ceil((r + b) / k).  The starts i <= N - b with i = c (mod M) are
@@ -184,7 +184,7 @@ def _fixed_point_counts(stream, b: int, N: int, step: int) -> dict[str, int] | N
     _DIRECT_LEN are sliced from one materialized prefix of u, an offset c
     as a slice, and tallied by _tally.  The counts are exact.
     """
-    if not isinstance(stream, FixedPointStream) or N < _DIRECT_LEN:
+    if not isinstance(stream, FixedPointStream):
         return None
     rule = stream.rule
     lengths = {len(w) for w in rule.images.values()}
@@ -227,50 +227,9 @@ def _fixed_point_counts(stream, b: int, N: int, step: int) -> dict[str, int] | N
 
 def _tally(text: str, b: int, step: int) -> dict[str, int]:
     """Counts of the length-b windows of text starting at 0, step, 2 step,
-    ...: byte lanes where they fit, else one slice per window."""
-    counts = _lane_block_counts(text, b, step)
-    if counts is None:
-        counts = {}
-        for i in range(0, len(text) - b + 1, step):
-            w = text[i:i + b]
-            counts[w] = counts.get(w, 0) + 1
-    return counts
-
-
-def _lane_block_counts(text: str, b: int, step: int) -> dict[str, int] | None:
-    """Counts of the length-b windows of text starting at 0, step, 2 step, ...
-
-    Each symbol becomes its index in the sorted alphabet (radix A), one
-    8-bit lane per symbol of a single integer T, first symbol on top.
-    T * sum_r A^r 256^(b-1-r) adds, for r < b, T shifted up by b-1-r lanes
-    times A^r, which puts the code sum_r s_(m-r) A^r of the window ending
-    at symbol m into lane m: the window read as a base-A numeral.  Codes
-    stay below A^b <= 256, so no lane carries into the next, and each code
-    is tallied by _byte_tally.  Returns None (caller loops per position)
-    when A^b > 256 or a symbol is not ASCII.
-    """
-    if not text.isascii():
-        return None
-    raw = text.encode("ascii")
-    alphabet = bytes(sorted(_byte_tally(raw)))
-    A, n = len(alphabet), len(text)
-    if A ** b > 256:
-        return None
-    spread = sum(A ** r << 8 * (b - 1 - r) for r in range(b))
-    # one expression, so each n-byte temporary is freed once consumed
-    lanes = (int.from_bytes(raw.translate(bytes.maketrans(alphabet, bytes(range(A)))),
-                            "big") * spread).to_bytes(n + b - 1, "big")[b - 1:n:step]
-    # the code's base-A digits, most significant first, spell the window
-    return {bytes(alphabet[code // A ** r % A] for r in reversed(range(b))).decode(): c
-            for code, c in _byte_tally(lanes).items()}
-
-
-def _byte_tally(data: bytes) -> dict[int, int]:
-    """Count of each byte value present in data, one C pass per value:
-    delete the first byte's value and record how many bytes went."""
+    ..., one slice per window."""
     counts = {}
-    while data:
-        rest = data.translate(None, data[:1])
-        counts[data[0]] = len(data) - len(rest)
-        data = rest
+    for i in range(0, len(text) - b + 1, step):
+        w = text[i:i + b]
+        counts[w] = counts.get(w, 0) + 1
     return counts

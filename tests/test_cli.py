@@ -439,6 +439,11 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
     (["zeta", "--tau", "feigenbaum:"], 2, "error: level must be in 1..14\n"),
     (["dyn", "lemma1", "--r", "4.1"], 2,
      "error: orbit left [0, 1] at step 11: 1.023736001960129\n"),
+    (["zeta", "--tau", "1e-10000000"], 2, "error: exponent must be in -1000..1000\n"),
+    (["zeta", "--tau", "6/7", "--tol", "1e-10000000"], 2,
+     "kneading zeta: error: argument --tol: invalid Fraction value: '1e-10000000'\n"),
+    (["zeta", "--tau", "1/" + "7" * 5000], 2,
+     "error: numbers must have at most 4300 digits\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
@@ -553,7 +558,9 @@ zeta --tau 1/4294967311 --order 8|zeta --tau 1e-30 --order 4
     ["zeta", "--tau", "feigenbaum:inf", "--order", "64", "--entropy", "--tol",
      f"1/{10 ** 100}"],
     ["zeta", "--tau", "feigenbaum:inf", "--order", "64", "--entropy", "--tol",
-     f"1/{10 ** 100 + 1}"]]
+     f"1/{10 ** 100 + 1}"],
+    "zeta --tau 1e-1000 --order 4".split(), "zeta --tau 1e-1001 --order 4".split(),
+    "zeta --tau 6/7 --tol 1e-10000000".split()]
 
 
 @pytest.mark.parametrize("argv", _EDGE_CASES, ids=" ".join)

@@ -259,7 +259,10 @@ class _WordStream(SymbolStream):
 def _window_frequencies(text, b, aligned):
     """Reference: one slice per window position."""
     step = b if aligned else 1
-    counts = Counter(text[i:i + b] for i in range(0, len(text) - b + 1, step))
+    return _shares(Counter(text[i:i + b] for i in range(0, len(text) - b + 1, step)))
+
+
+def _shares(counts):
     total = sum(counts.values())
     return {w: Fraction(c, total) for w, c in sorted(counts.items())}
 
@@ -268,8 +271,8 @@ def _window_frequencies(text, b, aligned):
 @given(st.data(), st.sampled_from(["01", "abcd", "\u03b1\u03b2", "0"]),
        st.integers(min_value=1, max_value=10), st.booleans())
 def test_lane_counts_match_window_loop(data, alphabet, b, aligned):
-    # binary and four-letter words take the lane path while A^b <= 256 and
-    # the per-position loop above it; non-ASCII symbols always loop
+    # a finite word is no fixed point: its whole prefix is tallied, one
+    # slice per window, over any alphabet
     word = data.draw(st.text(alphabet=alphabet, min_size=b, max_size=300))
     got = empirical_frequencies(_WordStream(word), b, len(word), aligned)
     assert got == _window_frequencies(word, b, aligned)
@@ -278,7 +281,7 @@ def test_lane_counts_match_window_loop(data, alphabet, b, aligned):
 @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("aligned", [False, True])
 def test_lane_counts_on_pair_rule_stream(b, aligned):
-    # four letters: lanes up to b = 4 (4^4 = 256 codes), the loop at b = 5
+    # four letters, counted by recursion from the shortest prefix up
     stream = FixedPointStream(PAIR_RULE, "a")
     for N in (b, 1000, 4099):
         got = empirical_frequencies(stream, b, N, aligned)
@@ -311,15 +314,16 @@ def _uniform_fixed_points(draw):
 @settings(max_examples=80, deadline=None)
 @example(tau_infinity_digits(), 64, 200_000, True)
 @example(feigenbaum_limit(), 3, 200_000, True)
+@example(tau_infinity_digits(), 64, 64, False)
+@example(feigenbaum_limit(), 3, _DIRECT_LEN + 1, False)
 @given(st.one_of(st.sampled_from(sorted(_CLI_STREAMS)).map(lambda name: _CLI_STREAMS[name]()),
                  _uniform_fixed_points()),
        st.integers(min_value=1, max_value=64),
-       st.integers(min_value=_DIRECT_LEN, max_value=200_000), st.booleans())
+       st.integers(min_value=1, max_value=200_000), st.booleans())
 def test_recursive_counts_match_window_loop(stream, b, N, aligned):
+    N = max(N, b)  # every prefix of at least one block
     counts = _fixed_point_counts(stream, b, N, b if aligned else 1)
-    total = sum(counts.values())
-    got = {w: Fraction(c, total) for w, c in sorted(counts.items())}
-    assert got == _window_frequencies(stream.prefix(N), b, aligned)
+    assert _shares(counts) == _window_frequencies(stream.prefix(N), b, aligned)
 
 
 @pytest.mark.parametrize("name, b, aligned", [
@@ -335,9 +339,12 @@ def test_only_uniform_growing_rules_recurse():
     assert _fixed_point_counts(still, 1, 2 ** 20, 1) is None
     with pytest.raises(ValueError, match="substitution iteration does not grow"):
         empirical_frequencies(still, 1, 2 ** 20)
-    # images of two lengths, and short prefixes, are tallied from the prefix
+    # images of two lengths are tallied from the prefix
     fibonacci = FixedPointStream(SubstitutionRule({"0": "01", "1": "0"}), "0")
     assert _fixed_point_counts(fibonacci, 3, 2 ** 14, 1) is None
     assert empirical_frequencies(fibonacci, 3, 2 ** 14) == _window_frequencies(
         fibonacci.prefix(2 ** 14), 3, False)
-    assert _fixed_point_counts(feigenbaum_limit(), 3, _DIRECT_LEN - 1, 1) is None
+    # a short prefix of a uniform rule's fixed point recurses too
+    counts = _fixed_point_counts(feigenbaum_limit(), 3, _DIRECT_LEN - 1, 1)
+    assert _shares(counts) == _window_frequencies(
+        feigenbaum_limit().prefix(_DIRECT_LEN - 1), 3, False)
