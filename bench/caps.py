@@ -170,7 +170,8 @@ def command(*argv):
 # wanted), lang complexity --nmax at 24, language_words at 16,
 # freq --block at 64 and --prefix at 2^62 (the 2^22 rows are its old cap),
 # dyn --n at 256 and --pairs and --steps at 4096, tau --infinity and
-# cf tau-infinity --bits at 2^16, cf table --jmax at 12; the command rows
+# cf tau-infinity --bits at 2^16 (cf_of_enclosure also at 2^17 and 2^18, the
+# sizes a raised --bits cap would reach), cf table --jmax at 12; the command rows
 # run the whole command at its cap: zeta --order at 2048 (series, and
 # orbit counts from the determinant, digested as printed), tau --j at 20,
 # cf tau-level --j at 12,
@@ -202,6 +203,7 @@ ROWS = [
     ("cf tau-infinity bits 65536", tau_infinity_quotients, (1 << 16,)),
     ("tau_infinity_enclosure bits 2^18", tau_infinity_enclosure, (1 << 18,)),
     ("cf_of_enclosure bits 2^17", tau_infinity_quotients, (1 << 17,)),
+    ("cf_of_enclosure bits 2^18", tau_infinity_quotients, (1 << 18,)),
 ] + [
     (f"cf_of_rational tau_level {j}", tau_level_quotients, (j,)) for j in (16, 17, 18)
 ] + [

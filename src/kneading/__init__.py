@@ -41,8 +41,8 @@ _EXPORTS = {
         "tau_infinity_digits", "tau_infinity_enclosure", "renormalize_tau",
     ),
     "cfrac": (
-        "ContinuedFraction", "Convergent", "ContinuationReport", "cf_of_rational",
-        "cf_of_enclosure", "convergents", "cf_table", "cf_continuation_check",
+        "ContinuedFraction", "Convergent", "cf_of_rational", "cf_of_enclosure",
+        "convergents", "cf_table",
     ),
     "spectral": (
         "EntropyInconclusive", "IntSeries", "OrbitCounts", "EntropyResult",

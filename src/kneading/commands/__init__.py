@@ -65,6 +65,11 @@ def _atomic_write(path: str, text: str):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp made the file 0600; give it the mode open(path, "w") would,
+        # 0666 less the umask, which is read by setting it
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         try:
             os.replace(tmp, path)
         except OSError as e:
@@ -99,8 +104,6 @@ def _fraction(text: str):
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text}") from None
 
-
-_fraction.__name__ = "Fraction"  # argparse names the type in its messages
 
 
 def _tau_stream(spec: str):

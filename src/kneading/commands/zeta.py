@@ -10,10 +10,13 @@ def add_arguments(p):
     p.add_argument("--order", type=int, default=30)
     p.add_argument("--counts", action="store_true")
     p.add_argument("--entropy", action="store_true")
-    p.add_argument("--tol", type=_fraction, default="1/10000000000")
+    p.add_argument("--tol", default="1/10000000000")
 
 
 def run(args) -> _Result:
+    # parsed here, not by argparse, which would print its usage and
+    # "invalid value" in place of _fraction's reason
+    tol = _fraction(args.tol)
     # p/q and feigenbaum:j expand the rational zeta in O(order * (m + p))
     # products, m + p the determinant's degree; feigenbaum:inf still costs
     # O(order^2), and so bounds the order: about 0.33 s for --counts at the
@@ -22,7 +25,7 @@ def run(args) -> _Result:
         raise ValueError("order must be in 1..2048")
     # entropy costs more as tol shrinks: --order 2048 on feigenbaum:inf
     # takes about 1.2 s at this floor and 7.2 s at 1/10^300 on a 2-core Xeon
-    if args.entropy and 0 < args.tol and args.tol * 10 ** 100 < 1:
+    if args.entropy and 0 < tol and tol * 10 ** 100 < 1:
         raise ValueError("tolerance must be at least 1/10^100")
     stream = _tau_stream(args.tau)
     if (args.counts or args.entropy) and encoding.is_maximal(stream) is not True:
@@ -37,7 +40,7 @@ def run(args) -> _Result:
         payload["primeCounts"] = {str(n): c for n, c in oc.prime_counts.items()}
     if args.entropy:
         try:
-            res = spectral.entropy(det, tol=args.tol)
+            res = spectral.entropy(det, tol=tol)
             bracket = None
             if res.z_bracket is not None:
                 bracket = [_num(b, args) for b in res.z_bracket]

@@ -166,6 +166,8 @@ def tau_level(j: int) -> TauLevel:
     D (2^-m + 2^-2m + ...) is the m binary digits of D repeated, and
     tau_j has no other binary expansion, as q is odd and greater than 1.
     """
+    if j < 1:
+        raise ValueError("level must be >= 1")
     p, q = _closed_form_pq(j)
     n = 1 << (j - 1)
     return TauLevel(j, p, q, format((p << n) - p, f"0{2 * n}b"))

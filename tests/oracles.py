@@ -16,7 +16,10 @@ lacunary product ``xi_series``, the cascade zeta series from that product,
 the intersection of two enclosures as an (lo, hi) ``Interval``, and powers
 and column sums of an incidence matrix.  ``flip_cf_of_enclosure`` runs the
 two endpoints' Euclids interleaved, the reference for the common prefix of
-two quotient streams that ``cf_of_enclosure`` takes.
+two quotient streams that ``cf_of_enclosure`` takes, and
+``cf_continuation_check`` classifies how one cascade level's continued
+fraction continues the last, the check of the theorem that
+``kneading.cfrac.cf_table``'s docstring proves.
 ``FunctionStream`` reads a stream off a symbol function, so a test can
 hand a periodic stream to the library as a generated one, and
 ``skew_tent_map`` is a third float family, with its peak off 1/2.
@@ -41,6 +44,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
+from kneading.cfrac import cf_of_rational
 from kneading.dynamics import Lemma1Report, UnimodalMap, itinerary
 from kneading.encoding import tau_of_periodic, xi
 from kneading.feigenbaum import (
@@ -329,6 +333,21 @@ def flip_cf_of_enclosure(enclosure) -> list:
             # continue with arbitrarily large next quotients
             break
     return out
+
+
+def cf_continuation_check(j: int) -> str:
+    """How level j + 1's expansion begins: "verbatim" with level j's n_j
+    quotients, "decrement" with them and the last lowered by 1, else
+    "exception".  The theorem in ``cf_table``'s docstring predicts
+    "verbatim" for even n_j, "decrement" for odd n_j, at every j >= 2."""
+    cur, nxt = (cf_of_rational(Fraction(*_closed_form_pq(i))).quotients
+                for i in (j, j + 1))
+    head = nxt[:len(cur)]
+    if head == cur:
+        return "verbatim"
+    if head[:-1] == cur[:-1] and head[-1] == cur[-1] - 1:
+        return "decrement"
+    return "exception"
 
 
 def thue_morse_check(n: int) -> bool:

@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 
 from kneading.cfrac import (
     ContinuedFraction,
-    cf_continuation_check,
+    _convergent_pairs,
     cf_of_enclosure,
     cf_of_rational,
     cf_table,
     convergents,
 )
-from kneading.feigenbaum import DyadicEnclosure, tau_infinity_enclosure, tau_level
-from oracles import flip_cf_of_enclosure
+from kneading.feigenbaum import (
+    DyadicEnclosure,
+    _closed_form_pq,
+    tau_infinity_enclosure,
+    tau_level,
+)
+from oracles import cf_continuation_check, flip_cf_of_enclosure
 
 # expansions of the first eight period-doubling parameters, frozen from
 # exact Euclid runs on the closed-form p_j/q_j
@@ -197,17 +202,66 @@ def test_convergent_quality_random():
                 assert gap < Fraction(1, a.s * b.s)
 
 
+def _n(j):
+    return len(cf_of_rational(Fraction(*_closed_form_pq(j))).quotients)
+
+
 def test_continuation_pattern():
-    # the parity rule holds exactly for j = 2..11; j = 1 is the lone break
-    r1 = cf_continuation_check(1)
-    assert r1.observed == "exception" and not r1.matches
-    for j in range(2, 12):
-        r = cf_continuation_check(j)
-        assert r.matches, (j, r.observed, r.expected)
-    assert cf_continuation_check(4).observed == "verbatim"
-    assert cf_continuation_check(7).observed == "decrement"
+    # the theorem in cf_table's docstring: past j = 1, level j + 1 keeps
+    # level j's quotients verbatim for even n_j and lowers the last one
+    # for odd n_j; the check has no cap of its own
+    assert cf_continuation_check(1) == "exception"
+    for j in range(2, 15):
+        want = "decrement" if _n(j) % 2 else "verbatim"
+        assert cf_continuation_check(j) == want, j
+    assert cf_continuation_check(4) == "verbatim"
+    assert cf_continuation_check(7) == "decrement"
     # the decrement at j = 7 turns the final 89 into 88
     assert TAU_CF[7][38] == 89 and TAU_CF[8][38] == 88
+
+
+def test_levels_are_even_convergents_of_the_limit():
+    # for j >= 2, p_j/q_j is the convergent of tau_inf of index n_j or
+    # n_j + 1, whichever is even; 2^16 bits certify 19032 quotients, past
+    # the index 9410 of level 15
+    prefix = cf_of_enclosure(tau_infinity_enclosure(1 << 16))
+    want = {}
+    for j in range(2, 16):
+        n = _n(j)
+        want[n + n % 2] = _closed_form_pq(j)
+    assert max(want) <= len(prefix)
+    got = {}
+    for k, pair in enumerate(_convergent_pairs(prefix[:max(want)]), start=1):
+        # tau_1 = 2/3 is none of them (denominators only grow past 3)
+        assert pair != (2, 3)
+        if k in want:
+            got[k] = pair
+    assert got == want
+
+
+def _level_terms(j):
+    """x = 2^-n for n = 2^(j-1), and A = prod_{k<j-1} (1 - 2^-(2^k))."""
+    A = Fraction(1)
+    for k in range(j - 1):
+        A *= 1 - Fraction(1, 1 << (1 << k))
+    return A, Fraction(1, 1 << (1 << (j - 1)))
+
+
+def test_level_gap_bound():
+    A, x = _level_terms(3)
+    assert A * (1 + x) ** 2 / (1 - x) == Fraction(289, 640)
+    for j in range(3, 21):
+        A, x = _level_terms(j)
+        # A (1 + x)^2/(1 - x) < 1/2, with each gcd on operands of one size
+        assert 2 * A < (1 - x) / (1 + x) / (1 + x), j
+    # steps (2) and (3) of the proof against tau_inf's enclosure
+    enc = tau_infinity_enclosure(1 << 14)
+    for j in range(2, 13):
+        A, x = _level_terms(j)
+        tau_j = Fraction(*_closed_form_pq(j))
+        assert 1 - tau_j == A / 2 / (1 + x)
+        lo, hi = A * x * x * (1 - 2 * x) / (1 - x), A * x * x / (1 - x)
+        assert enc.lo - tau_j <= hi and enc.hi - tau_j >= lo > 0, j
 
 
 def test_prefix_stability_across_levels():

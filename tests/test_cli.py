@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import stat
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -216,6 +218,32 @@ def test_out_writes_what_stdout_would_show(capsys, tmp_path, argv):
     assert target.read_text() == want
 
 
+_UMASK_RUN = """
+import os, sys
+os.umask(int(sys.argv[1], 8))
+import kneading.cli
+sys.exit(kneading.cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [("022", 0o644), ("077", 0o600)],
+                         ids=["umask022", "umask077"])
+def test_out_files_take_the_umask(tmp_path, umask, mode):
+    # an --out file gets the mode a shell redirect would give it, 0666 less
+    # the umask, not the temporary file's 0600; each child sets its own umask
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for argv in (["export", "zeta-roots", "--j", "2", "--out", "roots.csv"],
+                 ["reproduce", "nj-sequence", "--out", "."]):
+        done = subprocess.run([sys.executable, "-c", _UMASK_RUN, umask, *argv],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+    for name in ("roots.csv", "nj-sequence.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
+
+
 def test_reproduce_all(capsys, tmp_path):
     rc, out = run(capsys, "reproduce", "all", "--out", str(tmp_path))
     assert rc == 0
@@ -414,7 +442,7 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
      "kneading: error: unrecognized arguments: --seed 1\n"),
     (["zeta", "--tau", "1/0"], 2, "error: zero denominator: 1/0\n"),
     (["zeta", "--tau", "6/7", "--entropy", "--tol", "1/0"], 2,
-     "kneading zeta: error: argument --tol: invalid Fraction value: '1/0'\n"),
+     "error: zero denominator: 1/0\n"),
     (["dyn", "lemma1", "--pairs", "-1"], 2, "error: pairs must be >= 0\n"),
     (["zeta", "--tau", "feigenbaum:15"], 2, "error: level must be in 1..14\n"),
     (["zeta", "--tau", "feigenbaum:inf", "--order", "64", "--entropy", "--tol", "4/3"], 2,
@@ -441,9 +469,11 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
      "error: orbit left [0, 1] at step 11: 1.023736001960129\n"),
     (["zeta", "--tau", "1e-10000000"], 2, "error: exponent must be in -1000..1000\n"),
     (["zeta", "--tau", "6/7", "--tol", "1e-10000000"], 2,
-     "kneading zeta: error: argument --tol: invalid Fraction value: '1e-10000000'\n"),
+     "error: exponent must be in -1000..1000\n"),
     (["zeta", "--tau", "1/" + "7" * 5000], 2,
      "error: numbers must have at most 4300 digits\n"),
+    (["zeta", "--tau", "6/7", "--tol", "abc"], 2,
+     "error: Invalid literal for Fraction: 'abc'\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing

@@ -83,6 +83,13 @@ def test_digit_rule_matches_closed_form_and_recursion():
         assert lvl == tau_level_via(j, "digit-rule")
 
 
+@pytest.mark.parametrize("j", [0, -1])
+def test_level_below_one_is_refused(j):
+    # as feigenbaum_word refuses it, not by a shift count from the closed form
+    with pytest.raises(ValueError, match="^level must be >= 1$"):
+        tau_level(j)
+
+
 @pytest.mark.parametrize("j", range(1, 21))
 def test_period_matches_parity_word(j):
     assert tau_level(j).period_digits == parity_digit_period(j)

@@ -288,8 +288,6 @@ _AWAITING_CALLER = {
     "NotRenormalizableError": "D18(a)",
     "band_merging_parameter": "D18(a)",
     "superstable_parameter": "D18(a)",
-    "cf_continuation_check": "D19",
-    "ContinuationReport": "D19",
     "convergents": "D19",
     "Convergent": "D19",
     "stream_tau": "D22",

@@ -380,7 +380,6 @@ def _tent(x):
 _RECORDS = [
     (cfrac.ContinuedFraction, ([1, 4, 1, 2],), [((),), ((1, 0),), ((2, 1),)]),
     (cfrac.Convergent, (1, 2, 3), []),
-    (cfrac.ContinuationReport, (1, 2, "1 4", "1 4 1", False), []),
     (dynamics.UnimodalMap, ("tent", 2.0, _tent, 0.5), [
         ("tent", 2.0, _tent, 1.0), ("tent", 2.0, _tent, 0.5, 0.0),
         ("tent", 2.0, lambda x: 1.0, 0.5)]),
