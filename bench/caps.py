@@ -179,7 +179,8 @@ def command(*argv):
 # (25, its old cap, kept beside it), lang forbidden --nmax at 4096 and
 # zeta --entropy --tol at 1/10^100; freq --stream tau-inf --block 3
 # --prefix 4194304 is the heaviest freq command of the cascade benchmark
-# workload
+# workload; dyn lemma1 at a tent slope just past 2, a map that is not closed,
+# steps every orbit all n times at the caps
 ROWS = [
     (f"tau stream {tau}", tau_stream, (tau,))
     for tau in ("10006/10007", "100002/100003", "1000002/1000003", "1048572/1048573")
@@ -225,6 +226,7 @@ ROWS = [
         "lang forbidden --tau feigenbaum:inf --nmax 4096",
         "zeta --tau feigenbaum:inf --order 2048 --entropy --tol 1/10^100",
         "zeta --tau feigenbaum:14 --entropy",
+        "dyn lemma1 --family tent --slope 2.000000000001 --pairs 4096 --n 256",
     )
 ]
 

@@ -4,8 +4,10 @@ from .. import dynamics
 from . import _check_cap, _Result
 
 # float orbits carry no information past a few dozen symbols; the costs are
-# linear in --n times --steps or --pairs: at the caps, about 0.45 s for
-# lemma1 and 0.6 s for scan as a fresh process on a 2-core Xeon
+# linear in --n times --steps or --pairs: at the caps, as a fresh process on
+# a 2-core Xeon, about 0.5 s for scan and 0.45 s for lemma1 on a map that is
+# not closed (a tent slope past 2), and 0.1 s for lemma1 on a closed map,
+# whose pairs stop stepping once they are settled
 _MAX_N = 256
 _MAX_POINTS = 4096
 
@@ -48,6 +50,12 @@ def _scan(args) -> _Result:
 
 def run(args) -> _Result:
     if args.what == "scan":
+        # the scan is of the logistic family with the default band; refuse
+        # the options it would otherwise ignore
+        if args.family != "logistic":
+            raise ValueError("dyn scan runs the logistic family only")
+        if args.eta != dynamics.UnimodalMap.eta:
+            raise ValueError(f"dyn scan takes only the default --eta {dynamics.UnimodalMap.eta!r}")
         return _scan(args)
     _check_cap("n", args.n, _MAX_N)
     if args.what == "kneading":

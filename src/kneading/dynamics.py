@@ -24,11 +24,17 @@ class NotRenormalizableError(RuntimeError):
 
 
 class UnimodalMap(_Record):
+    """A map of [0, 1] with its peak at c0 and the endpoints mapped to 0.
+
+    ``closed`` declares that fn maps every double in [0, 1] into [0, 1], so
+    no orbit from [0, 1] can escape and its remaining steps are skipped once
+    an answer is settled.  Only constructors that prove it set it."""
     family: str
     parameter: float
     fn: Callable[[float], float]
     c0: float
     eta: float = 1e-9
+    closed: bool = False
 
     def __post_init__(self):
         if not 0 < self.c0 < 1:
@@ -40,19 +46,42 @@ class UnimodalMap(_Record):
                 raise ValueError("endpoints must map to 0")
 
 
+def _logistic(r: float) -> Callable[[float], float]:
+    """The logistic step, evaluated as (r x)(1 - x)."""
+    return lambda x: r * x * (1.0 - x)
+
+
 def logistic_map(r: float, eta: float = 1e-9) -> UnimodalMap:
+    """x -> r x (1 - x), peak 1/2; closed for 0 < r <= 4.
+
+    Proof: rounding is monotone, so a = fl(r x) <= fl(4 x) = 4 x.  For
+    x >= 1/2, 1 - x is exact (Sterbenz) and a (1 - x) <= 4 x (1 - x) <= 1.
+    For x < 1/4 both factors are below 1.  For 1/4 <= x = 1/2 - d < 1/2,
+    1 - x = 1/2 + d lies in [1/2, 1), where doubles are 2^-53 apart, so
+    b = fl(1 - x) <= 1/2 + d + 2^-54 and a b <= (2 - 4 d)(1/2 + d + 2^-54)
+    = 1 + 2^-53 - 4 d^2 - d 2^-52 < 1 + 2^-53, which rounds to at most 1.
+    No factor is negative, so no image is.  The bound is tight: at
+    r = nextafter(4, 5), x = 0.49999999254941946 maps to 1.0000000000000002.
+    """
     if r <= 0:
         raise ValueError("parameter must be positive")
-    return UnimodalMap("logistic", r, lambda x: r * x * (1.0 - x), 0.5, eta)
+    return UnimodalMap("logistic", r, _logistic(r), 0.5, eta, r <= 4.0)
 
 
 def tent_map(slope: float = 2.0, eta: float = 1e-9) -> UnimodalMap:
+    """x -> s x below 1/2 and s (1 - x) from 1/2, peak 1/2; closed for
+    0 < s <= 2.
+
+    Proof: rounding is monotone.  For x < 1/2, fl(s x) <= fl(2 x) = 2 x < 1.
+    For x >= 1/2, 1 - x is exact (Sterbenz), so fl(s (1 - x)) <= 2 (1 - x)
+    <= 1.  No factor is negative, so no image is.
+    """
     if slope <= 0:
         raise ValueError("slope must be positive")
     return UnimodalMap(
         "tent", slope,
         lambda x: slope * x if x < 0.5 else slope * (1.0 - x),
-        0.5, eta,
+        0.5, eta, slope <= 2.0,
     )
 
 
@@ -207,8 +236,10 @@ def lemma1_validate(m: UnimodalMap, pairs: int, n: int, seed: int = 0) -> Lemma1
     Pairs whose digit words agree to length n, or whose symbols are
     unreliable anywhere up to the first discrepancy, are excluded.  Digits
     t_k = s_0 xor ... xor s_k first differ where symbols do, at d, so x < y
-    is contradicted exactly when x's t_d, the parity of s_0..s_d, is 1.  Both
-    orbits are stepped all n times, x first, so escapes raise as in itinerary.
+    is contradicted exactly when x's t_d, the parity of s_0..s_d, is 1.  A
+    closed map's orbits are stepped together only until the pair is
+    settled; any other map's are stepped all n times, x first, so escapes
+    raise as in itinerary.
     """
     if pairs < 0:
         raise ValueError("pairs must be >= 0")
@@ -217,7 +248,7 @@ def lemma1_validate(m: UnimodalMap, pairs: int, n: int, seed: int = 0) -> Lemma1
         raise ValueError("need at least one symbol")
     import random  # only sampling pays for the import
     rng = random.Random(seed)
-    c0, eta = m.c0, m.eta
+    fn, c0, eta, closed = m.fn, m.c0, m.eta, m.closed
     tested = decided = violations = 0
     while tested < pairs:
         x, y = sorted([rng.random(), rng.random()])
@@ -225,6 +256,17 @@ def lemma1_validate(m: UnimodalMap, pairs: int, n: int, seed: int = 0) -> Lemma1
             continue
         tested += 1
         odd = False
+        if closed:
+            for _ in range(n):
+                if not (abs(x - c0) >= eta and abs(y - c0) >= eta):
+                    break
+                odd ^= x >= c0
+                if (x >= c0) != (y >= c0):
+                    decided += 1
+                    violations += odd
+                    break
+                x, y = fn(x), fn(y)
+            continue
         for u, v in zip(_orbit(m, x, n), _orbit(m, y, n)):
             if not (abs(u - c0) >= eta and abs(v - c0) >= eta):
                 break
@@ -249,18 +291,29 @@ class ScanReport(_Record):
 
 def monotonicity_scan(r_grid, n: int) -> ScanReport:
     """Truncated tau along a logistic parameter grid; decreases are counted,
-    not asserted away (plateaux and short reliable prefixes are expected)."""
+    not asserted away (plateaux and short reliable prefixes are expected).
+
+    Each row is the kneading word of ``logistic_map(r)`` up to its first
+    unreliable symbol.  Every r of the grid makes a closed map, so the
+    critical orbit is stepped only that far, with no escape check."""
     grid = list(r_grid)
     if not grid or not all(2.9 <= r <= 4.0 for r in grid):
         raise ValueError("grid must stay within [2.9, 4.0]")
+    eta = UnimodalMap.eta  # logistic_map's default band
     rows = []
     for r in grid:
-        word, flags = kneading(logistic_map(r), n)
-        k = flags.index(False) if False in flags else n
+        fn = _logistic(r)
+        u, word = fn(0.5), []
+        for _ in range(n):
+            if abs(u - 0.5) < eta:
+                break
+            word.append("1" if u >= 0.5 else "0")
+            u = fn(u)
+        k = len(word)
         if k == 0:
             rows.append(ScanRow(r, None, 0))
             continue
-        digits = parity_word(word[:k])
+        digits = parity_word("".join(word))
         # the first 53 terms in one exact ldexp (each partial sum of at most
         # 53 dyadic bits is a float), the nonzero rest added in order as
         # before (adding 0.0 leaves a sum unchanged); ldexp, not division by

@@ -474,6 +474,12 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
      "error: numbers must have at most 4300 digits\n"),
     (["zeta", "--tau", "6/7", "--tol", "abc"], 2,
      "error: Invalid literal for Fraction: 'abc'\n"),
+    (["dyn", "scan", "--family", "tent"], 2,
+     "error: dyn scan runs the logistic family only\n"),
+    (["dyn", "scan", "--eta", "1e-3"], 2,
+     "error: dyn scan takes only the default --eta 1e-09\n"),
+    (["dyn", "scan", "--eta", "nan"], 2,
+     "error: dyn scan takes only the default --eta 1e-09\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing

@@ -81,6 +81,44 @@ def test_orbit_escape():
         tent_map(0.0)
 
 
+def _adversarial_points():
+    """Doubles of [0, 1] where rounding decides whether fn stays in [0, 1]:
+    consecutive doubles on both sides of 1/2 and 1/4, next to 0 and 1, and
+    1/2 - d for random d at every binary scale below 1/4."""
+    pts = []
+    for start, toward in ((0.5, 0.0), (0.5, 1.0), (0.25, 0.0), (0.25, 1.0),
+                          (0.0, 1.0), (1.0, 0.0)):
+        u = start
+        for _ in range(3000):
+            pts.append(u)
+            u = math.nextafter(u, toward)
+    rng = random.Random(30)
+    pts += [0.5 - math.ldexp(1.0 + rng.random(), -e) for e in range(3, 60) for _ in range(50)]
+    return pts
+
+
+def test_closed_maps_keep_the_unit_interval():
+    rng = random.Random(4)
+    maps = [logistic_map(r) for r in (4.0, math.nextafter(4.0, 0.0), 3.9999999999,
+                                      *(4.0 * (1.0 - rng.random()) for _ in range(6)))]
+    maps += [tent_map(s) for s in (2.0, math.nextafter(2.0, 0.0), 1.9999999999)]
+    pts = _adversarial_points()
+    for m in maps:
+        assert m.closed
+        assert all(0.0 <= m.fn(u) <= 1.0 for u in pts), m.parameter
+
+
+def test_closed_bound_is_tight():
+    # one ulp past r = 4 the logistic map leaves [0, 1] by rounding alone
+    m = logistic_map(math.nextafter(4.0, 5.0))
+    assert m.parameter == 4.000000000000001
+    assert not m.closed
+    assert m.fn(0.49999999254941946) == 1.0000000000000002
+    assert not tent_map(math.nextafter(2.0, 3.0)).closed
+    assert not renormalize_map(logistic_map(3.5)).closed
+    assert not UnimodalMap("tent", 2.0, tent_map().fn, 0.5).closed
+
+
 def test_unimodal_validation():
     with pytest.raises(ValueError):
         UnimodalMap("custom", 0.0, lambda x: x, 0.5)
@@ -329,12 +367,15 @@ def test_itinerary_matches_per_step_loop(logistic, r, slope, x, n, eta):
 @given(logistic=st.booleans(), r=st.floats(3.3, 4.3), slope=st.floats(0.3, 2.3),
        c0=st.sampled_from([0.5, 0.5, 0.3, 0.7]),
        eta=st.sampled_from([1e-9, 1e-3, 0.05, 0.3, 0.6]), pairs=st.integers(0, 80),
-       n=st.integers(1, 64), seed=st.integers(0, 2 ** 32))
-def test_lemma1_matches_parity_words(logistic, r, slope, c0, eta, pairs, n, seed):
+       n=st.integers(1, 64), seed=st.integers(0, 2 ** 32), keep_closed=st.booleans())
+def test_lemma1_matches_parity_words(logistic, r, slope, c0, eta, pairs, n, seed,
+                                     keep_closed):
     # escapes (r > 4, slope > 2) raise from the same orbit step in both; a
     # symbol boundary c0 away from the peak (half the examples keep 0.5)
-    # breaks monotonicity on a branch, so decided pairs include violations
+    # breaks monotonicity on a branch, so decided pairs include violations;
+    # half the examples keep the constructor's closed mark (r <= 4,
+    # slope <= 2), which stops stepping once a pair is settled
     m = logistic_map(r) if logistic else tent_map(slope)
-    m = UnimodalMap(m.family, m.parameter, m.fn, c0, eta)
+    m = UnimodalMap(m.family, m.parameter, m.fn, c0, eta, keep_closed and m.closed)
     assert (_outcome(lemma1_validate, m, pairs, n, seed)
             == _outcome(lemma1_via_parity_words, m, pairs, n, seed))

@@ -383,6 +383,8 @@ _RECORDS = [
     (dynamics.UnimodalMap, ("tent", 2.0, _tent, 0.5), [
         ("tent", 2.0, _tent, 1.0), ("tent", 2.0, _tent, 0.5, 0.0),
         ("tent", 2.0, lambda x: 1.0, 0.5)]),
+    (dynamics.UnimodalMap, ("tent", 2.0, _tent, 0.5, 1e-9, True), [
+        ("tent", 2.0, _tent, 0.5, 0.0, True)]),
     (dynamics.Lemma1Report, (10, 8, 2, 0), []),
     (dynamics.ScanRow, (3.5, 0.75, 12), []),
     (dynamics.ScanReport, ((dynamics.ScanRow(3.5, None, 0),), 0), []),
@@ -410,8 +412,16 @@ def test_every_record_class_is_checked():
     assert {cls for cls, _, _ in _RECORDS} == set(_Record.__subclasses__())
 
 
-@pytest.mark.parametrize("cls, args, bad", _RECORDS,
-                         ids=[cls.__name__ for cls, _, _ in _RECORDS])
+def _record_ids():
+    """Each row's class name, numbered from a class's second row on."""
+    seen = []
+    for cls, _, _ in _RECORDS:
+        seen.append(cls)
+        k = seen.count(cls)
+        yield cls.__name__ if k == 1 else f"{cls.__name__}-{k}"
+
+
+@pytest.mark.parametrize("cls, args, bad", _RECORDS, ids=list(_record_ids()))
 def test_record_matches_frozen_dataclass(cls, args, bad):
     twin = _dataclass_twin(cls)
     names = [f.name for f in dataclasses.fields(twin)]
