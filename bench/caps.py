@@ -3,29 +3,37 @@
 Run from the repository root:
 
     python3 bench/caps.py                                   # print the table
-    python3 bench/caps.py --label change --out BENCH_13.json
-    python3 bench/caps.py --src ../parent/src --label parent --out BENCH_13.json
+    python3 bench/caps.py --src ../parent/src               # another tree's table
+    python3 bench/caps.py --parent ../parent/src --out BENCH_31.json
 
 ROWS holds one (name, callable, args) entry per capped input.  Each row runs
 RUNS times in this process; the median wall time, its quartiles and the
 sha256 of the repr of the last result (of its ``to_json()`` where it has
-one) are recorded, so a speed-up that
+one) are printed, so a speed-up that
 changes the output shows as a changed digest, and a row's spread shows
 beside its median.  Before each run a fixed pure-integer loop (PROBE_N
 steps) is timed; the median times REF_PROBE_S over the median of the row's
-probes is recorded as the scaled median, as perfbench scales a command by
+probes is printed as the scaled median, as perfbench scales a command by
 the median of the bare-interpreter probes around it; it is meant to cancel
 a machine that runs slow for the length of a row.  ``--src`` puts a source
-tree first on ``sys.path``, so the same table times any checkout, for
-example the parent of a change.
-A command row also records its exit code.
-``--out`` merges the rows into the ``caps`` block of a JSON file under
-``--label``; once the block holds both ``parent`` and ``change`` it also
-records the rows the parent refused with exit 2 and the change runs to
-exit 0 (``rows_newly_accepted``), every other row whose exit code or
-digest differs (``rows_changed``), and whether there are none of those
-(``digests_identical``).  The standard
-library is all it needs.
+tree first on ``sys.path``, so the same table times any checkout.
+
+``--parent`` is the one way to compare two trees, the parent's and ``--src``
+(the change's).  It times them row by row and interleaved: each of TRIALS
+trials runs the row once in a fresh interpreter per tree, the parent first
+in even trials and the change first in odd ones, so that a drift of the
+host's speed falls on both sides alike, as in ``bench/pairs.py``.  Before it
+starts the clock, each interpreter runs every layer's code, imports every
+command module and builds the whole command-line parser, so a trial times
+the row's work and no compilation, whatever bytecode either tree has
+cached.  Per row it prints both trees' medians and quartiles, the number of
+trials each tree won (ties count for neither) and whether the digests agree.
+A command row also records its exit code.  ``--out`` writes the ``caps``
+block of a JSON file: both trees' rows with their last digests, the trials
+each tree won (``trials_won``), the rows the parent refused with exit 2 and
+the change runs to exit 0 (``rows_newly_accepted``), every other row whose
+exit code or digest differs (``rows_changed``), and whether there are none
+of those (``digests_identical``).  The standard library is all it needs.
 """
 
 from __future__ import annotations
@@ -36,10 +44,13 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
 RUNS = 5
+# trials per row with --parent, as many as bench/pairs.py takes pairs at least
+TRIALS = 10
 
 # PROBE_N steps of the probe loop take REF_PROBE_S seconds (median of 300)
 # on a 2-core Intel Xeon host with Python 3.11.7
@@ -255,6 +266,19 @@ def probe() -> float:
     return time.perf_counter() - t0
 
 
+def _spread(times: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4),
+            "runs_s": [round(t, 4) for t in times]}
+
+
+def _outcome(fn, result) -> dict:
+    row = {"sha256": _digest(result)}
+    if fn is command:
+        row["exit"] = result[0]
+    return row
+
+
 def measure(fn, args) -> dict:
     times, probes = [], []
     for _ in range(RUNS):
@@ -262,15 +286,52 @@ def measure(fn, args) -> dict:
         t0 = time.perf_counter()
         result = fn(*args)
         times.append(time.perf_counter() - t0)
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    scaled = median * REF_PROBE_S / statistics.median(probes)
-    row = {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4),
-           "scaled_median_s": round(scaled, 4),
-           "runs_s": [round(t, 4) for t in times],
-           "sha256": _digest(result)}
-    if fn is command:
-        row["exit"] = result[0]
-    return row
+    row = _spread(times)
+    row["scaled_median_s"] = round(
+        row["median_s"] * REF_PROBE_S / statistics.median(probes), 4)
+    return {**row, **_outcome(fn, result)}
+
+
+def run_once(name: str) -> dict:
+    """One timed run of the row ``name`` in this process, after every layer
+    of the package and every command module have run their code and the
+    whole command-line parser has been built once."""
+    import kneading
+    from kneading import cli
+
+    for layer in kneading._EXPORTS:
+        vars(sys.modules[f"kneading.{layer}"])
+    cli._build_parser([command for command, _ in cli._COMMANDS])
+    fn, args = next((fn, args) for row, fn, args in ROWS if row == name)
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return {"s": time.perf_counter() - t0, **_outcome(fn, result)}
+
+
+def run_fresh(src: str, name: str) -> dict:
+    """``run_once`` in a fresh interpreter on the source tree ``src``."""
+    done = subprocess.run(
+        [sys.executable, "-B", os.path.abspath(__file__), "--src", src, "--row", name],
+        capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def interleave(name: str, trials: int, run) -> dict:
+    """The row ``name`` timed ``trials`` times on both trees through
+    ``run(side, name)``, side "parent" or "change": the parent first in even
+    trials and the change first in odd ones.  Returns each side's row, with
+    the outcome of its last trial, and the trials each side won."""
+    got = {"parent": [], "change": []}
+    for trial in range(trials):
+        for side in ("parent", "change") if trial % 2 == 0 else ("change", "parent"):
+            got[side].append(run(side, name))
+    out = {side: {**_spread([r["s"] for r in runs]),
+                  **{k: v for k, v in runs[-1].items() if k != "s"}}
+           for side, runs in got.items()}
+    pairs = [(p["s"], c["s"]) for p, c in zip(got["parent"], got["change"])]
+    out["trials_won"] = {"parent": sum(p < c for p, c in pairs),
+                         "change": sum(c < p for p, c in pairs)}
+    return out
 
 
 def compare(parent: dict, change: dict) -> dict:
@@ -296,16 +357,38 @@ def compare(parent: dict, change: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default="src", help="source tree to import kneading from")
-    ap.add_argument("--label", default="change", help="key of this run in the caps block")
-    ap.add_argument("--out", help="JSON file whose caps block receives the rows")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--parent", help="the parent's source tree, timed interleaved with --src")
+    mode.add_argument("--row", help="time this row once and print it as JSON")
+    ap.add_argument("--out", help="JSON file whose caps block receives the --parent comparison")
     args = ap.parse_args(argv)
+    if args.out and not args.parent:
+        ap.error("--out needs --parent")
     sys.path.insert(0, os.path.abspath(args.src))
 
-    rows = {}
-    for name, fn, fn_args in ROWS:
-        rows[name] = row = measure(fn, fn_args)
-        print(f"{row['median_s']:8.4f} s [{row['q1_s']:.4f}, {row['q3_s']:.4f}] "
-              f"scaled {row['scaled_median_s']:8.4f} s  {row['sha256'][:16]}  {name}",
+    if args.row:
+        print(json.dumps(run_once(args.row)))
+        return 0
+    if not args.parent:
+        for name, fn, fn_args in ROWS:
+            row = measure(fn, fn_args)
+            print(f"{row['median_s']:8.4f} s [{row['q1_s']:.4f}, {row['q3_s']:.4f}] "
+                  f"scaled {row['scaled_median_s']:8.4f} s  {row['sha256'][:16]}  {name}",
+                  flush=True)
+        return 0
+    trees = {"parent": args.parent, "change": args.src}
+    got = {"parent": {}, "change": {}, "trials_won": {}}
+    for name, _, _ in ROWS:
+        row = interleave(name, TRIALS, lambda side, name: run_fresh(trees[side], name))
+        for key, value in row.items():
+            got[key][name] = value
+        p, c, won = row["parent"], row["change"], row["trials_won"]
+        diff = compare({name: p}, {name: c})
+        same = ("changed" if diff["rows_changed"] else "newly accepted"
+                if diff["rows_newly_accepted"] else "same")
+        print(f"parent {p['median_s']:8.4f} s [{p['q1_s']:.4f}, {p['q3_s']:.4f}]  "
+              f"change {c['median_s']:8.4f} s [{c['q1_s']:.4f}, {c['q3_s']:.4f}]  "
+              f"won {won['parent']}:{won['change']} of {TRIALS}  {same}  {name}",
               flush=True)
     if not args.out:
         return 0
@@ -313,16 +396,15 @@ def main(argv=None) -> int:
     if os.path.exists(args.out):
         with open(args.out) as f:
             record = json.load(f)
-    caps = record.setdefault("caps", {})
-    caps["source"] = (f"bench/caps.py: each row run {RUNS} times in one process, "
-                      "median wall time with its quartiles (q1_s, q3_s), that "
-                      "median scaled by the median of the row's probe loops "
-                      "(scaled_median_s) and "
-                      "sha256 of the repr of the result")
-    caps["python"] = platform.python_version()
-    caps[args.label] = rows
-    if "parent" in caps and "change" in caps:
-        caps.update(compare(caps["parent"], caps["change"]))
+    record["caps"] = {
+        "source": (f"bench/caps.py --parent: each row run once per trial in a fresh "
+                   f"interpreter per tree, {TRIALS} trials alternating which tree "
+                   "goes first, every layer, command module and the parser loaded "
+                   "before the clock; median wall time with its quartiles (q1_s, "
+                   "q3_s), the trials each tree won (trials_won) and sha256 of the "
+                   "repr of the last trial's result"),
+        "python": platform.python_version(),
+        **got, **compare(got["parent"], got["change"])}
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)
         f.write("\n")

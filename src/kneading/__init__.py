@@ -30,7 +30,7 @@ _EXPORTS = {
     ),
     "symbolic": (
         "SymbolStream", "PeriodicStream", "FixedPointStream", "shift",
-        "renormalize_seq", "feigenbaum_word", "feigenbaum_stream", "feigenbaum_limit",
+        "feigenbaum_word", "feigenbaum_stream", "feigenbaum_limit",
     ),
     "encoding": (
         "xi", "xi_inverse", "tau_of_periodic", "stream_tau", "binary_digits",
@@ -38,7 +38,7 @@ _EXPORTS = {
     ),
     "feigenbaum": (
         "PAIR_RULE", "PAIR_TO_DIGITS", "DyadicEnclosure", "TauLevel", "tau_level",
-        "tau_infinity_digits", "tau_infinity_enclosure", "renormalize_tau",
+        "tau_infinity_digits", "tau_infinity_enclosure",
     ),
     "cfrac": (
         "ContinuedFraction", "Convergent", "cf_of_rational", "cf_of_enclosure",
@@ -55,10 +55,8 @@ _EXPORTS = {
         "pair_frequencies", "empirical_frequencies",
     ),
     "dynamics": (
-        "OrbitEscapeError", "NotRenormalizableError", "UnimodalMap", "logistic_map",
-        "tent_map", "itinerary", "kneading", "renormalize_word",
-        "renormalize_map", "superstable_parameter", "band_merging_parameter",
-        "Lemma1Report", "lemma1_validate", "ScanRow", "ScanReport",
+        "OrbitEscapeError", "UnimodalMap", "logistic_map", "tent_map", "itinerary",
+        "kneading", "Lemma1Report", "lemma1_validate", "ScanRow", "ScanReport",
         "monotonicity_scan",
     ),
 }

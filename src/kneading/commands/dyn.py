@@ -1,5 +1,7 @@
 """``kneading dyn``: floating-point unimodal dynamics."""
 
+import argparse
+
 from .. import dynamics
 from . import _check_cap, _Result
 
@@ -10,6 +12,32 @@ from . import _check_cap, _Result
 # whose pairs stop stepping once they are settled
 _MAX_N = 256
 _MAX_POINTS = 4096
+
+
+def _unset_options(p):
+    """Leave each option of parser p out of the parsed namespace unless the
+    command line passes it, and keep its flag and default in the namespace's
+    ``options`` for :func:`_reads`.  The parser's help and usage texts show
+    no defaults, so they do not change."""
+    options = {}
+    for a in p._actions:
+        if a.option_strings and a.default is not argparse.SUPPRESS:
+            options[a.dest] = (a.option_strings[0], a.default)
+            a.default = argparse.SUPPRESS
+    p.set_defaults(options=options)
+
+
+def _reads(args, label: str, dests):
+    """Refuse every option that the command line passed and that is not one
+    of ``dests``, so no option is accepted and then ignored; then give each
+    option it did not pass its default."""
+    refused = [flag for dest, (flag, _) in args.options.items()
+               if dest not in dests and hasattr(args, dest)]
+    if refused:
+        raise ValueError(f"{label} does not read {', '.join(refused)}")
+    for dest, (_, default) in args.options.items():
+        if not hasattr(args, dest):
+            setattr(args, dest, default)
 
 
 def add_arguments(p):
@@ -25,6 +53,17 @@ def add_arguments(p):
     p.add_argument("--pairs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
+    _unset_options(p)
+
+
+# the options each `what` reads, by dest; kneading and lemma1 also read their
+# family's parameter, and no `what` prints a fraction for --float to change
+_READS = {
+    "kneading": ("format", "family", "eta", "n", "out"),
+    "lemma1": ("format", "family", "eta", "n", "pairs", "seed", "out"),
+    "scan": ("format", "lo", "hi", "steps", "n", "out"),
+}
+_PARAMETER = {"logistic": "r", "tent": "slope"}
 
 
 def _map(args):
@@ -50,13 +89,12 @@ def _scan(args) -> _Result:
 
 def run(args) -> _Result:
     if args.what == "scan":
-        # the scan is of the logistic family with the default band; refuse
-        # the options it would otherwise ignore
-        if args.family != "logistic":
-            raise ValueError("dyn scan runs the logistic family only")
-        if args.eta != dynamics.UnimodalMap.eta:
-            raise ValueError(f"dyn scan takes only the default --eta {dynamics.UnimodalMap.eta!r}")
+        # the scan is of the logistic family with the default band
+        _reads(args, "dyn scan", _READS["scan"])
         return _scan(args)
+    family = vars(args).get("family", args.options["family"][1])
+    _reads(args, f"dyn {args.what} of the {family} family",
+           (*_READS[args.what], _PARAMETER[family]))
     _check_cap("n", args.n, _MAX_N)
     if args.what == "kneading":
         word, flags = dynamics.kneading(_map(args), args.n)

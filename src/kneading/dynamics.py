@@ -1,4 +1,4 @@
-"""Floating-point unimodal families: itineraries, renormalization, validation.
+"""Floating-point unimodal families: itineraries, validation and scans.
 
 Floats live only in this module; every symbol carries a reliability flag
 marking orbit points that came within eta of the critical point.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from .words import _Record, complement, parity_word
+from .words import _Record, parity_word
 
 _BOUNDARY_TOL = 1e-12
 
@@ -17,10 +17,6 @@ _BOUNDARY_TOL = 1e-12
 class OrbitEscapeError(RuntimeError, ValueError):
     """The orbit left [0, 1]; the parameter is outside the family's range.
     That is bad input, so it is a ValueError too."""
-
-
-class NotRenormalizableError(RuntimeError):
-    """The map has no admissible (a, b) geometry for renormalization."""
 
 
 class UnimodalMap(_Record):
@@ -121,108 +117,6 @@ def kneading(m: UnimodalMap, n: int) -> tuple[str, tuple[bool, ...]]:
     return itinerary(m, c1, n)
 
 
-def renormalize_word(word: str, flags=None):
-    """Inverse of the duplicate-flip substitution on a kneading word.
-
-    The rescaling that conjugates f^2 back to a unimodal map reverses
-    orientation, so the renormalized symbols are the complemented
-    even-position symbols; odd positions carry no information.
-    """
-    out = complement(word[1::2])
-    if flags is None:
-        return out
-    return out, tuple(flags[1:2 * len(out):2])
-
-
-def _bisect(g: Callable[[float], float], lo: float, hi: float,
-            tol: float = 0.0, iters: int = 200) -> float:
-    glo = g(lo)
-    ghi = g(hi)
-    if glo == 0:
-        return lo
-    if ghi == 0:
-        return hi
-    if (glo > 0) == (ghi > 0):
-        raise ValueError("no sign change on the bracket")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or hi - lo <= tol:
-            break
-        gm = g(mid)
-        if gm == 0:
-            return mid
-        if (gm > 0) == (glo > 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def renormalize_map(m: UnimodalMap) -> UnimodalMap:
-    """Rescaled second iterate L o f^2 o L^-1 with L(x) = (x-b)/(a-b).
-
-    b is the fixed point above c0, a its preimage below c0; the second
-    image of the critical point must stay inside [a, b] or the second
-    iterate is not unimodal on the rescaled interval.
-    """
-    fc = m.fn(m.c0)
-    if fc <= m.c0:
-        raise NotRenormalizableError("no fixed point above the critical point")
-    b = _bisect(lambda x: m.fn(x) - x, m.c0, 1.0)
-    a = _bisect(lambda x: m.fn(x) - b, 0.0, m.c0)
-    if not 0 < a < m.c0 < b < 1:
-        raise NotRenormalizableError("degenerate rescaling interval")
-    if m.fn(fc) < a:
-        raise NotRenormalizableError(
-            "second image of the critical point leaves the core interval"
-        )
-    scale = a - b
-    fn = m.fn
-
-    def rf(y: float) -> float:
-        u = b + y * scale
-        return (fn(fn(u)) - b) / scale
-
-    return UnimodalMap(
-        f"R({m.family})", m.parameter, rf,
-        (m.c0 - b) / scale, m.eta / abs(scale),
-    )
-
-
-def superstable_parameter(period: int, lo: float, hi: float,
-                          tol: float = 1e-12) -> float:
-    """Logistic parameter where the critical orbit returns in `period` steps.
-
-    Bisection on the sign of f^period(c0) - c0, which is the kneading
-    symbol that flips across the superstable parameter.
-    """
-    if period < 1:
-        raise ValueError("period must be positive")
-
-    def g(r: float) -> float:
-        m = logistic_map(r)
-        u = m.c0
-        for _ in range(period):
-            u = m.fn(u)
-        return u - m.c0
-
-    return _bisect(g, lo, hi, tol)
-
-
-def band_merging_parameter(lo: float = 3.6, hi: float = 3.7,
-                           tol: float = 1e-12) -> float:
-    """Logistic parameter where the third critical image hits the fixed point."""
-
-    def g(r: float) -> float:
-        m = logistic_map(r)
-        u = m.c0
-        for _ in range(3):
-            u = m.fn(u)
-        return u - (1.0 - 1.0 / r)
-
-    return _bisect(g, lo, hi, tol)
-
-
 class Lemma1Report(_Record):
     pairs_tested: int
     pairs_decided: int
@@ -299,6 +193,8 @@ def monotonicity_scan(r_grid, n: int) -> ScanReport:
     grid = list(r_grid)
     if not grid or not all(2.9 <= r <= 4.0 for r in grid):
         raise ValueError("grid must stay within [2.9, 4.0]")
+    if n < 1:
+        raise ValueError("need at least one symbol")
     eta = UnimodalMap.eta  # logistic_map's default band
     rows = []
     for r in grid:

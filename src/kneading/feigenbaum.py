@@ -199,12 +199,3 @@ def tau_infinity_enclosure(bits: int) -> DyadicEnclosure:
     if bits < 1:
         raise ValueError("bits must be >= 1")
     return DyadicEnclosure(int(tau_infinity_digits().prefix(bits), 2), bits)
-
-
-def renormalize_tau(t):
-    """Digit renormalization of a ``kneading.symbolic.SymbolStream``: the
-    stream of every second digit (t_2 t_4 t_6 ...)."""
-    from kneading.symbolic import _every_second
-
-    return _every_second(t, flip=False)
-

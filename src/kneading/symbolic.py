@@ -163,19 +163,17 @@ class FixedPointStream(_MemoizedStream):
 
 class _DerivedStream(_MemoizedStream):
     """Stream read off a base stream prefix by prefix: its first n symbols
-    are derive(base.prefix(stretch * n + skip))[:n].  Shifts, the
-    every-second-symbol renormalizations and the parity recodings of
-    generated streams are all of this form."""
+    are derive(base.prefix(n + skip))[:n].  Shifts and the parity recodings
+    of generated streams are both of this form."""
 
-    def __init__(self, base: SymbolStream, derive, stretch: int = 1, skip: int = 0):
+    def __init__(self, base: SymbolStream, derive, skip: int = 0):
         super().__init__()
         self.base = base
         self.derive = derive
-        self.stretch = stretch
         self.skip = skip
 
     def _compute_prefix(self, n: int) -> str:
-        return self.derive(self.base.prefix(self.stretch * n + self.skip))[:n]
+        return self.derive(self.base.prefix(n + self.skip))[:n]
 
 
 def shift(s: SymbolStream, m: int = 1) -> SymbolStream:
@@ -191,28 +189,6 @@ def shift(s: SymbolStream, m: int = 1) -> SymbolStream:
         r = (m - len(pre)) % len(per)
         return PeriodicStream("", per[r:] + per[:r])
     return _DerivedStream(s, lambda w: w[m:], skip=m)
-
-
-def _every_second(s: SymbolStream, flip: bool) -> SymbolStream:
-    """s_2 s_4 s_6 ..., complemented when ``flip``: the period-doubling
-    renormalization of kneading sequences (flip) and of digit streams."""
-    def derive(w: str) -> str:
-        return complement(w[1::2]) if flip else w[1::2]
-
-    if isinstance(s, PeriodicStream):
-        # the preperiod halves (rounding up); an even period halves, an odd
-        # one is read twice over before it repeats
-        n = len(s.period)
-        pre_len = (len(s.preperiod) + 1) // 2
-        out = derive(s.prefix(2 * pre_len + (2 * n if n % 2 else n)))
-        return PeriodicStream(out[:pre_len], out[pre_len:])
-    return _DerivedStream(s, derive, stretch=2)
-
-
-def renormalize_seq(s: SymbolStream) -> SymbolStream:
-    """Sequence renormalization: k-th output symbol is the complemented
-    2k-th input symbol."""
-    return _every_second(s, flip=True)
 
 
 def feigenbaum_word(j: int) -> str:

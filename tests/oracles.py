@@ -26,6 +26,11 @@ hand a periodic stream to the library as a generated one, and
 ``lemma1_via_parity_words`` decides each sampled pair from both whole
 itineraries and parity words, the construction that ``lemma1_validate``
 replaced with a walk to the first symbol discrepancy.
+``renormalize_map`` rescales a float map's second iterate, raising
+``NotRenormalizableError`` when its geometry fails, and ``renormalize_word``
+undoes the period-doubling substitution on a kneading word with its flags:
+the float check that renormalizing the map and the word commute, which left
+the package because no command reached it.
 ``tau_infinity_parity_digits`` reads the digits of tau_infinity as the
 running parities of the limit kneading sequence, the construction that
 ``tau_infinity_digits`` replaced with the pair substitution's fixed point.
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import enum
 import random
+from collections.abc import Callable
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -399,6 +405,78 @@ def lemma1_via_parity_words(m: UnimodalMap, pairs: int, n: int,
         if tx[d] > ty[d]:
             violations += 1
     return Lemma1Report(tested, decided, excluded, violations)
+
+
+class NotRenormalizableError(RuntimeError):
+    """The map has no admissible (a, b) geometry for renormalization."""
+
+
+def renormalize_word(word: str, flags=None):
+    """Inverse of the duplicate-flip substitution on a kneading word.
+
+    The rescaling that conjugates f^2 back to a unimodal map reverses
+    orientation, so the renormalized symbols are the complemented
+    even-position symbols; odd positions carry no information.
+    """
+    out = complement(word[1::2])
+    if flags is None:
+        return out
+    return out, tuple(flags[1:2 * len(out):2])
+
+
+def _bisect(g: Callable[[float], float], lo: float, hi: float,
+            tol: float = 0.0, iters: int = 200) -> float:
+    glo = g(lo)
+    ghi = g(hi)
+    if glo == 0:
+        return lo
+    if ghi == 0:
+        return hi
+    if (glo > 0) == (ghi > 0):
+        raise ValueError("no sign change on the bracket")
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi or hi - lo <= tol:
+            break
+        gm = g(mid)
+        if gm == 0:
+            return mid
+        if (gm > 0) == (glo > 0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def renormalize_map(m: UnimodalMap) -> UnimodalMap:
+    """Rescaled second iterate L o f^2 o L^-1 with L(x) = (x-b)/(a-b).
+
+    b is the fixed point above c0, a its preimage below c0; the second
+    image of the critical point must stay inside [a, b] or the second
+    iterate is not unimodal on the rescaled interval.
+    """
+    fc = m.fn(m.c0)
+    if fc <= m.c0:
+        raise NotRenormalizableError("no fixed point above the critical point")
+    b = _bisect(lambda x: m.fn(x) - x, m.c0, 1.0)
+    a = _bisect(lambda x: m.fn(x) - b, 0.0, m.c0)
+    if not 0 < a < m.c0 < b < 1:
+        raise NotRenormalizableError("degenerate rescaling interval")
+    if m.fn(fc) < a:
+        raise NotRenormalizableError(
+            "second image of the critical point leaves the core interval"
+        )
+    scale = a - b
+    fn = m.fn
+
+    def rf(y: float) -> float:
+        u = b + y * scale
+        return (fn(fn(u)) - b) / scale
+
+    return UnimodalMap(
+        f"R({m.family})", m.parameter, rf,
+        (m.c0 - b) / scale, m.eta / abs(scale),
+    )
 
 
 # === generated streams ================================================

@@ -13,8 +13,6 @@ from kneading.dynamics import (
     kneading as float_kneading,
     lemma1_validate,
     logistic_map,
-    renormalize_map,
-    renormalize_word,
     tent_map,
 )
 from kneading.encoding import kneading_from_tau, stream_tau, xi
@@ -45,6 +43,8 @@ from oracles import (
     feigenbaum_word_via,
     integer_eigenvalues,
     intersect,
+    renormalize_map,
+    renormalize_word,
     tau_infinity_digit,
     tau_infinity_enclosure_via,
     tau_level_via,

@@ -1,4 +1,5 @@
-"""The gates of the two bench scripts: caps.compare and pairs.verdict."""
+"""The gates of the two bench scripts: caps.compare, caps.interleave and
+pairs.verdict."""
 
 import importlib.util
 from pathlib import Path
@@ -58,6 +59,26 @@ def test_compare_library_rows_and_new_rows():
         "digests_identical": False, "rows_changed": ["lib"], "rows_newly_accepted": []}
     assert caps.compare(parent, {"same": _row("y"), "new": _row("v", 3)})[
         "digests_identical"]
+
+
+def test_interleave_alternates_which_tree_goes_first():
+    # the row runs trial by trial on both trees, the parent first in even
+    # trials; a faster run wins its trial, a tie counts for neither tree
+    calls = []
+    times = {"parent": [3.0, 1.0, 2.0, 2.0], "change": [2.0, 2.0, 1.0, 2.0]}
+
+    def run(side, name):
+        assert name == "a"
+        calls.append(side)
+        return {"s": times[side][calls.count(side) - 1], "sha256": side, "exit": 0}
+
+    got = caps.interleave("a", 4, run)
+    assert calls == ["parent", "change", "change", "parent"] * 2
+    assert got["trials_won"] == {"parent": 1, "change": 2}
+    assert got["parent"]["runs_s"] == times["parent"]
+    assert got["change"]["median_s"] == 2.0
+    assert got["parent"]["sha256"] == "parent" and got["change"]["exit"] == 0
+    assert "s" not in got["parent"]
 
 
 # parent runs with median 10 and quartiles 9.75 and 10.25

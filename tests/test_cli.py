@@ -474,12 +474,16 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
      "error: numbers must have at most 4300 digits\n"),
     (["zeta", "--tau", "6/7", "--tol", "abc"], 2,
      "error: Invalid literal for Fraction: 'abc'\n"),
-    (["dyn", "scan", "--family", "tent"], 2,
-     "error: dyn scan runs the logistic family only\n"),
-    (["dyn", "scan", "--eta", "1e-3"], 2,
-     "error: dyn scan takes only the default --eta 1e-09\n"),
-    (["dyn", "scan", "--eta", "nan"], 2,
-     "error: dyn scan takes only the default --eta 1e-09\n"),
+    (["dyn", "scan", "--family", "tent"], 2, "error: dyn scan does not read --family\n"),
+    (["dyn", "scan", "--eta", "1e-3"], 2, "error: dyn scan does not read --eta\n"),
+    (["dyn", "scan", "--eta", "nan"], 2, "error: dyn scan does not read --eta\n"),
+    (["dyn", "kneading", "--slope", "1.5"], 2,
+     "error: dyn kneading of the logistic family does not read --slope\n"),
+    (["dyn", "lemma1", "--family", "tent", "--r", "3.9", "--float"], 2,
+     "error: dyn lemma1 of the tent family does not read --float, --r\n"),
+    (["dyn", "scan", "--n", "0"], 2, "error: need at least one symbol\n"),
+    (["dyn", "scan", "--n", "-4"], 2, "error: need at least one symbol\n"),
+    (["export", "bifurcation-scan", "--n", "0"], 2, "error: need at least one symbol\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
@@ -496,6 +500,50 @@ def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, cod
         ent = json.loads(captured.out)["entropy"]
         assert ent == {"lo": 0.0, "hi": 0.0, "method": "unit-root-factors",
                        "bracket": None}
+
+
+# the options each `what` of `dyn` reads, written out apart from the table in
+# kneading.commands.dyn; kneading and lemma1 read their family's parameter
+_DYN_READS = {
+    ("kneading", "logistic"): "--format --family --r --eta --n --out",
+    ("kneading", "tent"): "--format --family --slope --eta --n --out",
+    ("lemma1", "logistic"): "--format --family --r --eta --n --pairs --seed --out",
+    ("lemma1", "tent"): "--format --family --slope --eta --n --pairs --seed --out",
+    ("scan", None): "--format --from --to --steps --n --out",
+}
+_DYN_VALUES = {"--format": "json", "--family": "logistic", "--r": "3.9", "--slope": "2",
+               "--eta": "1e-9", "--n": "16", "--from": "3.5", "--to": "4.0",
+               "--steps": "5", "--pairs": "10", "--seed": "1", "--out": "out.json"}
+
+
+def test_dyn_refuses_every_option_it_does_not_read(capsys, monkeypatch, tmp_path):
+    # walk the parser: every option of `dyn` that a `what` does not read
+    # exits 2 with a one-line reason and writes nothing; the options it
+    # reads, passed all at once, run
+    monkeypatch.chdir(tmp_path)
+    sub = cli._build_parser(["dyn"])._subparsers._group_actions[0].choices["dyn"]
+    flags = [a.option_strings[-1] for a in sub._actions
+             if a.option_strings and a.dest != "help"]
+    assert set(_DYN_VALUES) | {"--float"} == set(flags)
+    walked = 0
+    for (what, family), reads in _DYN_READS.items():
+        head = ["dyn", what] + (["--family", family] if family else [])
+        label = f"dyn {what}" + (f" of the {family} family" if family else "")
+        every_read = list(head)
+        for flag in flags:
+            option = [flag] + ([_DYN_VALUES[flag]] if flag in _DYN_VALUES else [])
+            if flag in reads.split():
+                every_read += option if flag != "--family" else []
+                continue
+            assert cli.main(head + option) == 2, (what, family, flag)
+            assert capsys.readouterr() == ("", f"error: {label} does not read {flag}\n")
+            walked += 1
+        assert not list(tmp_path.iterdir())
+        assert cli.main(every_read) == 0, every_read
+        assert capsys.readouterr() == ("", "")
+        assert json.loads((tmp_path / "out.json").read_text())
+        (tmp_path / "out.json").unlink()
+    assert walked == 7 + 7 + 5 + 5 + 7
 
 
 class _Refusing:
@@ -562,6 +610,7 @@ freq --stream tau-inf --block 2 --aligned --prefix 2
 dyn kneading --n 0|dyn kneading --n 1|dyn kneading --r 4|dyn kneading --r 4.1
 dyn kneading --eta 0|dyn kneading --family tent --slope 0
 dyn scan --steps 1|dyn scan --steps 2|dyn scan --steps 2 --from 2.8
+dyn scan --n 0|dyn scan --n 1|dyn scan --n -4|export bifurcation-scan --n 0
 dyn lemma1 --pairs 0|dyn lemma1 --pairs 1|dyn lemma1 --n 0
 reproduce all|reproduce nj-sequence
 export zeta-roots --j -1|export zeta-roots --j 0|export zeta-roots --j 11

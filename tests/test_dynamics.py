@@ -11,23 +11,25 @@ from hypothesis import strategies as st
 
 from kneading.dynamics import (
     Lemma1Report,
-    NotRenormalizableError,
     OrbitEscapeError,
     UnimodalMap,
-    band_merging_parameter,
     itinerary,
     kneading,
     lemma1_validate,
     logistic_map,
     monotonicity_scan,
-    renormalize_map,
-    renormalize_word,
-    superstable_parameter,
     tent_map,
 )
 from kneading.encoding import kneading_from_tau
 from kneading.symbolic import feigenbaum_stream, feigenbaum_word
-from oracles import lemma1_via_parity_words, skew_tent_map, tent
+from oracles import (
+    NotRenormalizableError,
+    lemma1_via_parity_words,
+    renormalize_map,
+    renormalize_word,
+    skew_tent_map,
+    tent,
+)
 
 
 def digit_word(word):
@@ -128,18 +130,22 @@ def test_unimodal_validation():
         logistic_map(3.5, eta=0.0)
 
 
+# logistic parameters found by float bisection, pinned as doubles: where the
+# third critical image hits the fixed point, and where the critical orbit
+# returns in 3 and in 2 steps (1 + sqrt(5))
+R_BAND_MERGING = 3.6785735104280315
+R_SUPERSTABLE_3 = 3.8318740552835515
+R_SUPERSTABLE_2 = 3.236067977499534
+
+
 def test_band_merging_parameter():
-    rb = band_merging_parameter()
-    assert abs(rb - 3.678573510428) < 1e-9
-    word, flags = kneading(logistic_map(rb), 40)
+    word, flags = kneading(logistic_map(R_BAND_MERGING), 40)
     assert word == kneading_from_tau(Fraction(5, 6)).prefix(40)
     assert all(flags)
 
 
 def test_superstable_period3_window():
-    r3 = superstable_parameter(3, 3.82, 3.84)
-    assert abs(r3 - 3.831874055284) < 1e-9
-    word, flags = kneading(logistic_map(r3), 30)
+    word, flags = kneading(logistic_map(R_SUPERSTABLE_3), 30)
     ref = kneading_from_tau(Fraction(6, 7)).prefix(30)
     for i in range(30):
         if (i + 1) % 3 == 0:
@@ -151,12 +157,14 @@ def test_superstable_period3_window():
 
 
 def test_superstable_period2_exact():
-    r2 = superstable_parameter(2, 3.1, 3.4)
-    assert abs(r2 - (1 + math.sqrt(5))) < 1e-9
-    with pytest.raises(ValueError):
-        superstable_parameter(2, 3.3, 3.4)  # no sign change
-    with pytest.raises(ValueError):
-        superstable_parameter(0, 3.1, 3.4)
+    assert abs(R_SUPERSTABLE_2 - (1 + math.sqrt(5))) < 1e-9
+    word, flags = kneading(logistic_map(R_SUPERSTABLE_2), 30)
+    ref = feigenbaum_stream(2).prefix(30)
+    for i in range(30):
+        # every second symbol is the critical orbit's return, on the boundary
+        assert flags[i] is (i % 2 == 0)
+        if flags[i]:
+            assert word[i] == ref[i]
 
 
 def test_renormalize_logistic_geometry():
@@ -268,6 +276,9 @@ def test_monotonicity_scan():
         monotonicity_scan([3.5, 4.1], 24)
     with pytest.raises(ValueError):
         monotonicity_scan([], 24)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="need at least one symbol"):
+            monotonicity_scan([3.5], n)
 
 
 def test_monotonicity_scan_past_1023_digits():

@@ -12,7 +12,6 @@ from kneading.feigenbaum import (
     PAIR_RULE,
     DyadicEnclosure,
     TauLevel,
-    renormalize_tau,
     tau_infinity_digits,
     tau_infinity_enclosure,
     tau_level,
@@ -238,21 +237,17 @@ def test_enclosure_sits_above_levels():
 
 
 def test_renormalize_tau_periodic():
+    # every second digit of tau_{j+1} is tau_j's digit stream; level j's
+    # digit period has 2^j digits, so two of its periods are compared
     for j in range(1, 10):
-        t = PeriodicStream("", tau_level(j + 1).period_digits)
-        assert renormalize_tau(t) == PeriodicStream("", tau_level(j).period_digits)
+        n = 2 ** (j + 1)
+        above = PeriodicStream("", tau_level(j + 1).period_digits).prefix(2 * n)
+        assert above[1::2] == PeriodicStream("", tau_level(j).period_digits).prefix(n)
 
 
 def test_renormalize_tau_fixed_point():
-    t = tau_infinity_digits()
-    r = renormalize_tau(t)
-    assert r.prefix(4096) == t.prefix(4096)
-
-
-def test_renormalize_tau_preperiod():
-    t = PeriodicStream("110", "10")
-    out = renormalize_tau(t)
-    assert out.prefix(10) == t.prefix(20)[1::2]
+    t = tau_infinity_digits().prefix(8192)
+    assert t[1::2] == t[:4096]
 
 
 def test_pair_rule_fixed_point_matches_digits():

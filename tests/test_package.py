@@ -281,13 +281,6 @@ def test_oracles_stay_out_of_the_package():
 # Public names that no command reaches yet, each with the ROADMAP item that
 # will call it.  A name leaves this table when its caller lands.
 _AWAITING_CALLER = {
-    "renormalize_seq": "D18(a)",
-    "renormalize_tau": "D18(a)",
-    "renormalize_word": "D18(a)",
-    "renormalize_map": "D18(a)",
-    "NotRenormalizableError": "D18(a)",
-    "band_merging_parameter": "D18(a)",
-    "superstable_parameter": "D18(a)",
     "convergents": "D19",
     "Convergent": "D19",
     "stream_tau": "D22",

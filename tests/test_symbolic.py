@@ -1,5 +1,4 @@
 import dataclasses
-import random
 import sys
 
 import pytest
@@ -12,7 +11,6 @@ from kneading.symbolic import (
     feigenbaum_limit,
     feigenbaum_stream,
     feigenbaum_word,
-    renormalize_seq,
     shift,
 )
 from kneading.words import (
@@ -32,6 +30,7 @@ from oracles import (
     FunctionStream,
     divisor_scan_minimal_period,
     feigenbaum_word_via,
+    renormalize_word,
     stepwise_canonical_form,
 )
 
@@ -197,34 +196,15 @@ def test_limit_structure():
 
 
 def test_renormalize_seq_ladder():
+    # sequence renormalization, the complemented even-position symbols,
+    # takes each cascade level to the one below, two periods at a time
     for j in range(1, 14):
-        assert renormalize_seq(feigenbaum_stream(j + 1)) == feigenbaum_stream(j)
+        n = 2 ** j
+        above = feigenbaum_stream(j + 1).prefix(2 * n)
+        assert complement(above[1::2]) == feigenbaum_stream(j).prefix(n)
     # the limit stream is a fixed point of renormalization
-    r = renormalize_seq(feigenbaum_limit())
-    assert r.prefix(512) == feigenbaum_limit().prefix(512)
-
-
-def test_renormalize_seq_examples():
-    assert renormalize_seq(PeriodicStream("", "11")) == PeriodicStream("", "0")
-    assert renormalize_seq(PeriodicStream("", "1011")) == PeriodicStream("", "10")
-
-
-def test_renormalize_seq_respects_preperiod():
-    s = PeriodicStream("0110", "101")
-    direct = renormalize_seq(s)
-    expected = complement(s.prefix(40)[1::2])
-    assert direct.prefix(20) == expected
-
-
-def test_renormalize_seq_random_cross_check():
-    rng = random.Random(7)
-    for _ in range(200):
-        pre = "".join(rng.choice("01") for _ in range(rng.randrange(0, 5)))
-        per = "".join(rng.choice("01") for _ in range(rng.randrange(1, 7)))
-        s = PeriodicStream(pre, per)
-        out = renormalize_seq(s)
-        ref = complement(s.prefix(60)[1::2])
-        assert out.prefix(30) == ref
+    w = feigenbaum_limit().prefix(1024)
+    assert complement(w[1::2]) == w[:512]
 
 
 # both sides of a memoized stream's first 64-symbol buffer
@@ -238,8 +218,7 @@ def test_generated_branches_match_periodic(pre, per, m):
     # each stream operation reads a generated stream (the periodic stream
     # hidden behind its symbol function) as it reads the periodic one
     s = PeriodicStream(pre, per)
-    ops = [lambda x: shift(x, m), encoding.xi, encoding.xi_inverse,
-           renormalize_seq, feigenbaum.renormalize_tau]
+    ops = [lambda x: shift(x, m), encoding.xi, encoding.xi_inverse]
     for op in ops:
         want = op(s)
         got = op(FunctionStream(s.at))
@@ -262,11 +241,12 @@ def _renormalize_word_loop(word, flags=None):
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.integers(0, 41))
 def test_renormalize_word_matches_index_loop(data, n):
+    # the slicing oracle that criteria 11 and 14 use, against the index loop
     word = data.draw(st.text(alphabet="01", min_size=n, max_size=n))
     flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    assert dynamics.renormalize_word(word) == _renormalize_word_loop(word)
+    assert renormalize_word(word) == _renormalize_word_loop(word)
     for f in (tuple(flags), flags):
-        assert dynamics.renormalize_word(word, f) == _renormalize_word_loop(word, f)
+        assert renormalize_word(word, f) == _renormalize_word_loop(word, f)
 
 
 _periodic = st.builds(PeriodicStream, st.text(alphabet="01", max_size=5),
@@ -295,8 +275,7 @@ _STREAMS = {
     FixedPointStream: _fixed_points(),
     _DerivedStream: st.one_of(
         st.builds(shift, _generated, st.integers(1, 10)),
-        *(st.builds(op, _generated) for op in (encoding.xi, encoding.xi_inverse,
-                                                renormalize_seq, feigenbaum.renormalize_tau))),
+        *(st.builds(op, _generated) for op in (encoding.xi, encoding.xi_inverse))),
 }
 
 
