@@ -26,14 +26,19 @@ host's speed falls on both sides alike, as in ``bench/pairs.py``.  Before it
 starts the clock, each interpreter runs every layer's code, imports every
 command module and builds the whole command-line parser, so a trial times
 the row's work and no compilation, whatever bytecode either tree has
-cached.  Per row it prints both trees' medians and quartiles, the number of
-trials each tree won (ties count for neither) and whether the digests agree.
-A command row also records its exit code.  ``--out`` writes the ``caps``
-block of a JSON file: both trees' rows with their last digests, the trials
-each tree won (``trials_won``), the rows the parent refused with exit 2 and
-the change runs to exit 0 (``rows_newly_accepted``), every other row whose
-exit code or digest differs (``rows_changed``), and whether there are none
-of those (``digests_identical``).  The standard library is all it needs.
+cached.  The host's speed also moves in phases several trials long, so each
+interpreter times the probe just before its trial too, and the trial's time
+is scaled by REF_PROBE_S over that probe, as the in-process table scales a
+row.  Per row it prints both trees' scaled medians and quartiles, the number
+of trials each tree won on scaled times (ties count for neither) and
+whether the digests agree.  A command row also records its exit code.
+``--out`` writes the ``caps`` block of a JSON file: both trees' rows with
+their scaled times, their raw times (``raw_runs_s``) and their last
+digests, the trials each tree won (``trials_won``), the rows the parent
+refused with exit 2 and the change runs to exit 0 (``rows_newly_accepted``),
+every other row whose exit code or digest differs (``rows_changed``), and
+whether there are none of those (``digests_identical``).  The standard
+library is all it needs.
 """
 
 from __future__ import annotations
@@ -295,7 +300,8 @@ def measure(fn, args) -> dict:
 def run_once(name: str) -> dict:
     """One timed run of the row ``name`` in this process, after every layer
     of the package and every command module have run their code and the
-    whole command-line parser has been built once."""
+    whole command-line parser has been built once, with the probe's time
+    just before it."""
     import kneading
     from kneading import cli
 
@@ -303,9 +309,10 @@ def run_once(name: str) -> dict:
         vars(sys.modules[f"kneading.{layer}"])
     cli._build_parser([command for command, _ in cli._COMMANDS])
     fn, args = next((fn, args) for row, fn, args in ROWS if row == name)
+    probe_s = probe()
     t0 = time.perf_counter()
     result = fn(*args)
-    return {"s": time.perf_counter() - t0, **_outcome(fn, result)}
+    return {"s": time.perf_counter() - t0, "probe_s": probe_s, **_outcome(fn, result)}
 
 
 def run_fresh(src: str, name: str) -> dict:
@@ -319,16 +326,20 @@ def run_fresh(src: str, name: str) -> dict:
 def interleave(name: str, trials: int, run) -> dict:
     """The row ``name`` timed ``trials`` times on both trees through
     ``run(side, name)``, side "parent" or "change": the parent first in even
-    trials and the change first in odd ones.  Returns each side's row, with
-    the outcome of its last trial, and the trials each side won."""
+    trials and the change first in odd ones.  Each trial's time is scaled by
+    REF_PROBE_S over the probe beside it.  Returns each side's row, with the
+    spread of its scaled times, its raw times and the outcome of its last
+    trial, and the trials each side won on scaled times."""
     got = {"parent": [], "change": []}
     for trial in range(trials):
         for side in ("parent", "change") if trial % 2 == 0 else ("change", "parent"):
             got[side].append(run(side, name))
-    out = {side: {**_spread([r["s"] for r in runs]),
-                  **{k: v for k, v in runs[-1].items() if k != "s"}}
+    scaled = {side: [r["s"] * REF_PROBE_S / r["probe_s"] for r in runs]
+              for side, runs in got.items()}
+    out = {side: {**_spread(scaled[side]), "raw_runs_s": [round(r["s"], 4) for r in runs],
+                  **{k: v for k, v in runs[-1].items() if k not in ("s", "probe_s")}}
            for side, runs in got.items()}
-    pairs = [(p["s"], c["s"]) for p, c in zip(got["parent"], got["change"])]
+    pairs = list(zip(scaled["parent"], scaled["change"]))
     out["trials_won"] = {"parent": sum(p < c for p, c in pairs),
                          "change": sum(c < p for p, c in pairs)}
     return out
@@ -386,7 +397,7 @@ def main(argv=None) -> int:
         diff = compare({name: p}, {name: c})
         same = ("changed" if diff["rows_changed"] else "newly accepted"
                 if diff["rows_newly_accepted"] else "same")
-        print(f"parent {p['median_s']:8.4f} s [{p['q1_s']:.4f}, {p['q3_s']:.4f}]  "
+        print(f"scaled: parent {p['median_s']:8.4f} s [{p['q1_s']:.4f}, {p['q3_s']:.4f}]  "
               f"change {c['median_s']:8.4f} s [{c['q1_s']:.4f}, {c['q3_s']:.4f}]  "
               f"won {won['parent']}:{won['change']} of {TRIALS}  {same}  {name}",
               flush=True)
@@ -400,9 +411,12 @@ def main(argv=None) -> int:
         "source": (f"bench/caps.py --parent: each row run once per trial in a fresh "
                    f"interpreter per tree, {TRIALS} trials alternating which tree "
                    "goes first, every layer, command module and the parser loaded "
-                   "before the clock; median wall time with its quartiles (q1_s, "
-                   "q3_s), the trials each tree won (trials_won) and sha256 of the "
-                   "repr of the last trial's result"),
+                   "before the clock; each trial's wall time scaled by "
+                   f"{REF_PROBE_S} s over the probe timed just before it in the same "
+                   "interpreter; median scaled time with its quartiles (q1_s, q3_s), "
+                   "the raw times (raw_runs_s), the trials each tree won on scaled "
+                   "times (trials_won) and sha256 of the repr of the last trial's "
+                   "result"),
         "python": platform.python_version(),
         **got, **compare(got["parent"], got["change"])}
     with open(args.out, "w") as f:

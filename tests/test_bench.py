@@ -70,15 +70,35 @@ def test_interleave_alternates_which_tree_goes_first():
     def run(side, name):
         assert name == "a"
         calls.append(side)
-        return {"s": times[side][calls.count(side) - 1], "sha256": side, "exit": 0}
+        return {"s": times[side][calls.count(side) - 1], "probe_s": caps.REF_PROBE_S,
+                "sha256": side, "exit": 0}
 
     got = caps.interleave("a", 4, run)
     assert calls == ["parent", "change", "change", "parent"] * 2
     assert got["trials_won"] == {"parent": 1, "change": 2}
-    assert got["parent"]["runs_s"] == times["parent"]
+    assert got["parent"]["runs_s"] == got["parent"]["raw_runs_s"] == times["parent"]
     assert got["change"]["median_s"] == 2.0
     assert got["parent"]["sha256"] == "parent" and got["change"]["exit"] == 0
-    assert "s" not in got["parent"]
+    assert "s" not in got["parent"] and "probe_s" not in got["parent"]
+
+
+def test_interleave_scales_each_trial_by_its_probe():
+    # the host runs at half speed for the change's first trial and the
+    # parent's second: on raw times each tree wins one trial, on scaled
+    # times the change wins both; the raw times are kept beside the scaled
+    ref = caps.REF_PROBE_S
+    runs = {"parent": [(1.0, ref), (2.0, 2 * ref)], "change": [(1.6, 2 * ref), (0.9, ref)]}
+
+    def run(side, name):
+        s, probe_s = runs[side].pop(0)
+        return {"s": s, "probe_s": probe_s, "sha256": side}
+
+    got = caps.interleave("a", 2, run)
+    assert got["trials_won"] == {"parent": 0, "change": 2}
+    assert got["parent"]["runs_s"] == [1.0, 1.0]
+    assert got["change"]["runs_s"] == [0.8, 0.9]
+    assert got["change"]["raw_runs_s"] == [1.6, 0.9]
+    assert got["change"]["median_s"] == 0.85
 
 
 # parent runs with median 10 and quartiles 9.75 and 10.25

@@ -218,6 +218,14 @@ def test_out_writes_what_stdout_would_show(capsys, tmp_path, argv):
     assert target.read_text() == want
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 _UMASK_RUN = """
 import os, sys
 os.umask(int(sys.argv[1], 8))
@@ -231,9 +239,7 @@ sys.exit(kneading.cli.main(sys.argv[2:]))
 def test_out_files_take_the_umask(tmp_path, umask, mode):
     # an --out file gets the mode a shell redirect would give it, 0666 less
     # the umask, not the temporary file's 0600; each child sets its own umask
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = _child_env()
     for argv in (["export", "zeta-roots", "--j", "2", "--out", "roots.csv"],
                  ["reproduce", "nj-sequence", "--out", "."]):
         done = subprocess.run([sys.executable, "-c", _UMASK_RUN, umask, *argv],
@@ -577,6 +583,64 @@ def test_refused_output_is_not_blamed_on_input_or_code(capsys, monkeypatch, tmp_
     assert capsys.readouterr().err == (
         "error: cannot write output: No space left on device\n")
     assert not list(tmp_path.iterdir())
+
+
+def test_out_needs_no_stdout(monkeypatch, tmp_path):
+    # started with fd 1 not open (`kneading ... >&-`), Python sets stdout
+    # to None; a command that writes only its --out file still exits 0
+    monkeypatch.setattr(sys, "stdout", None)
+    out = tmp_path / "roots.csv"
+    assert cli.main(["export", "zeta-roots", "--j", "2", "--out", str(out)]) == 0
+    assert out.read_text()
+
+
+@pytest.mark.parametrize("argv", ["tau --j 3", "tau --j 14"])
+def test_closed_stdout_exits_3_at_any_output_size(argv):
+    # stdout a pipe whose reader went away, buffered as in a shell: the
+    # small output of tau --j 3 waits in the buffer and fails at main's
+    # flush, the large one of tau --j 14 fails its write; neither may reach
+    # the interpreter's final flush, whose failure prints a traceback and
+    # exits 120
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "kneading.cli", *argv.split()],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (3, "error: cannot write output: Broken pipe\n")
+
+
+# a handler registered before the command runs; atexit runs handlers last
+# in, first out, so it runs after the freeze that main registers
+_EXIT_RUN = """
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"frozen at exit: {gc.get_freeze_count() > 0}\\n"))
+entry = sys.argv.pop(1)
+if entry == "python -m":
+    import runpy
+    runpy.run_module("kneading.cli", run_name="__main__")
+else:
+    import kneading.cli
+    sys.exit(kneading.cli.main())
+"""
+
+
+@pytest.mark.parametrize("entry", ["python -m", "console script"])
+@pytest.mark.parametrize("argv, code", [("tau --j 3", 0), ("tau --j 0", 2)])
+def test_exit_freezes_the_heap_and_keeps_the_result(capsys, entry, argv, code):
+    # both entry paths freeze the heap at exit and still run the atexit
+    # handlers registered before them; the command prints and exits as it
+    # does through cli.main in this process
+    assert cli.main(argv.split()) == code
+    out, err = capsys.readouterr()
+    done = subprocess.run([sys.executable, "-c", _EXIT_RUN, entry, *argv.split()],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        code, out, err + "frozen at exit: True\n")
 
 
 # Every subcommand at its documented boundaries: each cap and one past it,
