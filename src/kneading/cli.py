@@ -8,12 +8,13 @@ command line names it.
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib
 import io
 import os
 import sys
 
-from .commands import _atomic_write, _json_text
+from .commands import _atomic_write, _json_text, _unset_options
 
 # (name, help line) of every subcommand, in the order --help lists them
 _COMMANDS = (
@@ -73,6 +74,7 @@ def _build_parser(commands) -> argparse.ArgumentParser:
             command = importlib.import_module(f".commands.{name}", __package__)
             _add_common(p)
             command.add_arguments(p)
+            _unset_options(p)
             p.set_defaults(handler=command.run)
     return parser
 
@@ -113,12 +115,16 @@ def main(argv=None) -> int:
     # value that happens to be a subcommand name loads nothing
     parser = _build_parser([a for a in argv if not a.startswith("-")][:1])
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        code = e.code if isinstance(e.code, int) else 0
-        return 2 if code else 0
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            code = e.code if isinstance(e.code, int) else 0
+            _flush_stdout()  # the help text that argparse printed
+            return 2 if code else 0
         res = args.handler(args)
+        # stdout is None if fd 1 was not open: refuse all output but --out files
+        if sys.stdout is None and (isinstance(res, int) or not getattr(args, "out", None)):
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         # reproduce prints its own PASS/FAIL lines; every other handler
         # returns a _Result for the one emitter
         code = res if isinstance(res, int) else _emit(args, res)

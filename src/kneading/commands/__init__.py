@@ -1,17 +1,18 @@
 """One module per ``kneading`` subcommand, and the helpers they share.
 
-Each module defines ``add_arguments(p)``, which adds the subcommand's
-options to its argparse parser, and ``run(args)``, its handler; ``run``
-returns a :class:`_Result` for the one emitter in :mod:`kneading.cli`, or an
-exit code when it prints its own lines.  The dispatcher imports a module
-only for a subcommand named on the command line, so a command compiles its
-own handler and no other.  A command module imports from this package,
-never from ``kneading.cli``: under ``python -m kneading.cli`` that module
-runs as ``__main__``, and importing it by name would run it a second time.
+Each module defines ``add_arguments(p)``, which adds the subcommand's options
+to its parser, and ``run(args)``, its handler, which starts with :func:`_reads`
+and returns a :class:`_Result` for the one emitter in :mod:`kneading.cli`, or
+an exit code when it prints its own lines.  The dispatcher imports a module
+only for a subcommand named on the command line, so a command compiles its own
+handler and no other.  A command module imports from this package, never from
+``kneading.cli``: under ``python -m kneading.cli`` that module runs as
+``__main__``, and importing it by name would run it a second time.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 
 # the layers load on first use (see the package docstring), so each command
@@ -77,6 +78,32 @@ def _atomic_write(path: str, text: str):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _unset_options(p):
+    """Leave each option of parser p out of the parsed namespace unless the
+    command line passes it, and keep its flag and default in the namespace's
+    ``options`` for :func:`_reads`.  The parser's help and usage texts show
+    no defaults, so they do not change."""
+    options = {}
+    for a in p._actions:
+        if a.option_strings and a.default is not argparse.SUPPRESS:
+            options[a.dest] = (a.option_strings[0], a.default)
+            a.default = argparse.SUPPRESS
+    p.set_defaults(options=options)
+
+
+def _reads(args, label: str, dests):
+    """Refuse every option that the command line passed and that is not one
+    of ``dests``, so no option is accepted and then ignored; then give each
+    option it did not pass its default."""
+    refused = [flag for dest, (flag, _) in args.options.items()
+               if dest not in dests and hasattr(args, dest)]
+    if refused:
+        raise ValueError(f"{label} does not read {', '.join(refused)}")
+    for dest, (_, default) in args.options.items():
+        if not hasattr(args, dest):
+            setattr(args, dest, default)
 
 
 # Fraction("1e-10000000") builds 10^10000000 (8 s on a 2-core Xeon) before

@@ -1,7 +1,7 @@
 """``kneading cf``: continued-fraction expansions."""
 
 from .. import cfrac, feigenbaum
-from . import _Result, _check_bits
+from . import _Result, _check_bits, _reads
 
 
 def add_arguments(p):
@@ -13,7 +13,9 @@ def add_arguments(p):
 
 
 def run(args) -> _Result:
-    _check_bits(args.bits)
+    # each `what` reads one option of its own; no quotient is a fraction
+    _reads(args, f"cf {args.what}", ("format", "out", {
+        "tau-level": "j", "tau-infinity": "bits", "table": "jmax"}[args.what]))
     if args.what == "tau-level":
         if not 1 <= args.j <= 12:
             raise ValueError("level must be in 1..12")
@@ -21,6 +23,7 @@ def run(args) -> _Result:
         return _Result({"j": args.j, "quotients": q, "count": len(q)},
                        text=" ".join(map(str, q)))
     if args.what == "tau-infinity":
+        _check_bits(args.bits)
         q = cfrac.cf_of_enclosure(feigenbaum.tau_infinity_enclosure(args.bits))
         return _Result({"bits": args.bits, "quotients": q, "count": len(q)})
     rows = cfrac.cf_table(args.jmax)

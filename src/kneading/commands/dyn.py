@@ -1,9 +1,7 @@
 """``kneading dyn``: floating-point unimodal dynamics."""
 
-import argparse
-
 from .. import dynamics
-from . import _check_cap, _Result
+from . import _check_cap, _reads, _Result
 
 # float orbits carry no information past a few dozen symbols; the costs are
 # linear in --n times --steps or --pairs: at the caps, as a fresh process on
@@ -12,32 +10,6 @@ from . import _check_cap, _Result
 # whose pairs stop stepping once they are settled
 _MAX_N = 256
 _MAX_POINTS = 4096
-
-
-def _unset_options(p):
-    """Leave each option of parser p out of the parsed namespace unless the
-    command line passes it, and keep its flag and default in the namespace's
-    ``options`` for :func:`_reads`.  The parser's help and usage texts show
-    no defaults, so they do not change."""
-    options = {}
-    for a in p._actions:
-        if a.option_strings and a.default is not argparse.SUPPRESS:
-            options[a.dest] = (a.option_strings[0], a.default)
-            a.default = argparse.SUPPRESS
-    p.set_defaults(options=options)
-
-
-def _reads(args, label: str, dests):
-    """Refuse every option that the command line passed and that is not one
-    of ``dests``, so no option is accepted and then ignored; then give each
-    option it did not pass its default."""
-    refused = [flag for dest, (flag, _) in args.options.items()
-               if dest not in dests and hasattr(args, dest)]
-    if refused:
-        raise ValueError(f"{label} does not read {', '.join(refused)}")
-    for dest, (_, default) in args.options.items():
-        if not hasattr(args, dest):
-            setattr(args, dest, default)
 
 
 def add_arguments(p):
@@ -53,7 +25,6 @@ def add_arguments(p):
     p.add_argument("--pairs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    _unset_options(p)
 
 
 # the options each `what` reads, by dest; kneading and lemma1 also read their

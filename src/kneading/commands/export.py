@@ -3,7 +3,7 @@
 import math
 
 from .. import frequency, symbolic, words
-from . import _check_cap, _num, _Result
+from . import _check_cap, _num, _reads, _Result
 
 
 def add_arguments(p):
@@ -64,6 +64,9 @@ def _frequency_convergence(args) -> _Result:
 
 
 def run(args) -> _Result:
+    _reads(args, f"export {args.kind}", ("format", "out") + {
+        "zeta-roots": ("j",), "bifurcation-scan": ("lo", "hi", "steps", "n"),
+        "frequency-convergence": ("as_float", "kmin", "kmax")}[args.kind])
     if args.kind == "bifurcation-scan":
         # the same scan as `dyn scan`; its module loads only for this kind
         from .dyn import _scan

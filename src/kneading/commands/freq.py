@@ -1,7 +1,7 @@
 """``kneading freq``: block frequencies of symbol streams."""
 
 from .. import feigenbaum, frequency, symbolic, words
-from . import _check_cap, _num, _Result
+from . import _check_cap, _num, _reads, _Result
 
 _STREAMS = {
     "feigenbaum": lambda: symbolic.feigenbaum_limit(),
@@ -18,6 +18,7 @@ def add_arguments(p):
 
 
 def run(args) -> _Result:
+    _reads(args, "freq", ("format", "as_float", "stream", "block", "prefix", "aligned"))
     # every stream here is a uniform substitution's fixed point, counted by
     # recursion on the prefix in O(log prefix) levels: a few ms at both caps
     # on a 2-core Xeon; --block bounds the output, one entry per distinct block

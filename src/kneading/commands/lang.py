@@ -1,7 +1,7 @@
 """``kneading lang``: admissible-word language."""
 
 from .. import encoding, language
-from . import _check_cap, _Result, _tau_stream
+from . import _check_cap, _reads, _Result, _tau_stream
 
 
 def add_arguments(p):
@@ -13,6 +13,8 @@ def add_arguments(p):
 
 
 def run(args) -> _Result:
+    _reads(args, f"lang {args.what}", ("format", "tau", "nmax", "out")
+           + (("mode",) if args.what == "complexity" else ()))
     if args.what == "forbidden":
         # one word of up to nmax symbols per zero digit: at the cap about
         # 4 MB of output in 0.15 s on a 2-core Xeon

@@ -4,7 +4,7 @@ import math
 import os
 
 from .. import cfrac, encoding, feigenbaum, frequency, spectral, symbolic, words
-from . import _atomic_write, _fraction, _json_text, _require_dir
+from . import _atomic_write, _fraction, _json_text, _reads, _require_dir
 
 # reference values, exact strings only
 _GOLDEN_TAU = (
@@ -157,6 +157,7 @@ def add_arguments(p):
 
 
 def run(args) -> int:
+    _reads(args, "reproduce", ("out",))
     if args.out:
         _require_dir(args.out)
     all_ok = True

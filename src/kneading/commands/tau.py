@@ -1,7 +1,7 @@
 """``kneading tau``: period-doubling parameter levels."""
 
 from .. import feigenbaum
-from . import _Result, _check_bits
+from . import _Result, _check_bits, _reads
 
 
 def add_arguments(p):
@@ -12,9 +12,11 @@ def add_arguments(p):
 
 
 def run(args) -> _Result:
-    _check_bits(args.bits)
-    if args.infinity:
+    if vars(args).get("infinity"):
+        _reads(args, "tau --infinity", ("format", "infinity", "bits"))
+        _check_bits(args.bits)
         return _Result(feigenbaum.tau_infinity_enclosure(args.bits).to_json())
+    _reads(args, "tau --j", ("format", "as_float", "j"))
     if not 1 <= args.j <= 20:
         raise ValueError("level must be in 1..20")
     lvl = feigenbaum.tau_level(args.j)

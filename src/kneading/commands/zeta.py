@@ -1,7 +1,7 @@
 """``kneading zeta``: kneading determinant and zeta series."""
 
 from .. import encoding, spectral
-from . import _fraction, _num, _Result, _tau_stream
+from . import _fraction, _num, _reads, _Result, _tau_stream
 
 
 def add_arguments(p):
@@ -14,9 +14,13 @@ def add_arguments(p):
 
 
 def run(args) -> _Result:
+    entropy = vars(args).get("entropy", False)
+    _reads(args, "zeta --entropy" if entropy else "zeta without --entropy",
+           ("format", "tau", "order", "counts", "entropy")
+           + (("tol", "as_float") if entropy else ()))
     # parsed here, not by argparse, which would print its usage and
     # "invalid value" in place of _fraction's reason
-    tol = _fraction(args.tol)
+    tol = _fraction(args.tol) if entropy else None
     # p/q and feigenbaum:j expand the rational zeta in O(order * (m + p))
     # products, m + p the determinant's degree; feigenbaum:inf still costs
     # O(order^2), and so bounds the order: about 0.33 s for --counts at the

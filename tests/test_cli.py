@@ -440,7 +440,7 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
     (["cf", "tau-infinity", "--bits", "65537"], 2, "error: bits must be in 1..65536\n"),
     (["export", "zeta-roots", "--j", "12"], 2, "error: j must be in 0..11\n"),
     (["export", "zeta-roots", "--j", "-1"], 2, "error: j must be in 0..11\n"),
-    (["tau", "--j", "3", "--bits", "0"], 2, "error: bits must be in 1..65536\n"),
+    (["tau", "--infinity", "--bits", "0"], 2, "error: bits must be in 1..65536\n"),
     (["tau", "--j", "3", "--format", "yaml"], 2,
      "kneading tau: error: argument --format: invalid choice: 'yaml'"),
     (["zeta", "--tau", "6/7", "--order", "0"], 2, "error: order must be in 1..2048\n"),
@@ -474,11 +474,11 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
     (["dyn", "lemma1", "--r", "4.1"], 2,
      "error: orbit left [0, 1] at step 11: 1.023736001960129\n"),
     (["zeta", "--tau", "1e-10000000"], 2, "error: exponent must be in -1000..1000\n"),
-    (["zeta", "--tau", "6/7", "--tol", "1e-10000000"], 2,
+    (["zeta", "--tau", "6/7", "--entropy", "--tol", "1e-10000000"], 2,
      "error: exponent must be in -1000..1000\n"),
     (["zeta", "--tau", "1/" + "7" * 5000], 2,
      "error: numbers must have at most 4300 digits\n"),
-    (["zeta", "--tau", "6/7", "--tol", "abc"], 2,
+    (["zeta", "--tau", "6/7", "--entropy", "--tol", "abc"], 2,
      "error: Invalid literal for Fraction: 'abc'\n"),
     (["dyn", "scan", "--family", "tent"], 2, "error: dyn scan does not read --family\n"),
     (["dyn", "scan", "--eta", "1e-3"], 2, "error: dyn scan does not read --eta\n"),
@@ -490,6 +490,17 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
     (["dyn", "scan", "--n", "0"], 2, "error: need at least one symbol\n"),
     (["dyn", "scan", "--n", "-4"], 2, "error: need at least one symbol\n"),
     (["export", "bifurcation-scan", "--n", "0"], 2, "error: need at least one symbol\n"),
+    (["tau", "--j", "3", "--bits", "0"], 2, "error: tau --j does not read --bits\n"),
+    (["cf", "tau-level", "--j", "3", "--bits", "7", "--jmax", "2"], 2,
+     "error: cf tau-level does not read --bits, --jmax\n"),
+    (["zeta", "--tau", "6/7", "--tol", "abc"], 2,
+     "error: zeta without --entropy does not read --tol\n"),
+    (["lang", "forbidden", "--tau", "6/7", "--mode", "core"], 2,
+     "error: lang forbidden does not read --mode\n"),
+    (["reproduce", "all", "--format", "csv", "--float"], 2,
+     "error: reproduce does not read --format, --float\n"),
+    (["export", "zeta-roots", "--j", "1", "--steps", "5", "--kmin", "3", "--float"], 2,
+     "error: export zeta-roots does not read --float, --steps, --kmin\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
@@ -508,48 +519,92 @@ def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, cod
                        "bracket": None}
 
 
-# the options each `what` of `dyn` reads, written out apart from the table in
-# kneading.commands.dyn; kneading and lemma1 read their family's parameter
-_DYN_READS = {
-    ("kneading", "logistic"): "--format --family --r --eta --n --out",
-    ("kneading", "tent"): "--format --family --slope --eta --n --out",
-    ("lemma1", "logistic"): "--format --family --r --eta --n --pairs --seed --out",
-    ("lemma1", "tent"): "--format --family --slope --eta --n --pairs --seed --out",
-    ("scan", None): "--format --from --to --steps --n --out",
-}
-_DYN_VALUES = {"--format": "json", "--family": "logistic", "--r": "3.9", "--slope": "2",
-               "--eta": "1e-9", "--n": "16", "--from": "3.5", "--to": "4.0",
-               "--steps": "5", "--pairs": "10", "--seed": "1", "--out": "out.json"}
+# each subcommand and mode, as the words that select it, with its label and
+# the options it reads besides those words; written out apart from the read
+# lists in kneading.commands
+_MODES = [
+    ("tau --j 3", "tau --j", "--format --float"),
+    ("tau --infinity", "tau --infinity", "--format --bits"),
+    ("cf tau-level", "cf tau-level", "--format --j --out"),
+    ("cf tau-infinity", "cf tau-infinity", "--format --bits --out"),
+    ("cf table", "cf table", "--format --jmax --out"),
+    ("zeta --tau 6/7", "zeta without --entropy", "--format --order --counts"),
+    ("zeta --tau 6/7 --entropy", "zeta --entropy",
+     "--format --float --order --counts --tol"),
+    ("lang complexity --tau 6/7", "lang complexity", "--format --nmax --mode --out"),
+    ("lang forbidden --tau 6/7", "lang forbidden", "--format --nmax --out"),
+    ("freq", "freq", "--format --float --stream --block --prefix --aligned"),
+    ("dyn kneading --family logistic", "dyn kneading of the logistic family",
+     "--format --r --eta --n --out"),
+    ("dyn kneading --family tent", "dyn kneading of the tent family",
+     "--format --slope --eta --n --out"),
+    ("dyn lemma1 --family logistic", "dyn lemma1 of the logistic family",
+     "--format --r --eta --n --pairs --seed --out"),
+    ("dyn lemma1 --family tent", "dyn lemma1 of the tent family",
+     "--format --slope --eta --n --pairs --seed --out"),
+    ("dyn scan", "dyn scan", "--format --from --to --steps --n --out"),
+    ("reproduce nj-sequence", "reproduce", "--out"),
+    ("export zeta-roots", "export zeta-roots", "--format --j --out"),
+    ("export bifurcation-scan", "export bifurcation-scan",
+     "--format --from --to --steps --n --out"),
+    ("export frequency-convergence", "export frequency-convergence",
+     "--format --float --kmin --kmax --out"),
+]
+# options that select another mode of the same words, so are never refused
+_SELECTS = {"tau --j 3": "--infinity", "tau --infinity": "--j",
+            "zeta --tau 6/7": "--entropy"}
+# a value for each option that takes one, valid in every mode that reads it
+_VALUES = {"--format": "json", "--j": "3", "--bits": "64", "--jmax": "3",
+           "--tau": "6/7", "--order": "8", "--tol": "1/1000", "--nmax": "6",
+           "--mode": "core", "--stream": "feigenbaum", "--block": "1", "--prefix": "64",
+           "--family": "logistic", "--r": "3.9", "--slope": "2", "--eta": "1e-9",
+           "--n": "16", "--from": "3.5", "--to": "4.0", "--steps": "5", "--pairs": "10",
+           "--seed": "1", "--kmin": "3", "--kmax": "5", "--out": "out"}
 
 
-def test_dyn_refuses_every_option_it_does_not_read(capsys, monkeypatch, tmp_path):
-    # walk the parser: every option of `dyn` that a `what` does not read
-    # exits 2 with a one-line reason and writes nothing; the options it
-    # reads, passed all at once, run
+def test_every_mode_refuses_every_option_it_does_not_read(capsys, monkeypatch, tmp_path):
+    # walk the parser: every option of a subcommand that a mode does not
+    # read exits 2 with a one-line reason and writes nothing; the options it
+    # reads, passed all at once, run; and each option a subcommand adds
+    # beside the common --format and --float is read by some mode of it
     monkeypatch.chdir(tmp_path)
-    sub = cli._build_parser(["dyn"])._subparsers._group_actions[0].choices["dyn"]
-    flags = [a.option_strings[-1] for a in sub._actions
-             if a.option_strings and a.dest != "help"]
-    assert set(_DYN_VALUES) | {"--float"} == set(flags)
+    parser = cli._build_parser(_ALL_COMMANDS)
+    subs = parser._subparsers._group_actions[0].choices
+    read = {name: set() for name in _ALL_COMMANDS}
     walked = 0
-    for (what, family), reads in _DYN_READS.items():
-        head = ["dyn", what] + (["--family", family] if family else [])
-        label = f"dyn {what}" + (f" of the {family} family" if family else "")
+    for words, label, reads in _MODES:
+        head = words.split()
+        actions = [a for a in subs[head[0]]._actions if a.option_strings and a.dest != "help"]
+        read[head[0]] |= set(reads.split()) | {w for w in head if w.startswith("--")}
         every_read = list(head)
-        for flag in flags:
-            option = [flag] + ([_DYN_VALUES[flag]] if flag in _DYN_VALUES else [])
-            if flag in reads.split():
-                every_read += option if flag != "--family" else []
+        for a in actions:
+            flag = a.option_strings[0]
+            option = [flag] + ([_VALUES[flag]] if a.nargs != 0 else [])
+            if flag in head or flag in _SELECTS.get(words, "").split():
                 continue
-            assert cli.main(head + option) == 2, (what, family, flag)
+            if flag in reads.split():
+                every_read += option
+                continue
+            assert cli.main(head + option) == 2, (words, flag)
             assert capsys.readouterr() == ("", f"error: {label} does not read {flag}\n")
             walked += 1
         assert not list(tmp_path.iterdir())
+        out = "--out" in reads.split()
+        if head[0] == "reproduce":
+            every_read[every_read.index("out")] = "."
         assert cli.main(every_read) == 0, every_read
-        assert capsys.readouterr() == ("", "")
-        assert json.loads((tmp_path / "out.json").read_text())
-        (tmp_path / "out.json").unlink()
-    assert walked == 7 + 7 + 5 + 5 + 7
+        captured = capsys.readouterr()
+        assert captured.err == "" and bool(captured.out) == (head[0] == "reproduce" or not out)
+        files = list(tmp_path.iterdir())
+        assert len(files) == out
+        for path in files:
+            assert json.loads(path.read_text())
+            path.unlink()
+    for name, sub in subs.items():
+        flags = {a.option_strings[0] for a in sub._actions
+                 if a.option_strings and a.dest != "help"}
+        assert flags - {"--format", "--float"} <= read[name] <= flags, name
+    assert walked == 2 + 9 + 2 + 3 + 31 + 2 + 16
 
 
 class _Refusing:
@@ -594,13 +649,28 @@ def test_out_needs_no_stdout(monkeypatch, tmp_path):
     assert out.read_text()
 
 
-@pytest.mark.parametrize("argv", ["tau --j 3", "tau --j 14"])
+@pytest.mark.parametrize("argv, code, err", [
+    ("tau --j 3", 3, "error: cannot write output: Bad file descriptor\n"),
+    ("reproduce tau-table", 3, "error: cannot write output: Bad file descriptor\n"),
+    ("tau --j 0", 2, "error: level must be in 1..20\n"),
+])
+def test_missing_stdout_refuses_output_not_input(capsys, monkeypatch, argv, code, err):
+    # started with fd 1 not open, a command that prints is refused as a
+    # closed stdout is: print() would drop reproduce's lines (exit 0 with no
+    # output) and a write to None would be reported as an internal error;
+    # bad input is still reported as such
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(argv.split()) == code
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("argv", ["tau --j 3", "tau --j 14", "--help", "tau --help"])
 def test_closed_stdout_exits_3_at_any_output_size(argv):
     # stdout a pipe whose reader went away, buffered as in a shell: the
     # small output of tau --j 3 waits in the buffer and fails at main's
-    # flush, the large one of tau --j 14 fails its write; neither may reach
-    # the interpreter's final flush, whose failure prints a traceback and
-    # exits 120
+    # flush, the large one of tau --j 14 fails its write, and argparse's help
+    # text is flushed by main too; none may reach the interpreter's final
+    # flush, whose failure prints a traceback and exits 120
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     read_end, write_end = os.pipe()
