@@ -185,7 +185,9 @@ def command(*argv):
 # 4098/4099 certifies a symbol period of 2049, the entropy cap still
 # wanted), lang complexity --nmax at 24, language_words at 16,
 # freq --block at 64 and --prefix at 2^62 (the 2^22 rows are its old cap),
-# dyn --n at 256 and --pairs and --steps at 4096, tau --infinity and
+# dyn --n at 256 and --pairs and --steps at 4096 (dyn scan also at --n 48,
+# where the benchmark's orbit-lab scans read at most 53 symbols a row, the
+# band of one exact ldexp per row), tau --infinity and
 # cf tau-infinity --bits at 2^16 (cf_of_enclosure also at 2^17 and 2^18, the
 # sizes a raised --bits cap would reach), cf table --jmax at 12; the command rows
 # run the whole command at its cap: zeta --order at 2048 (series, and
@@ -216,6 +218,7 @@ ROWS = [
     ("letter_frequencies PAIR_RULE", pair_letters, ()),
     ("dyn lemma1 pairs 4096 n 256", lemma1, (4096, 256)),
     ("dyn scan steps 4096 n 256", scan, (4096, 256)),
+    ("dyn scan steps 4096 n 48", scan, (4096, 48)),
     ("tau --infinity bits 65536", tau_infinity, (1 << 16,)),
     ("cf tau-infinity bits 65536", tau_infinity_quotients, (1 << 16,)),
     ("tau_infinity_enclosure bits 2^18", tau_infinity_enclosure, (1 << 18,)),

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from ._base import _Record
 from .feigenbaum import DyadicEnclosure, _closed_form_pq
-from .words import _Record
 
 
 class ContinuedFraction(_Record):

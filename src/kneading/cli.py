@@ -117,11 +117,13 @@ def main(argv=None) -> int:
     try:
         try:
             args = parser.parse_args(argv)
+            # the handler converts the values of the options its mode reads,
+            # and exits from the subcommand's parser on a bad one
+            res = args.handler(args)
         except SystemExit as e:
             code = e.code if isinstance(e.code, int) else 0
             _flush_stdout()  # the help text that argparse printed
             return 2 if code else 0
-        res = args.handler(args)
         # stdout is None if fd 1 was not open: refuse all output but --out files
         if sys.stdout is None and (isinstance(res, int) or not getattr(args, "out", None)):
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))

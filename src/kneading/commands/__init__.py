@@ -82,28 +82,40 @@ def _atomic_write(path: str, text: str):
 
 def _unset_options(p):
     """Leave each option of parser p out of the parsed namespace unless the
-    command line passes it, and keep its flag and default in the namespace's
-    ``options`` for :func:`_reads`.  The parser's help and usage texts show
-    no defaults, so they do not change."""
+    command line passes it, and keep its action, default and type in the
+    namespace's ``options`` for :func:`_reads`, with p as ``parser``.  A
+    passed value stays the string argparse read, so that an option a mode
+    does not read is refused before its value is converted.  The parser's
+    help and usage texts show neither defaults nor types, so they do not
+    change."""
     options = {}
     for a in p._actions:
         if a.option_strings and a.default is not argparse.SUPPRESS:
-            options[a.dest] = (a.option_strings[0], a.default)
-            a.default = argparse.SUPPRESS
-    p.set_defaults(options=options)
+            options[a.dest] = (a, a.default, a.type)
+            a.default, a.type = argparse.SUPPRESS, None
+    p.set_defaults(options=options, parser=p)
 
 
 def _reads(args, label: str, dests):
     """Refuse every option that the command line passed and that is not one
-    of ``dests``, so no option is accepted and then ignored; then give each
-    option it did not pass its default."""
-    refused = [flag for dest, (flag, _) in args.options.items()
+    of ``dests``, so no option is accepted and then ignored; then convert
+    each option it passed by the option's type, failing as argparse would,
+    and give each option it did not pass its default."""
+    refused = [a.option_strings[0] for dest, (a, _, _) in args.options.items()
                if dest not in dests and hasattr(args, dest)]
     if refused:
         raise ValueError(f"{label} does not read {', '.join(refused)}")
-    for dest, (_, default) in args.options.items():
+    for dest, (a, default, convert) in args.options.items():
         if not hasattr(args, dest):
             setattr(args, dest, default)
+        elif convert is not None:
+            value = getattr(args, dest)
+            try:
+                setattr(args, dest, convert(value))
+            except ValueError:
+                # argparse's usage lines, message and exit status 2
+                args.parser.error(str(argparse.ArgumentError(
+                    a, f"invalid {convert.__name__} value: {value!r}")))
 
 
 # Fraction("1e-10000000") builds 10^10000000 (8 s on a 2-core Xeon) before

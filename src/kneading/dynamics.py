@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from .words import _Record, parity_word
+from ._base import _Record, _prefix_xor
 
 _BOUNDARY_TOL = 1e-12
 
@@ -42,13 +42,9 @@ class UnimodalMap(_Record):
                 raise ValueError("endpoints must map to 0")
 
 
-def _logistic(r: float) -> Callable[[float], float]:
-    """The logistic step, evaluated as (r x)(1 - x)."""
-    return lambda x: r * x * (1.0 - x)
-
-
 def logistic_map(r: float, eta: float = 1e-9) -> UnimodalMap:
-    """x -> r x (1 - x), peak 1/2; closed for 0 < r <= 4.
+    """x -> r x (1 - x), evaluated as (r x)(1 - x), peak 1/2; closed for
+    0 < r <= 4.
 
     Proof: rounding is monotone, so a = fl(r x) <= fl(4 x) = 4 x.  For
     x >= 1/2, 1 - x is exact (Sterbenz) and a (1 - x) <= 4 x (1 - x) <= 1.
@@ -61,7 +57,7 @@ def logistic_map(r: float, eta: float = 1e-9) -> UnimodalMap:
     """
     if r <= 0:
         raise ValueError("parameter must be positive")
-    return UnimodalMap("logistic", r, _logistic(r), 0.5, eta, r <= 4.0)
+    return UnimodalMap("logistic", r, lambda x: r * x * (1.0 - x), 0.5, eta, r <= 4.0)
 
 
 def tent_map(slope: float = 2.0, eta: float = 1e-9) -> UnimodalMap:
@@ -189,34 +185,40 @@ def monotonicity_scan(r_grid, n: int) -> ScanReport:
 
     Each row is the kneading word of ``logistic_map(r)`` up to its first
     unreliable symbol.  Every r of the grid makes a closed map, so the
-    critical orbit is stepped only that far, with no escape check."""
+    critical orbit is stepped only that far, with no escape check, by the
+    map's own expression written into the loop (the same doubles, with no
+    call per step).  The k symbols are read as one k-bit integer, whose
+    running parities are tau's first k binary digits."""
     grid = list(r_grid)
     if not grid or not all(2.9 <= r <= 4.0 for r in grid):
         raise ValueError("grid must stay within [2.9, 4.0]")
     if n < 1:
         raise ValueError("need at least one symbol")
     eta = UnimodalMap.eta  # logistic_map's default band
-    rows = []
+    ldexp, rows = math.ldexp, []
     for r in grid:
-        fn = _logistic(r)
-        u, word = fn(0.5), []
+        u, word = r * 0.5 * (1.0 - 0.5), []
         for _ in range(n):
             if abs(u - 0.5) < eta:
                 break
             word.append("1" if u >= 0.5 else "0")
-            u = fn(u)
+            u = r * u * (1.0 - u)
         k = len(word)
         if k == 0:
             rows.append(ScanRow(r, None, 0))
             continue
-        digits = parity_word("".join(word))
-        # the first 53 terms in one exact ldexp (each partial sum of at most
-        # 53 dyadic bits is a float), the nonzero rest added in order as
-        # before (adding 0.0 leaves a sum unchanged); ldexp, not division by
-        # 2.0 ** i, which overflows from i = 1024
-        head = min(k, 53)
-        tau = sum([math.ldexp(1.0, -i) for i in range(head + 1, k + 1) if digits[i - 1] == "1"],
-                  math.ldexp(int(digits[:head], 2), -head))
+        # tau's digits are bits k - 1 .. 0 of x; the first 53 terms in one
+        # exact ldexp (each partial sum of at most 53 dyadic bits is a
+        # float), the nonzero rest added in order (adding 0.0 leaves a sum
+        # unchanged), read from text, which is faster than bit by bit;
+        # ldexp, not division by 2.0 ** i, which overflows from i = 1024
+        x = _prefix_xor(int("".join(word), 2), k)
+        if k <= 53:
+            tau = ldexp(x, -k)
+        else:
+            digits = format(x, "b").zfill(k)
+            tau = sum([ldexp(1.0, -i) for i, d in enumerate(digits[53:], 54) if d == "1"],
+                      ldexp(x >> (k - 53), -53))
         rows.append(ScanRow(r, tau, k))
     vals = [row.tau for row in rows if row.tau is not None]
     decreases = sum(1 for u, v in zip(vals, vals[1:]) if v < u)

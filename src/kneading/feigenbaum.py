@@ -7,7 +7,8 @@ sequence; tau_infinity is its limit at the accumulation point.
 
 from __future__ import annotations
 
-from kneading.words import SubstitutionRule, _Record
+from kneading._base import _Record
+from kneading.words import SubstitutionRule
 
 # Pair coding of digit streams: two digits at a time, a=00 b=01 c=10 d=11.
 PAIR_RULE = SubstitutionRule({"a": "ac", "b": "ad", "c": "da", "d": "db"})

@@ -6,9 +6,10 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
+from ._base import _Record
 from .feigenbaum import PAIR_RULE, PAIR_TO_DIGITS
 from .symbolic import FixedPointStream, SymbolStream
-from .words import SubstitutionRule, _Record, _translate_columns
+from .words import SubstitutionRule, _translate_columns
 
 
 class IncidenceMatrix(_Record):

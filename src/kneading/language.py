@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from itertools import chain
 
+from ._base import _Record
 from .encoding import is_maximal, xi
 from .symbolic import SymbolStream, shift
-from .words import _Record, complement, unparity_word
+from .words import complement, unparity_word
 
 MODES = ("core", "full-interval")
 

@@ -8,9 +8,10 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul, sub
 
+from ._base import _Record
 from .encoding import xi
 from .symbolic import PeriodicStream
-from .words import _Record, parity_word
+from .words import parity_word
 
 
 class EntropyInconclusive(RuntimeError):

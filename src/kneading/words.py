@@ -1,59 +1,16 @@
-"""Finite binary words and substitutions: the layer every other layer builds on.
+"""Finite binary words and substitutions: the layer the exact layers build on.
 
 Finite words are plain '0'/'1' strings.  A substitution maps each letter of
 its alphabet to a nonempty word; its iterates and infinite streams live in
-:mod:`kneading.symbolic`.  ``_Record`` is the base of every layer's frozen
-records.
+:mod:`kneading.symbolic`.  The record base and the parity kernel are in
+:mod:`kneading._base`, so the float lab runs without this module.
 """
 
 from __future__ import annotations
 
+from ._base import _prefix_xor
+
 _FLIP = str.maketrans("01", "10")
-
-
-class _Record:
-    """Base of the layers' frozen records: ``dataclass(frozen=True)`` without
-    importing ``dataclasses``, which pulls ``inspect`` and ``ast`` into start-up.
-    The fields are the class annotations in order and a class value is a
-    field's default; ``__post_init__`` runs last and may set a field with
-    ``object.__setattr__``.  ``==`` holds only within one class."""
-
-    def __init__(self, *args, **kwargs):
-        cls = type(self)
-        fields = cls.__annotations__
-        if not kwargs and len(args) == len(fields):
-            # every field given in order: the common call, bound directly
-            self.__dict__.update(zip(fields, args))
-        else:
-            given = dict(zip(fields, args), **kwargs)
-            if len(given) < len(args) + len(kwargs) or not given.keys() <= fields.keys():
-                raise TypeError(f"{cls.__name__}() got unexpected or repeated arguments")
-            for name in fields:
-                if name not in given and name not in cls.__dict__:
-                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-                self.__dict__[name] = given.get(name, cls.__dict__.get(name))
-        if hasattr(cls, "__post_init__"):
-            self.__post_init__()
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, type(self).__annotations__))
-
-    def __repr__(self):
-        fields = zip(type(self).__annotations__, self._values())
-        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
 
 
 def check_word(bits: str) -> str:
@@ -70,19 +27,13 @@ def complement(bits: str) -> str:
 def parity_word(bits: str) -> str:
     """Running parities t_k = s_1 ^ ... ^ s_k of a 0/1 word.
 
-    The word is read as one integer with s_1 as its top bit; prefix-xor
-    doubling (x ^= x >> 1, 2, 4, ...) leaves t_k in the place of s_k after
-    log2(n) big-integer steps, with no per-symbol Python work.
+    The word is read as one integer with s_1 as its top bit, and
+    ``_prefix_xor`` leaves t_k in the place of s_k.
     """
     n = len(bits)
     if not n:
         return ""
-    x = int(bits, 2)
-    s = 1
-    while s < n:
-        x ^= x >> s
-        s <<= 1
-    return format(x, "b").zfill(n)
+    return format(_prefix_xor(int(bits, 2), n), "b").zfill(n)
 
 
 def unparity_word(bits: str) -> str:

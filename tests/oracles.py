@@ -26,6 +26,9 @@ hand a periodic stream to the library as a generated one, and
 ``lemma1_via_parity_words`` decides each sampled pair from both whole
 itineraries and parity words, the construction that ``lemma1_validate``
 replaced with a walk to the first symbol discrepancy.
+``monotonicity_scan_via_parity_words`` builds each scan row from the
+symbol string and its parity word, the construction that
+``monotonicity_scan`` replaced with one integer per row.
 ``renormalize_map`` rescales a float map's second iterate, raising
 ``NotRenormalizableError`` when its geometry fails, and ``renormalize_word``
 undoes the period-doubling substitution on a kneading word with its flags:
@@ -45,13 +48,21 @@ the last two hand their reference method to the library.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from collections.abc import Callable
 from fractions import Fraction
 from typing import NamedTuple
 
 from kneading.cfrac import cf_of_rational
-from kneading.dynamics import Lemma1Report, UnimodalMap, itinerary
+from kneading.dynamics import (
+    Lemma1Report,
+    ScanReport,
+    ScanRow,
+    UnimodalMap,
+    itinerary,
+    logistic_map,
+)
 from kneading.encoding import tau_of_periodic, xi
 from kneading.feigenbaum import (
     PAIR_RULE,
@@ -405,6 +416,43 @@ def lemma1_via_parity_words(m: UnimodalMap, pairs: int, n: int,
         if tx[d] > ty[d]:
             violations += 1
     return Lemma1Report(tested, decided, excluded, violations)
+
+
+def monotonicity_scan_via_parity_words(r_grid, n: int) -> ScanReport:
+    """``monotonicity_scan`` from words: each critical orbit stepped by
+    ``logistic_map(r).fn``, its symbols joined into a string, their parity
+    word, and tau's first 53 digits read back as an int."""
+    grid = list(r_grid)
+    if not grid or not all(2.9 <= r <= 4.0 for r in grid):
+        raise ValueError("grid must stay within [2.9, 4.0]")
+    if n < 1:
+        raise ValueError("need at least one symbol")
+    eta = UnimodalMap.eta  # logistic_map's default band
+    rows = []
+    for r in grid:
+        fn = logistic_map(r).fn
+        u, word = fn(0.5), []
+        for _ in range(n):
+            if abs(u - 0.5) < eta:
+                break
+            word.append("1" if u >= 0.5 else "0")
+            u = fn(u)
+        k = len(word)
+        if k == 0:
+            rows.append(ScanRow(r, None, 0))
+            continue
+        digits = parity_word("".join(word))
+        # the first 53 terms in one exact ldexp (each partial sum of at most
+        # 53 dyadic bits is a float), the nonzero rest added in order as
+        # before (adding 0.0 leaves a sum unchanged); ldexp, not division by
+        # 2.0 ** i, which overflows from i = 1024
+        head = min(k, 53)
+        tau = sum([math.ldexp(1.0, -i) for i in range(head + 1, k + 1) if digits[i - 1] == "1"],
+                  math.ldexp(int(digits[:head], 2), -head))
+        rows.append(ScanRow(r, tau, k))
+    vals = [row.tau for row in rows if row.tau is not None]
+    decreases = sum(1 for u, v in zip(vals, vals[1:]) if v < u)
+    return ScanReport(tuple(rows), decreases)
 
 
 class NotRenormalizableError(RuntimeError):

@@ -501,6 +501,11 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
      "error: reproduce does not read --format, --float\n"),
     (["export", "zeta-roots", "--j", "1", "--steps", "5", "--kmin", "3", "--float"], 2,
      "error: export zeta-roots does not read --float, --steps, --kmin\n"),
+    # an option the mode does not read is refused before its value is read;
+    # one it reads keeps argparse's usage lines and reason
+    (["cf", "table", "--bits", "x"], 2, "error: cf table does not read --bits\n"),
+    (["cf", "tau-infinity", "--bits", "x"], 2,
+     "kneading cf: error: argument --bits/--precision-bits: invalid int value: 'x'\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing

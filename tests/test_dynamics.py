@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kneading.dynamics import (
@@ -22,9 +22,11 @@ from kneading.dynamics import (
 )
 from kneading.encoding import kneading_from_tau
 from kneading.symbolic import feigenbaum_stream, feigenbaum_word
+from kneading.words import parity_word
 from oracles import (
     NotRenormalizableError,
     lemma1_via_parity_words,
+    monotonicity_scan_via_parity_words,
     renormalize_map,
     renormalize_word,
     skew_tent_map,
@@ -287,6 +289,37 @@ def test_monotonicity_scan_past_1023_digits():
     long = monotonicity_scan([3.2], 1100).rows[0]
     assert long.reliable_prefix > 1024
     assert long.tau == monotonicity_scan([3.2], 1000).rows[0].tau
+
+
+# superstable parameters of periods 2, 4 and 3: the critical orbit returns
+# to within the 1e-9 band of 1/2 after one, three and two symbols
+_SUPERSTABLE = (3.2360679774997896, 3.4985616993277016, 3.8318740552835515)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=st.lists(st.one_of(st.floats(2.9, 4.0), st.sampled_from(_SUPERSTABLE)),
+                     min_size=1, max_size=40),
+       n=st.integers(1, 256))
+@example(grid=list(_SUPERSTABLE), n=256)
+@example(grid=[2.9, 3.2, 3.9, 4.0], n=53)
+@example(grid=[2.9, 3.2, 3.9, 4.0], n=54)
+def test_monotonicity_scan_matches_parity_words(grid, n):
+    # n from 1 to 256 reads tau from one ldexp (k <= 53) and from the sum
+    # past 53 symbols alike
+    rep = monotonicity_scan(grid, n)
+    assert rep == monotonicity_scan_via_parity_words(grid, n)
+    # the scan steps its own copy of the logistic expression: each row is
+    # kneading(logistic_map(r), n) cut at its first unreliable symbol
+    for r, row in zip(grid, rep.rows):
+        word, flags = kneading(logistic_map(r), n)
+        k = flags.index(False) if False in flags else n
+        assert row.reliable_prefix == k
+        head = min(k, 53)
+        top = math.ldexp(int(parity_word(word[:head]), 2), -head)
+        if k <= 53:
+            assert row.tau == top
+        else:
+            assert 0 <= row.tau - top <= math.ldexp(1.0, -53)
 
 
 # sha256 over the repr of every result (or exception type and message) in

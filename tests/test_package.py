@@ -34,9 +34,9 @@ print(rc, *sorted(name for name in kneading._EXPORTS
 """
 
 
-# each row names the layers a command runs besides words, which every other
-# layer imports and so runs with any of them; the float lab and the finite
-# cascade values compile no stream code
+# each row names the layers a command runs; every exact layer imports words
+# and so runs it too, while the float lab runs dynamics alone, whose record
+# base is in kneading._base; the finite cascade values compile no stream code
 @pytest.mark.parametrize("argv, ran", [
     ("dyn kneading --n 20", "dynamics"),
     ("dyn scan --steps 3", "dynamics"),
@@ -54,7 +54,8 @@ print(rc, *sorted(name for name in kneading._EXPORTS
     ("reproduce all", "cfrac encoding feigenbaum frequency spectral symbolic"),
 ])
 def test_command_runs_only_its_layers(argv, ran):
-    layers = sorted([*ran.split(), "words"]) if ran else []
+    words = [] if not ran or ran == "dynamics" else ["words"]
+    layers = sorted([*ran.split(), *words])
     assert _fresh(_RAN, *argv.split()).split() == ["0", *layers]
 
 

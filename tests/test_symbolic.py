@@ -25,7 +25,7 @@ from kneading.words import (
 import kneading
 from kneading import cfrac, dynamics, encoding, feigenbaum, frequency, language, spectral
 from kneading.symbolic import SymbolStream, _DerivedStream, _MemoizedStream
-from kneading.words import _Record
+from kneading._base import _Record
 from oracles import (
     FunctionStream,
     divisor_scan_minimal_period,
