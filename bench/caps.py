@@ -186,8 +186,8 @@ def command(*argv):
 # wanted), lang complexity --nmax at 24, language_words at 16,
 # freq --block at 64 and --prefix at 2^62 (the 2^22 rows are its old cap),
 # dyn --n at 256 and --pairs and --steps at 4096 (dyn scan also at --n 48,
-# where the benchmark's orbit-lab scans read at most 53 symbols a row, the
-# band of one exact ldexp per row), tau --infinity and
+# inside the 16..64 symbols of the benchmark's orbit-lab scans, where a row's
+# tau reads every digit; at 256 it reads the first 54), tau --infinity and
 # cf tau-infinity --bits at 2^16 (cf_of_enclosure also at 2^17 and 2^18, the
 # sizes a raised --bits cap would reach), cf table --jmax at 12; the command rows
 # run the whole command at its cap: zeta --order at 2048 (series, and

@@ -98,13 +98,16 @@ def _unset_options(p):
 
 def _reads(args, label: str, dests):
     """Refuse every option that the command line passed and that is not one
-    of ``dests``, so no option is accepted and then ignored; then convert
-    each option it passed by the option's type, failing as argparse would,
-    and give each option it did not pass its default."""
+    of ``dests``, so no option is accepted and then ignored, and an empty
+    ``--out``, which names no file; then convert each option it passed by
+    the option's type, failing as argparse would, and give each option it
+    did not pass its default."""
     refused = [a.option_strings[0] for dest, (a, _, _) in args.options.items()
                if dest not in dests and hasattr(args, dest)]
     if refused:
         raise ValueError(f"{label} does not read {', '.join(refused)}")
+    if getattr(args, "out", None) == "":
+        raise ValueError("--out must not be empty")
     for dest, (a, default, convert) in args.options.items():
         if not hasattr(args, dest):
             setattr(args, dest, default)

@@ -5,7 +5,7 @@ from . import _check_cap, _reads, _Result
 
 # float orbits carry no information past a few dozen symbols; the costs are
 # linear in --n times --steps or --pairs: at the caps, as a fresh process on
-# a 2-core Xeon, about 0.22 s for scan and 0.26 s for lemma1 on a map that is
+# a 2-core Xeon, about 0.18 s for scan and 0.26 s for lemma1 on a map that is
 # not closed (a tent slope past 2), and 0.05 s for lemma1 on a closed map,
 # whose pairs stop stepping once they are settled
 _MAX_N = 256

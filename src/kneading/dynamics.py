@@ -170,7 +170,7 @@ def lemma1_validate(m: UnimodalMap, pairs: int, n: int, seed: int = 0) -> Lemma1
 
 class ScanRow(_Record):
     r: float
-    tau: float | None
+    tau: float
     reliable_prefix: int
 
 
@@ -187,8 +187,22 @@ def monotonicity_scan(r_grid, n: int) -> ScanReport:
     unreliable symbol.  Every r of the grid makes a closed map, so the
     critical orbit is stepped only that far, with no escape check, by the
     map's own expression written into the loop (the same doubles, with no
-    call per step).  The k symbols are read as one k-bit integer, whose
-    running parities are tau's first k binary digits."""
+    call per step).  The row's tau is tau's first m = min(k, 54) binary
+    digits, the running parities of the first m of its k symbols, read as
+    one m-bit integer, rounded to a double half to even and scaled by 2^-m.
+    That is the double that adding all k digits one at a time in double
+    arithmetic gives:
+
+    - On the grid f(1/2) = r/4 >= 0.725 lies 0.225 from the critical
+      point, so the first symbol is 1 and reliable: k >= 1 and tau >= 1/2,
+      whose ulp is 2^-53.
+    - The first 53 digits sum exactly.  Adding digit 54, 2^-54, is half an
+      ulp: a tie, rounded half to even.  Each later digit 2^-i, i >= 55, is
+      below half an ulp and leaves the sum unchanged.
+    - CPython converts the 54-bit integer to a double with the same
+      rounding, half to even, and ldexp by -m is exact; at r = 4.0 both
+      routes carry to exactly 1.0 from k = 54 on.
+    """
     grid = list(r_grid)
     if not grid or not all(2.9 <= r <= 4.0 for r in grid):
         raise ValueError("grid must stay within [2.9, 4.0]")
@@ -204,22 +218,9 @@ def monotonicity_scan(r_grid, n: int) -> ScanReport:
             word.append("1" if u >= 0.5 else "0")
             u = r * u * (1.0 - u)
         k = len(word)
-        if k == 0:
-            rows.append(ScanRow(r, None, 0))
-            continue
-        # tau's digits are bits k - 1 .. 0 of x; the first 53 terms in one
-        # exact ldexp (each partial sum of at most 53 dyadic bits is a
-        # float), the nonzero rest added in order (adding 0.0 leaves a sum
-        # unchanged), read from text, which is faster than bit by bit;
-        # ldexp, not division by 2.0 ** i, which overflows from i = 1024
-        x = _prefix_xor(int("".join(word), 2), k)
-        if k <= 53:
-            tau = ldexp(x, -k)
-        else:
-            digits = format(x, "b").zfill(k)
-            tau = sum([ldexp(1.0, -i) for i, d in enumerate(digits[53:], 54) if d == "1"],
-                      ldexp(x >> (k - 53), -53))
-        rows.append(ScanRow(r, tau, k))
-    vals = [row.tau for row in rows if row.tau is not None]
-    decreases = sum(1 for u, v in zip(vals, vals[1:]) if v < u)
+        del word[54:]
+        m = len(word)
+        rows.append(ScanRow(r, ldexp(_prefix_xor(int("".join(word), 2), m), -m), k))
+    taus = [row.tau for row in rows]
+    decreases = sum(1 for u, v in zip(taus, taus[1:]) if v < u)
     return ScanReport(tuple(rows), decreases)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -506,6 +507,16 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
     (["cf", "table", "--bits", "x"], 2, "error: cf table does not read --bits\n"),
     (["cf", "tau-infinity", "--bits", "x"], 2,
      "kneading cf: error: argument --bits/--precision-bits: invalid int value: 'x'\n"),
+    # an empty --out names no file: refused, not read as "no --out"
+    (["dyn", "kneading", "--n", "3", "--out", ""], 2, "error: --out must not be empty\n"),
+    (["cf", "table", "--jmax", "2", "--out", ""], 2, "error: --out must not be empty\n"),
+    (["lang", "forbidden", "--tau", "6/7", "--out", ""], 2,
+     "error: --out must not be empty\n"),
+    (["export", "zeta-roots", "--j", "0", "--out", ""], 2,
+     "error: --out must not be empty\n"),
+    (["reproduce", "nj-sequence", "--out", ""], 2, "error: --out must not be empty\n"),
+    (["lang", "forbidden", "--tau", "1/2", "--nmax", "3"], 2,
+     "error: K is not a maximal stream\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
@@ -522,6 +533,8 @@ def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, cod
         ent = json.loads(captured.out)["entropy"]
         assert ent == {"lo": 0.0, "hi": 0.0, "method": "unit-root-factors",
                        "bracket": None}
+    else:
+        assert captured.out == ""
 
 
 # each subcommand and mode, as the words that select it, with its label and
@@ -658,6 +671,8 @@ def test_out_needs_no_stdout(monkeypatch, tmp_path):
     ("tau --j 3", 3, "error: cannot write output: Bad file descriptor\n"),
     ("reproduce tau-table", 3, "error: cannot write output: Bad file descriptor\n"),
     ("tau --j 0", 2, "error: level must be in 1..20\n"),
+    ('dyn kneading --n 3 --out ""', 2, "error: --out must not be empty\n"),
+    ('reproduce nj-sequence --out ""', 2, "error: --out must not be empty\n"),
 ])
 def test_missing_stdout_refuses_output_not_input(capsys, monkeypatch, argv, code, err):
     # started with fd 1 not open, a command that prints is refused as a
@@ -665,7 +680,7 @@ def test_missing_stdout_refuses_output_not_input(capsys, monkeypatch, argv, code
     # output) and a write to None would be reported as an internal error;
     # bad input is still reported as such
     monkeypatch.setattr(sys, "stdout", None)
-    assert cli.main(argv.split()) == code
+    assert cli.main(shlex.split(argv)) == code
     assert capsys.readouterr().err == err
 
 

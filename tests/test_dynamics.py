@@ -303,9 +303,15 @@ _SUPERSTABLE = (3.2360679774997896, 3.4985616993277016, 3.8318740552835515)
 @example(grid=list(_SUPERSTABLE), n=256)
 @example(grid=[2.9, 3.2, 3.9, 4.0], n=53)
 @example(grid=[2.9, 3.2, 3.9, 4.0], n=54)
+# tau's digit 54 is 1 in each row: a tie that rounds half to even, up at
+# 3.237 (digit 53 is 1) and down at 3.595 and 3.707 (digit 53 is 0), where
+# set digits past 54 follow (from digit 55 on at 3.707) and must not move
+# the double
+@example(grid=[3.237, 3.595, 3.707], n=256)
+@example(grid=[4.0], n=256)  # tau's digits are all 1: it carries to 1.0
 def test_monotonicity_scan_matches_parity_words(grid, n):
-    # n from 1 to 256 reads tau from one ldexp (k <= 53) and from the sum
-    # past 53 symbols alike
+    # n from 1 to 256 gives k <= 53 symbols, whose digits are exact, and
+    # k > 53, whose double the oracle sums digit by digit past the 53rd
     rep = monotonicity_scan(grid, n)
     assert rep == monotonicity_scan_via_parity_words(grid, n)
     # the scan steps its own copy of the logistic expression: each row is
