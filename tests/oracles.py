@@ -443,12 +443,15 @@ def monotonicity_scan_via_parity_words(r_grid, n: int) -> ScanReport:
             continue
         digits = parity_word("".join(word))
         # the first 53 terms in one exact ldexp (each partial sum of at most
-        # 53 dyadic bits is a float), the nonzero rest added in order as
-        # before (adding 0.0 leaves a sum unchanged); ldexp, not division by
-        # 2.0 ** i, which overflows from i = 1024
+        # 53 dyadic bits is a float), the nonzero rest added in order, one
+        # rounded addition each (adding 0.0 leaves a sum unchanged); a loop,
+        # not the builtin sum, which compensates its rounding from Python
+        # 3.12; ldexp, not division by 2.0 ** i, which overflows from i = 1024
         head = min(k, 53)
-        tau = sum([math.ldexp(1.0, -i) for i in range(head + 1, k + 1) if digits[i - 1] == "1"],
-                  math.ldexp(int(digits[:head], 2), -head))
+        tau = math.ldexp(int(digits[:head], 2), -head)
+        for i in range(head + 1, k + 1):
+            if digits[i - 1] == "1":
+                tau += math.ldexp(1.0, -i)
         rows.append(ScanRow(r, tau, k))
     vals = [row.tau for row in rows if row.tau is not None]
     decreases = sum(1 for u, v in zip(vals, vals[1:]) if v < u)
