@@ -14,7 +14,7 @@ import io
 import os
 import sys
 
-from .commands import _atomic_write, _json_text, _unset_options
+from .commands import _json_text, _unset_options
 
 # (name, help line) of every subcommand, in the order --help lists them
 _COMMANDS = (
@@ -46,6 +46,7 @@ def _emit(args, res) -> int:
         text = _json_text(res.payload)
     out = getattr(args, "out", None)
     if out:
+        from .commands._out import _atomic_write
         _atomic_write(out, text)
     else:
         sys.stdout.write(text)

@@ -8,16 +8,16 @@ only for a subcommand named on the command line, so a command compiles its own
 handler and no other.  A command module imports from this package, never from
 ``kneading.cli``: under ``python -m kneading.cli`` that module runs as
 ``__main__``, and importing it by name would run it a second time.
+
+``import kneading.cli`` compiles this module, so every command does: it holds
+only what the dispatcher and the handlers share.  Number and ``--tau`` spec
+parsing is in :mod:`._spec`, which only the commands that read them import,
+and the ``--out`` file writer is in :mod:`._out`, which loads only for a file.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-
-# the layers load on first use (see the package docstring), so each command
-# runs only the ones it touches
-from .. import encoding, symbolic
 
 
 class _Result:
@@ -43,41 +43,6 @@ def _json_text(obj) -> str:
     loads only in commands that print JSON."""
     from .._jsontext import json_text
     return json_text(obj) + "\n"
-
-
-def _require_dir(d: str):
-    if not os.path.isdir(d or "."):
-        raise ValueError(f"no such output directory: {d}")
-
-
-def _atomic_write(path: str, text: str):
-    import tempfile
-    _require_dir(os.path.dirname(path))
-    if os.path.isdir(path):
-        raise ValueError(f"output path is a directory: {path}")
-    d = os.path.dirname(os.path.abspath(path))
-    # a path the OS refuses to create or to rename to is bad input (exit 2),
-    # reported by the user's name for it, not by the temporary file's; a
-    # write that fails (a full disk) is the environment's and stays OSError
-    try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    except OSError as e:
-        raise ValueError(f"cannot write {path}: {e.strerror or e}") from None
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        # mkstemp made the file 0600; give it the mode open(path, "w") would,
-        # 0666 less the umask, which is read by setting it
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        try:
-            os.replace(tmp, path)
-        except OSError as e:
-            raise ValueError(f"cannot write {path}: {e.strerror or e}") from None
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _unset_options(p):
@@ -119,64 +84,6 @@ def _reads(args, label: str, dests):
                 # argparse's usage lines, message and exit status 2
                 args.parser.error(str(argparse.ArgumentError(
                     a, f"invalid {convert.__name__} value: {value!r}")))
-
-
-# Fraction("1e-10000000") builds 10^10000000 (8 s on a 2-core Xeon) before
-# any cap on the value can refuse it
-_MAX_EXPONENT = 1000
-
-
-def _fraction(text: str):
-    """Fraction(text), with a zero denominator, an exponent past
-    _MAX_EXPONENT and a run of digits past Python's int-to-str limit
-    reported as bad input (ValueError, exit 2) like any other malformed
-    number, each before Fraction does the work."""
-    import re
-    import sys
-    from fractions import Fraction
-    _, e, exp = text.lower().rpartition("e")
-    exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if e and exp.isdecimal() and (len(exp) > 4 or int(exp) > _MAX_EXPONENT):
-        raise ValueError(f"exponent must be in -{_MAX_EXPONENT}..{_MAX_EXPONENT}")
-    limit = sys.get_int_max_str_digits()
-    if limit and any(len(run) > limit for run in re.findall(r"\d+", text.replace("_", ""))):
-        raise ValueError(f"numbers must have at most {limit} digits")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text}") from None
-
-
-
-def _tau_stream(spec: str):
-    """Stream for a --tau argument: p/q, feigenbaum:j, or feigenbaum:inf."""
-    if spec == "feigenbaum:inf":
-        return symbolic.feigenbaum_limit()
-    if spec.startswith("feigenbaum:"):
-        # zeta --entropy on level j strips a degree-2^j determinant: about
-        # 0.3 s at the cap on a 2-core Xeon, 2.4x that per level past it
-        try:
-            j = int(spec.split(":", 1)[1])
-        except ValueError:
-            j = 0  # not a level: refused below with the range
-        if not 1 <= j <= 14:
-            raise ValueError("level must be in 1..14")
-        return symbolic.feigenbaum_stream(j)
-    x = _fraction(spec)
-    # the digit period is ord_2 of q's odd part, up to q - 1 digits: at the
-    # cap, zeta --order 8 takes about 0.5 s in a fresh process on a 2-core Xeon
-    _check_cap("denominator", x.denominator, 1 << 20)
-    return encoding.kneading_from_tau(x)
-
-
-_MAX_BITS = 1 << 16
-
-
-def _check_bits(bits: int):
-    # both the enclosure and its certified quotients grow with --bits; the
-    # quotients cost O(bits^2): about 0.5 s at the cap on a 2-core Xeon
-    if not 1 <= bits <= _MAX_BITS:
-        raise ValueError(f"bits must be in 1..{_MAX_BITS}")
 
 
 def _check_cap(name: str, value: int, cap: int):

@@ -1,7 +1,7 @@
 """``kneading cf``: continued-fraction expansions."""
 
 from .. import cfrac, feigenbaum
-from . import _Result, _check_bits, _reads
+from . import _Result, _reads
 
 
 def add_arguments(p):
@@ -23,6 +23,7 @@ def run(args) -> _Result:
         return _Result({"j": args.j, "quotients": q, "count": len(q)},
                        text=" ".join(map(str, q)))
     if args.what == "tau-infinity":
+        from ._spec import _check_bits
         _check_bits(args.bits)
         q = cfrac.cf_of_enclosure(feigenbaum.tau_infinity_enclosure(args.bits))
         return _Result({"bits": args.bits, "quotients": q, "count": len(q)})

@@ -49,6 +49,9 @@ def _scan(args) -> _Result:
         raise ValueError("need at least two grid points")
     _check_cap("steps", args.steps, _MAX_POINTS)
     _check_cap("n", args.n, _MAX_N)
+    # decreases counts the steps where tau falls as r grows
+    if args.lo > args.hi:
+        raise ValueError("need --from <= --to")
     grid = [args.lo + (args.hi - args.lo) * i / (args.steps - 1)
             for i in range(args.steps)]
     rep = dynamics.monotonicity_scan(grid, args.n)

@@ -1,7 +1,8 @@
 """``kneading lang``: admissible-word language."""
 
 from .. import encoding, language
-from . import _check_cap, _reads, _Result, _tau_stream
+from . import _check_cap, _reads, _Result
+from ._spec import _tau_stream
 
 
 def add_arguments(p):

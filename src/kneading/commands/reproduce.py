@@ -4,7 +4,8 @@ import math
 import os
 
 from .. import cfrac, encoding, feigenbaum, frequency, spectral, symbolic, words
-from . import _atomic_write, _fraction, _json_text, _reads, _require_dir
+from . import _json_text, _reads
+from ._spec import _fraction
 
 # reference values, exact strings only
 _GOLDEN_TAU = (
@@ -159,6 +160,7 @@ def add_arguments(p):
 def run(args) -> int:
     _reads(args, "reproduce", ("out",))
     if args.out:
+        from ._out import _atomic_write, _require_dir
         _require_dir(args.out)
     all_ok = True
     for name in sorted(_TARGETS) if args.target == "all" else [args.target]:

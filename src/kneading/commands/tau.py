@@ -1,7 +1,7 @@
 """``kneading tau``: period-doubling parameter levels."""
 
 from .. import feigenbaum
-from . import _Result, _check_bits, _reads
+from . import _Result, _reads
 
 
 def add_arguments(p):
@@ -14,6 +14,7 @@ def add_arguments(p):
 def run(args) -> _Result:
     if vars(args).get("infinity"):
         _reads(args, "tau --infinity", ("format", "infinity", "bits"))
+        from ._spec import _check_bits
         _check_bits(args.bits)
         return _Result(feigenbaum.tau_infinity_enclosure(args.bits).to_json())
     _reads(args, "tau --j", ("format", "as_float", "j"))

@@ -1,7 +1,8 @@
 """``kneading zeta``: kneading determinant and zeta series."""
 
 from .. import encoding, spectral
-from . import _fraction, _num, _reads, _Result, _tau_stream
+from . import _num, _reads, _Result
+from ._spec import _fraction, _tau_stream
 
 
 def add_arguments(p):

@@ -517,6 +517,11 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
     (["reproduce", "nj-sequence", "--out", ""], 2, "error: --out must not be empty\n"),
     (["lang", "forbidden", "--tau", "1/2", "--nmax", "3"], 2,
      "error: K is not a maximal stream\n"),
+    # decreases counts the falls of tau as r grows, so a grid walks upwards
+    (["dyn", "scan", "--from", "4", "--to", "3", "--steps", "3", "--n", "5"], 2,
+     "error: need --from <= --to\n"),
+    (["export", "bifurcation-scan", "--from", "4", "--to", "3", "--steps", "3", "--n", "5"],
+     2, "error: need --from <= --to\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
@@ -645,12 +650,11 @@ def test_refused_output_is_not_blamed_on_input_or_code(capsys, monkeypatch, tmp_
     # a closed stdout (a reader such as `head` that went away) and a full
     # disk fail the environment: exit 3 with a one-line reason, never the
     # "internal error" of a bug, and no temporary file left behind
-    import kneading.commands as commands
     with monkeypatch.context() as m:
         m.setattr(sys, "stdout", _Refusing(errno.EPIPE))
         assert cli.main(["tau", "--j", "3"]) == 3
     assert capsys.readouterr().err == "error: cannot write output: Broken pipe\n"
-    monkeypatch.setattr(commands.os, "fdopen", lambda fd, mode: (
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: (
         os.close(fd), _Refusing(errno.ENOSPC))[1])
     assert cli.main(["cf", "table", "--jmax", "2", "--out", str(tmp_path / "t.csv")]) == 3
     assert capsys.readouterr().err == (

@@ -59,20 +59,25 @@ def test_command_runs_only_its_layers(argv, ran):
     assert _fresh(_RAN, *argv.split()).split() == ["0", *layers]
 
 
-# each subcommand's argv, with the kneading.commands modules it needs
+# each subcommand's argv, with the kneading.commands modules it needs: the
+# spec parser _spec only where a --tau spec, a number or --bits is read, and
+# the file writer _out only where --out names a file
 _COMMAND_MODULES = [
     ("dyn kneading --n 20", "dyn"),
     ("dyn scan --steps 3", "dyn"),
     ("tau --j 3", "tau"),
-    ("lang complexity --tau 5/6 --nmax 6", "lang"),
-    ("zeta --tau 5/6 --order 8 --counts --entropy", "zeta"),
+    ("lang complexity --tau 5/6 --nmax 6", "_spec lang"),
+    ("zeta --tau 5/6 --order 8 --counts --entropy", "_spec zeta"),
     ("cf tau-level --j 4", "cf"),
     ("freq --prefix 1024", "freq"),
     ("export zeta-roots --j 2", "export"),
     ("export bifurcation-scan --steps 3", "dyn export"),
-    ("reproduce nj-sequence", "reproduce"),
+    ("reproduce nj-sequence", "_spec reproduce"),
     # an option value that names another subcommand loads nothing
-    ("export zeta-roots --j 2 --out dyn", "export"),
+    ("export zeta-roots --j 2 --out dyn", "_out export"),
+    ("cf table --jmax 3", "cf"),
+    ("tau --infinity --bits 64", "_spec tau"),
+    ("dyn kneading --n 20 --out k.json", "_out dyn"),
 ]
 
 _COMMANDS_RAN = """
@@ -90,6 +95,21 @@ print(rc, *sorted(name.rsplit(".", 1)[1] for name in sys.modules
 def test_command_loads_only_its_command_module(argv, modules, tmp_path):
     assert _fresh(_COMMANDS_RAN, *argv.split(), cwd=tmp_path).split() == [
         "0", *modules.split()]
+
+
+# every command compiles what import kneading.cli runs, so it runs the
+# package, the dispatcher and the shared helpers, and leaves the layers
+# registered but unrun
+_IMPORT_RAN = """
+import sys
+import kneading, kneading.cli
+print(*sorted(name for name, module in sys.modules.items()
+              if name.split(".")[0] == "kneading" and type(module) is not kneading._Layer))
+"""
+
+
+def test_import_cli_runs_only_the_shared_core():
+    assert _fresh(_IMPORT_RAN).split() == ["kneading", "kneading.cli", "kneading.commands"]
 
 
 # ``python -m kneading.cli`` runs cli.py as ``__main__``; a command module
