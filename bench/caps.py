@@ -195,7 +195,8 @@ def command(*argv):
 # cf tau-level --j at 12,
 # export zeta-roots --j at 11, export frequency-convergence --kmax at 62
 # (25, its old cap, kept beside it), lang forbidden --nmax at 4096 and
-# zeta --entropy --tol at 1/10^100; freq --stream tau-inf --block 3
+# zeta --entropy --tol at 1/10^100, and the exponent of an exact number at
+# 1000 (1e-1000, refused by the denominator cap); freq --stream tau-inf --block 3
 # --prefix 4194304 is the heaviest freq command of the cascade benchmark
 # workload; dyn lemma1 at a tent slope just past 2, a map that is not closed,
 # steps every orbit all n times at the caps
@@ -246,6 +247,7 @@ ROWS = [
         "zeta --tau feigenbaum:inf --order 2048 --entropy --tol 1/10^100",
         "zeta --tau feigenbaum:14 --entropy",
         "dyn lemma1 --family tent --slope 2.000000000001 --pairs 4096 --n 256",
+        "zeta --tau 1e-1000 --order 4",
     )
 ]
 

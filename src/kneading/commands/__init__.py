@@ -1,7 +1,8 @@
 """One module per ``kneading`` subcommand, and the helpers they share.
 
 Each module defines ``add_arguments(p)``, which adds the subcommand's options
-to its parser, and ``run(args)``, its handler, which starts with :func:`_reads`
+to its parser, with ``CAPS`` beside it if any integer option has a bound,
+and ``run(args)``, its handler, which starts with :func:`_reads`
 and returns a :class:`_Result` for the one emitter in :mod:`kneading.cli`, or
 an exit code when it prints its own lines.  The dispatcher imports a module
 only for a subcommand named on the command line, so a command compiles its own
@@ -61,12 +62,14 @@ def _unset_options(p):
     p.set_defaults(options=options, parser=p)
 
 
-def _reads(args, label: str, dests):
+def _reads(args, label: str, dests, caps=()):
     """Refuse every option that the command line passed and that is not one
     of ``dests``, so no option is accepted and then ignored, and an empty
     ``--out``, which names no file; then convert each option it passed by
     the option's type, failing as argparse would, and give each option it
-    did not pass its default."""
+    did not pass its default.  Last, check each of ``dests`` in ``caps``,
+    which maps a dest to (label, lo, hi); lo None leaves the lower bound to
+    where the value is used."""
     refused = [a.option_strings[0] for dest, (a, _, _) in args.options.items()
                if dest not in dests and hasattr(args, dest)]
     if refused:
@@ -84,10 +87,15 @@ def _reads(args, label: str, dests):
                 # argparse's usage lines, message and exit status 2
                 args.parser.error(str(argparse.ArgumentError(
                     a, f"invalid {convert.__name__} value: {value!r}")))
+    for dest in dests:
+        if dest in caps:
+            name, lo, hi = caps[dest]
+            value = getattr(args, dest)
+            if value > hi or lo is not None and value < lo:
+                raise ValueError(f"{name} must be at most {hi}" if lo is None
+                                 else f"{name} must be in {lo}..{hi}")
 
 
-def _check_cap(name: str, value: int, cap: int):
-    """Upper bound of a costly option; its lower bound is checked where the
-    value is used."""
-    if value > cap:
-        raise ValueError(f"{name} must be at most {cap}")
+# the cap of --bits, which tau --infinity and cf tau-infinity share: the
+# certified quotients cost O(bits^2), about 0.35 s at the cap on a 2-core Xeon
+_BITS_CAP = ("bits", 1, 1 << 16)

@@ -1,11 +1,10 @@
 """Number and ``--tau`` spec parsing, for the commands that read them.
 
-Only ``zeta``, ``lang``, ``reproduce`` and the ``--bits`` modes of ``tau`` and
-``cf`` import this module, so no other command compiles it.
+Only ``zeta``, ``lang`` and ``reproduce`` import this module, so no other
+command compiles it.
 """
 
 from .. import encoding, symbolic
-from . import _check_cap
 
 # Fraction("1e-10000000") builds 10^10000000 (8 s on a 2-core Xeon) before
 # any cap on the value can refuse it
@@ -50,15 +49,6 @@ def _tau_stream(spec: str):
     x = _fraction(spec)
     # the digit period is ord_2 of q's odd part, up to q - 1 digits: at the
     # cap, zeta --order 8 takes about 0.5 s in a fresh process on a 2-core Xeon
-    _check_cap("denominator", x.denominator, 1 << 20)
+    if x.denominator > 1 << 20:
+        raise ValueError("denominator must be at most 1048576")
     return encoding.kneading_from_tau(x)
-
-
-_MAX_BITS = 1 << 16
-
-
-def _check_bits(bits: int):
-    # both the enclosure and its certified quotients grow with --bits; the
-    # quotients cost O(bits^2): about 0.5 s at the cap on a 2-core Xeon
-    if not 1 <= bits <= _MAX_BITS:
-        raise ValueError(f"bits must be in 1..{_MAX_BITS}")

@@ -1,7 +1,11 @@
 """``kneading cf``: continued-fraction expansions."""
 
 from .. import cfrac, feigenbaum
-from . import _Result, _reads
+from . import _BITS_CAP, _Result, _reads
+
+# tau-level --j 12 runs Euclid on 2049-bit integers, about 4 ms; cf table's
+# --jmax has the same cap, which cfrac.cf_table checks
+CAPS = {"j": ("level", 1, 12), "bits": _BITS_CAP}
 
 
 def add_arguments(p):
@@ -15,16 +19,12 @@ def add_arguments(p):
 def run(args) -> _Result:
     # each `what` reads one option of its own; no quotient is a fraction
     _reads(args, f"cf {args.what}", ("format", "out", {
-        "tau-level": "j", "tau-infinity": "bits", "table": "jmax"}[args.what]))
+        "tau-level": "j", "tau-infinity": "bits", "table": "jmax"}[args.what]), CAPS)
     if args.what == "tau-level":
-        if not 1 <= args.j <= 12:
-            raise ValueError("level must be in 1..12")
         q = list(cfrac._quotients(*feigenbaum._closed_form_pq(args.j)))
         return _Result({"j": args.j, "quotients": q, "count": len(q)},
                        text=" ".join(map(str, q)))
     if args.what == "tau-infinity":
-        from ._spec import _check_bits
-        _check_bits(args.bits)
         q = cfrac.cf_of_enclosure(feigenbaum.tau_infinity_enclosure(args.bits))
         return _Result({"bits": args.bits, "quotients": q, "count": len(q)})
     rows = cfrac.cf_table(args.jmax)

@@ -1,15 +1,16 @@
 """``kneading dyn``: floating-point unimodal dynamics."""
 
 from .. import dynamics
-from . import _check_cap, _reads, _Result
+from . import _reads, _Result
 
 # float orbits carry no information past a few dozen symbols; the costs are
 # linear in --n times --steps or --pairs: at the caps, as a fresh process on
 # a 2-core Xeon, about 0.18 s for scan and 0.26 s for lemma1 on a map that is
 # not closed (a tent slope past 2), and 0.05 s for lemma1 on a closed map,
-# whose pairs stop stepping once they are settled
-_MAX_N = 256
-_MAX_POINTS = 4096
+# whose pairs stop stepping once they are settled; export bifurcation-scan
+# runs the scan with these caps
+CAPS = {"steps": ("steps", None, 4096), "n": ("n", None, 256),
+        "pairs": ("pairs", None, 4096)}
 
 
 def add_arguments(p):
@@ -47,8 +48,6 @@ def _scan(args) -> _Result:
     """`dyn scan` and `export bifurcation-scan`."""
     if args.steps < 2:
         raise ValueError("need at least two grid points")
-    _check_cap("steps", args.steps, _MAX_POINTS)
-    _check_cap("n", args.n, _MAX_N)
     # decreases counts the steps where tau falls as r grows
     if args.lo > args.hi:
         raise ValueError("need --from <= --to")
@@ -64,19 +63,17 @@ def _scan(args) -> _Result:
 def run(args) -> _Result:
     if args.what == "scan":
         # the scan is of the logistic family with the default band
-        _reads(args, "dyn scan", _READS["scan"])
+        _reads(args, "dyn scan", _READS["scan"], CAPS)
         return _scan(args)
     family = vars(args).get("family", args.options["family"][1])
     _reads(args, f"dyn {args.what} of the {family} family",
-           (*_READS[args.what], _PARAMETER[family]))
-    _check_cap("n", args.n, _MAX_N)
+           (*_READS[args.what], _PARAMETER[family]), CAPS)
     if args.what == "kneading":
         word, flags = dynamics.kneading(_map(args), args.n)
         return _Result({"family": args.family,
                         "parameter": args.r if args.family == "logistic" else args.slope,
                         "n": args.n, "word": word,
                         "reliable": "".join("R" if f else "u" for f in flags)})
-    _check_cap("pairs", args.pairs, _MAX_POINTS)
     rep = dynamics.lemma1_validate(_map(args), args.pairs, args.n, seed=args.seed)
     return _Result({"pairsTested": rep.pairs_tested,
                     "pairsDecided": rep.pairs_decided,

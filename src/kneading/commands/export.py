@@ -3,7 +3,13 @@
 import math
 
 from .. import frequency, symbolic, words
-from . import _check_cap, _num, _reads, _Result
+from . import _num, _reads, _Result
+
+# zeta-roots writes 2^(j+1) - 1 rows, each a product of j + 2 factors: about
+# 13 ms at the cap on a 2-core Xeon, a little over twice that per level;
+# frequency-convergence counts each prefix 2^k by recursion in O(k) levels,
+# not built: tens of ms at the cap; bifurcation-scan takes dyn's caps
+CAPS = {"j": ("j", 0, 11), "kmax": ("kmax", None, 62)}
 
 
 def add_arguments(p):
@@ -23,10 +29,6 @@ def _zeta_roots(args) -> _Result:
     # denominator (1 - z) * prod_{n<=j} (1 - z^(2^n)); every root is a root
     # of unity, listed factor by factor with multiplicity
     j = args.j
-    # 2^(j+1) - 1 rows, each a product of j + 2 factors: about 13 ms at the
-    # cap on a 2-core Xeon, a little over twice that per level
-    if not 0 <= j <= 11:
-        raise ValueError("j must be in 0..11")
     rows = []
     for n in range(j + 1):
         m = 2 ** n
@@ -48,9 +50,6 @@ def _zeta_roots(args) -> _Result:
 def _frequency_convergence(args) -> _Result:
     if args.kmin < 1 or args.kmin > args.kmax:
         raise ValueError("need 1 <= kmin <= kmax")
-    # each prefix 2^k is counted by recursion in O(k) levels, not built:
-    # tens of ms at the cap on a 2-core Xeon
-    _check_cap("kmax", args.kmax, 62)
     stream = symbolic.feigenbaum_limit()
     predicted = frequency.letter_frequencies(words.FEIGENBAUM_RULE)
     rows = []
@@ -64,13 +63,15 @@ def _frequency_convergence(args) -> _Result:
 
 
 def run(args) -> _Result:
-    _reads(args, f"export {args.kind}", ("format", "out") + {
-        "zeta-roots": ("j",), "bifurcation-scan": ("lo", "hi", "steps", "n"),
-        "frequency-convergence": ("as_float", "kmin", "kmax")}[args.kind])
     if args.kind == "bifurcation-scan":
-        # the same scan as `dyn scan`; its module loads only for this kind
-        from .dyn import _scan
+        # the same scan as `dyn scan`, with its caps; dyn loads only for this kind
+        from .dyn import CAPS as scan_caps, _scan
+        _reads(args, "export bifurcation-scan", ("format", "out", "lo", "hi", "steps", "n"),
+               scan_caps)
         return _scan(args)
     if args.kind == "zeta-roots":
+        _reads(args, "export zeta-roots", ("format", "out", "j"), CAPS)
         return _zeta_roots(args)
+    _reads(args, "export frequency-convergence",
+           ("format", "out", "as_float", "kmin", "kmax"), CAPS)
     return _frequency_convergence(args)

@@ -1,13 +1,18 @@
 """``kneading freq``: block frequencies of symbol streams."""
 
 from .. import feigenbaum, frequency, symbolic, words
-from . import _check_cap, _num, _reads, _Result
+from . import _num, _reads, _Result
 
 _STREAMS = {
     "feigenbaum": lambda: symbolic.feigenbaum_limit(),
     "thue-morse": lambda: symbolic.FixedPointStream(words.THUE_MORSE_RULE, "0"),
     "tau-inf": lambda: feigenbaum.tau_infinity_digits(),
 }
+
+# every stream here is a uniform substitution's fixed point, counted by
+# recursion on the prefix in O(log prefix) levels: a few ms at both caps on
+# a 2-core Xeon; --block bounds the output, one entry per distinct block
+CAPS = {"block": ("block", None, 64), "prefix": ("prefix", None, 1 << 62)}
 
 
 def add_arguments(p):
@@ -18,12 +23,8 @@ def add_arguments(p):
 
 
 def run(args) -> _Result:
-    _reads(args, "freq", ("format", "as_float", "stream", "block", "prefix", "aligned"))
-    # every stream here is a uniform substitution's fixed point, counted by
-    # recursion on the prefix in O(log prefix) levels: a few ms at both caps
-    # on a 2-core Xeon; --block bounds the output, one entry per distinct block
-    _check_cap("block", args.block, 64)
-    _check_cap("prefix", args.prefix, 1 << 62)
+    _reads(args, "freq", ("format", "as_float", "stream", "block", "prefix", "aligned"),
+           CAPS)
     stream = _STREAMS[args.stream]()
     freqs = frequency.empirical_frequencies(stream, args.block, args.prefix,
                                             aligned=args.aligned)

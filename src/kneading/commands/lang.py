@@ -1,8 +1,13 @@
 """``kneading lang``: admissible-word language."""
 
 from .. import encoding, language
-from . import _check_cap, _reads, _Result
+from . import _reads, _Result
 from ._spec import _tau_stream
+
+# by mode: forbidden writes one word of up to nmax symbols per zero digit, at
+# the cap about 4 MB of output in 0.15 s on a 2-core Xeon; complexity's nmax
+# is capped by the layer, at language.ENUM_LIMIT
+CAPS = {"complexity": {}, "forbidden": {"nmax": ("nmax", None, 4096)}}
 
 
 def add_arguments(p):
@@ -15,11 +20,7 @@ def add_arguments(p):
 
 def run(args) -> _Result:
     _reads(args, f"lang {args.what}", ("format", "tau", "nmax", "out")
-           + (("mode",) if args.what == "complexity" else ()))
-    if args.what == "forbidden":
-        # one word of up to nmax symbols per zero digit: at the cap about
-        # 4 MB of output in 0.15 s on a 2-core Xeon
-        _check_cap("nmax", args.nmax, 4096)
+           + (("mode",) if args.what == "complexity" else ()), CAPS[args.what])
     stream = _tau_stream(args.tau)
     if args.what == "complexity":
         counts = language.complexity(language.LanguageQuery(stream, args.nmax, args.mode))

@@ -4,6 +4,12 @@ from .. import encoding, spectral
 from . import _num, _reads, _Result
 from ._spec import _fraction, _tau_stream
 
+# p/q and feigenbaum:j expand the rational zeta in O(order * (m + p))
+# products, m + p the determinant's degree; feigenbaum:inf still costs
+# O(order^2), and so bounds the order: about 0.33 s for --counts at the
+# cap in a fresh process on a 2-core Xeon
+CAPS = {"order": ("order", 1, 2048)}
+
 
 def add_arguments(p):
     p.add_argument("--tau", required=True,
@@ -18,16 +24,10 @@ def run(args) -> _Result:
     entropy = vars(args).get("entropy", False)
     _reads(args, "zeta --entropy" if entropy else "zeta without --entropy",
            ("format", "tau", "order", "counts", "entropy")
-           + (("tol", "as_float") if entropy else ()))
+           + (("tol", "as_float") if entropy else ()), CAPS)
     # parsed here, not by argparse, which would print its usage and
     # "invalid value" in place of _fraction's reason
     tol = _fraction(args.tol) if entropy else None
-    # p/q and feigenbaum:j expand the rational zeta in O(order * (m + p))
-    # products, m + p the determinant's degree; feigenbaum:inf still costs
-    # O(order^2), and so bounds the order: about 0.33 s for --counts at the
-    # cap in a fresh process on a 2-core Xeon
-    if not 1 <= args.order <= 2048:
-        raise ValueError("order must be in 1..2048")
     # entropy costs more as tol shrinks: --order 2048 on feigenbaum:inf
     # takes about 1.2 s at this floor and 7.2 s at 1/10^300 on a 2-core Xeon
     if args.entropy and 0 < tol and tol * 10 ** 100 < 1:

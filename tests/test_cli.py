@@ -2,6 +2,8 @@
 
 import errno
 import hashlib
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -11,6 +13,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -522,6 +525,17 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
      "error: need --from <= --to\n"),
     (["export", "bifurcation-scan", "--from", "4", "--to", "3", "--steps", "3", "--n", "5"],
      2, "error: need --from <= --to\n"),
+    # two faults: the caps of the options a mode reads are checked with the
+    # option rule, before the handler parses --tol or relates two options
+    (["zeta", "--tau", "6/7", "--order", "0", "--entropy", "--tol", "1/0"], 2,
+     "error: order must be in 1..2048\n"),
+    (["zeta", "--tau", "6/7", "--order", "0", "--entropy", "--tol", "abc"], 2,
+     "error: order must be in 1..2048\n"),
+    (["dyn", "scan", "--steps", "1", "--n", "300"], 2, "error: n must be at most 256\n"),
+    (["export", "bifurcation-scan", "--steps", "1", "--n", "300"], 2,
+     "error: n must be at most 256\n"),
+    (["export", "frequency-convergence", "--kmin", "70", "--kmax", "65"], 2,
+     "error: kmax must be at most 62\n"),
 ])
 def test_documented_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)  # an empty directory: "missing" is missing
@@ -628,6 +642,122 @@ def test_every_mode_refuses_every_option_it_does_not_read(capsys, monkeypatch, t
                  if a.option_strings and a.dest != "help"}
         assert flags - {"--format", "--float"} <= read[name] <= flags, name
     assert walked == 2 + 9 + 2 + 3 + 31 + 2 + 16
+
+
+# Every cap on the command line, one row each of README's "Resource caps"
+# table: its first column and accepted range as the table writes them; the
+# CAPS entries it covers, as "module dest" (lang's as "lang mode dest") with
+# the (label, lo, hi) each must hold, or none where _spec, zeta's --tol check
+# or a layer checks the bound; the bench/caps.py row that runs at the cap and
+# the argument of that row that puts it there; and an input one past the cap
+# with its refusal.  Written out apart from the library, as _MODES is.
+_CAPS_TABLE = [
+    ("`tau --j`", "1..20", {"tau j": ("level", 1, 20)},
+     "tau --j 20", "20", "tau --j 21", "level must be in 1..20"),
+    ("`tau --infinity --bits`", "1..65536", {"tau bits": ("bits", 1, 65536)},
+     "tau --infinity bits 65536", "65536", "tau --infinity --bits 65537",
+     "bits must be in 1..65536"),
+    ("`cf tau-level --j`", "1..12", {"cf j": ("level", 1, 12)},
+     "cf tau-level --j 12", "12", "cf tau-level --j 13", "level must be in 1..12"),
+    ("`cf tau-infinity --bits`", "1..65536", {"cf bits": ("bits", 1, 65536)},
+     "cf tau-infinity bits 65536", "65536", "cf tau-infinity --bits 65537",
+     "bits must be in 1..65536"),
+    ("`cf table --jmax`", "1..12", {},
+     "cf table --jmax 12", "12", "cf table --jmax 13", "jmax must be in 1..12"),
+    ("`zeta --order`", "1..2048", {"zeta order": ("order", 1, 2048)},
+     "zeta --tau feigenbaum:inf --order 2048 --counts", "2048",
+     "zeta --tau 6/7 --order 2049", "order must be in 1..2048"),
+    ("`zeta --entropy --tol`", "1/10^100 and up, below 4/3", {},
+     "zeta --tau feigenbaum:inf --order 2048 --entropy --tol 1/10^100", f"1/{10 ** 100}",
+     f"zeta --tau 6/7 --entropy --tol 1/{10 ** 100 + 1}",
+     "tolerance must be at least 1/10^100"),
+    ("`--tau p/q` (`zeta`, `lang`)", "denominator 1..2^20 (1048576)", {},
+     "tau stream 1048572/1048573", "1048572/1048573", "zeta --tau 1/1048577",
+     "denominator must be at most 1048576"),
+    ("`--tau feigenbaum:j` (`zeta`, `lang`)", "1..14", {},
+     "zeta --tau feigenbaum:14 --entropy", "feigenbaum:14", "lang forbidden --tau feigenbaum:15",
+     "level must be in 1..14"),
+    ("exponent of an exact number (`--tau p/q`, `zeta --entropy --tol`)", "-1000..1000", {},
+     "zeta --tau 1e-1000 --order 4", "1e-1000", "zeta --tau 6/7 --entropy --tol 1e-1001",
+     "exponent must be in -1000..1000"),
+    ("`lang complexity --nmax`", "1..24", {},
+     "lang complexity 1018/1019 core nmax 24", "24", "lang complexity --tau 6/7 --nmax 25",
+     "nmax must be at most 24"),
+    ("`lang forbidden --nmax`", "1..4096", {"lang forbidden nmax": ("nmax", None, 4096)},
+     "lang forbidden --tau feigenbaum:inf --nmax 4096", "4096",
+     "lang forbidden --tau 6/7 --nmax 4097", "nmax must be at most 4096"),
+    ("`freq --prefix`", "1..2^62 (4611686018427387904)",
+     {"freq prefix": ("prefix", None, 1 << 62)},
+     "freq --block 64 --prefix 4611686018427387904", "4611686018427387904",
+     "freq --prefix 4611686018427387905", "prefix must be at most 4611686018427387904"),
+    ("`freq --block`", "1..64", {"freq block": ("block", None, 64)},
+     "freq feigenbaum block 64 prefix 2^22", "64", "freq --block 65",
+     "block must be at most 64"),
+    ("`export frequency-convergence --kmax`", "kmin..62", {"export kmax": ("kmax", None, 62)},
+     "export frequency-convergence --kmax 62", "62", "export frequency-convergence --kmax 63",
+     "kmax must be at most 62"),
+    ("`export zeta-roots --j`", "0..11", {"export j": ("j", 0, 11)},
+     "export zeta-roots --j 11", "11", "export zeta-roots --j 12", "j must be in 0..11"),
+    ("`dyn --n`, `export bifurcation-scan --n`", "1..256", {"dyn n": ("n", None, 256)},
+     "dyn scan steps 4096 n 256", "256", "export bifurcation-scan --n 257",
+     "n must be at most 256"),
+    ("`dyn scan --steps`, `export bifurcation-scan --steps`", "2..4096",
+     {"dyn steps": ("steps", None, 4096)},
+     "dyn scan steps 4096 n 256", "4096", "export bifurcation-scan --steps 4097",
+     "steps must be at most 4096"),
+    ("`dyn lemma1 --pairs`", "0..4096", {"dyn pairs": ("pairs", None, 4096)},
+     "dyn lemma1 --family tent --slope 2.000000000001 --pairs 4096 --n 256", "4096",
+     "dyn lemma1 --pairs 4097", "pairs must be at most 4096"),
+]
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_caps_table() -> dict:
+    """README's "Resource caps" table, as its first column to its range and
+    its bench/caps.py row, without the backticks around the row."""
+    readme = (_ROOT / "README.md").read_text()
+    lines = readme[readme.index("Resource caps:"):].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        column, range_, _, row = (cell.strip() for cell in line.strip("|").split(" | "))
+        rows[column] = (range_, row.strip("`"))
+    return rows
+
+
+def test_every_cap_is_documented_and_timed(capsys):
+    # each command module's CAPS holds exactly the entries of the table
+    caps = {}
+    for name in _ALL_COMMANDS:
+        module = importlib.import_module(f"kneading.commands.{name}")
+        for key, value in getattr(module, "CAPS", {}).items():
+            # lang's CAPS maps each mode to a mapping of its own
+            if isinstance(value, dict):
+                caps.update({f"{name} {key} {dest}": cap for dest, cap in value.items()})
+            else:
+                caps[f"{name} {key}"] = value
+    assert caps == {k: v for row in _CAPS_TABLE for k, v in row[2].items()}
+    readme = _readme_caps_table()
+    assert list(readme) == [row[0] for row in _CAPS_TABLE]
+    spec = importlib.util.spec_from_file_location("bench_caps", _ROOT / "bench" / "caps.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench_rows = {name: tuple(map(str, args)) for name, _, args in bench.ROWS}
+    for column, range_, entries, bench_row, at_cap, refused, error in _CAPS_TABLE:
+        for label, lo, hi in entries.values():
+            # the range, the row and the refusal all sit at the CAPS bound
+            assert at_cap == str(hi) and str(hi) in range_, column
+            assert lo is None or range_.startswith(f"{lo}.."), column
+            assert error == (f"{label} must be at most {hi}" if lo is None
+                             else f"{label} must be in {lo}..{hi}"), column
+        assert readme[column] == (range_, bench_row), column
+        assert at_cap in bench_rows[bench_row], column
+        assert cli.main(refused.split()) == 2, refused
+        assert capsys.readouterr() == ("", f"error: {error}\n"), refused
 
 
 class _Refusing:

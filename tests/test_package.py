@@ -60,8 +60,8 @@ def test_command_runs_only_its_layers(argv, ran):
 
 
 # each subcommand's argv, with the kneading.commands modules it needs: the
-# spec parser _spec only where a --tau spec, a number or --bits is read, and
-# the file writer _out only where --out names a file
+# spec parser _spec only where a --tau spec or a number is read, and the
+# file writer _out only where --out names a file
 _COMMAND_MODULES = [
     ("dyn kneading --n 20", "dyn"),
     ("dyn scan --steps 3", "dyn"),
@@ -76,8 +76,9 @@ _COMMAND_MODULES = [
     # an option value that names another subcommand loads nothing
     ("export zeta-roots --j 2 --out dyn", "_out export"),
     ("cf table --jmax 3", "cf"),
-    ("tau --infinity --bits 64", "_spec tau"),
+    ("tau --infinity --bits 64", "tau"),
     ("dyn kneading --n 20 --out k.json", "_out dyn"),
+    ("cf tau-infinity --bits 64", "cf"),
 ]
 
 _COMMANDS_RAN = """
