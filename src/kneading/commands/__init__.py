@@ -32,11 +32,8 @@ class _Result:
 
 
 def _num(x, args):
-    """Exact string for a Fraction unless --float was passed."""
-    from fractions import Fraction
-    if isinstance(x, Fraction):
-        return float(x) if args.as_float else str(x)
-    return x
+    """Exact string for the Fraction x unless --float was passed."""
+    return float(x) if args.as_float else str(x)
 
 
 def _json_text(obj) -> str:

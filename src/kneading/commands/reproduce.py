@@ -3,9 +3,9 @@
 import math
 import os
 
-from .. import cfrac, encoding, feigenbaum, frequency, spectral, symbolic, words
+from .. import cfrac, feigenbaum, frequency, spectral, words
 from . import _json_text, _reads
-from ._spec import _fraction
+from ._spec import _tau_stream
 
 # reference values, exact strings only
 _GOLDEN_TAU = (
@@ -56,10 +56,10 @@ def _ints(text: str) -> list:
 def _target_tau_table():
     rows, ok = [], True
     for j, want in enumerate(_GOLDEN_TAU, start=1):
-        got = feigenbaum.tau_level(j).value
-        match = got == _fraction(want)
+        got = str(feigenbaum.tau_level(j).value)
+        match = got == want
         ok = ok and match
-        rows.append({"j": j, "want": want, "got": str(got), "match": match})
+        rows.append({"j": j, "want": want, "got": got, "match": match})
     return ok, f"{len(rows)} exact parameters", rows
 
 
@@ -81,7 +81,7 @@ def _target_nj_sequence():
 
 
 def _target_xi_series():
-    got = list(spectral.kneading_determinant(symbolic.feigenbaum_limit(), 16).coefficients)
+    got = list(spectral.kneading_determinant(_tau_stream("feigenbaum:inf"), 16).coefficients)
     ok = got == _ints(_GOLDEN_XI)
     return ok, "17 coefficients", [{"want": _ints(_GOLDEN_XI), "got": got}]
 
@@ -93,7 +93,7 @@ def _target_frequencies():
          _GOLDEN_LETTERS),
         ("pairs", frequency.pair_frequencies(), _GOLDEN_PAIRS),
         ("letters-64k",
-         frequency.empirical_frequencies(symbolic.feigenbaum_limit(), 1, 1 << 16),
+         frequency.empirical_frequencies(_tau_stream("feigenbaum:inf"), 1, 1 << 16),
          _GOLDEN_LETTERS_64K),
     )
     for name, got, want in checks:
@@ -107,8 +107,7 @@ def _target_frequencies():
 def _target_zeta_examples():
     rows, ok = [], True
     for spec, num, den in _GOLDEN_ZETA:
-        got = spectral.zeta_series(spectral.kneading_determinant(
-            encoding.kneading_from_tau(_fraction(spec)), 30))
+        got = spectral.zeta_series(spectral.kneading_determinant(_tau_stream(spec), 30))
         want = spectral.series_of_rational(_ints(num), _ints(den), 30)
         match = got.coefficients == want.coefficients
         ok = ok and match
@@ -121,22 +120,16 @@ def _target_entropy_examples():
     rows, ok = [], True
     refs = (("1", math.log(2.0)),
             ("5/6", math.log(2.0) / 2.0),
-            ("6/7", math.log((1.0 + math.sqrt(5.0)) / 2.0)))
+            ("6/7", math.log((1.0 + math.sqrt(5.0)) / 2.0)),
+            *((f"feigenbaum:{j}", 0.0) for j in range(1, 7)))
     # every stream here is eventually periodic, so the entropy reads the
-    # determinant's exact pair, which order 1 already carries
+    # determinant's exact pair, which order 1 already carries; a zero
+    # entropy must be exact, lo = hi = 0
     for spec, ref in refs:
-        res = spectral.entropy(spectral.kneading_determinant(
-            encoding.kneading_from_tau(_fraction(spec)), 1))
-        good = res.lo <= ref <= res.hi and res.hi - res.lo <= 1.1e-10
+        res = spectral.entropy(spectral.kneading_determinant(_tau_stream(spec), 1))
+        good = res.lo <= ref <= res.hi and res.hi - res.lo <= (1.1e-10 if ref else 0.0)
         ok = ok and good
         rows.append({"tau": spec, "lo": res.lo, "hi": res.hi,
-                     "method": res.method, "match": good})
-    for j in range(1, 7):
-        res = spectral.entropy(spectral.kneading_determinant(
-            symbolic.feigenbaum_stream(j), 1))
-        good = res.lo == 0.0 == res.hi
-        ok = ok and good
-        rows.append({"tau": f"feigenbaum:{j}", "lo": res.lo, "hi": res.hi,
                      "method": res.method, "match": good})
     return ok, "3 positive enclosures + 6 exact zeros", rows
 

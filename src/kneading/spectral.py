@@ -11,7 +11,6 @@ from operator import mul, sub
 from ._base import _Record
 from .encoding import xi
 from .symbolic import PeriodicStream
-from .words import parity_word
 
 
 class EntropyInconclusive(RuntimeError):
@@ -71,9 +70,9 @@ _SIGN = {"0": 1, "1": -1}
 _PAD = 1e-12
 
 
-def _epsilon_prefix(stream, count: int) -> list:
-    """eps_k = (-1)**(s_1 + ... + s_k) for k = 1..count."""
-    return list(map(_SIGN.__getitem__, parity_word(stream.prefix(count))))
+def _epsilon_prefix(t, count: int) -> list:
+    """eps_k = (-1)**t_k for k = 1..count, from the digit stream t = xi(K)."""
+    return list(map(_SIGN.__getitem__, t.prefix(count)))
 
 
 def kneading_determinant(K, N: int) -> IntSeries:
@@ -97,21 +96,37 @@ def kneading_determinant(K, N: int) -> IntSeries:
     there t_p = 0 (K has a period L and t_{k+L} = t_k + t_L, so t_p = t_{2L}
     = 0), eps has period p and D = S (1 - z^p).  So tau(K) = 1 - P(1/2) /
     (2 R(1/2)) with a preperiod, and 1 - P(1/2) / (2 (1 - 2^-p)) without one.
+
+    Doubling: D_{sigma K}(z) = (1 - z) D_K(z^2) for sigma: 1 -> 10, 0 -> 11.
+    sigma K has 1 at odd places and 1 - K_i at place 2i, so t_{2i}(sigma K)
+    = 2i - (K_1 + ... + K_i) = t_i(K) and t_{2i+1}(sigma K) = t_i(K) + 1
+    (mod 2): eps_{2i}(sigma K) = eps_i(K) and eps_{2i+1}(sigma K) =
+    -eps_i(K), for every i >= 0 with eps_0 = 1.  So S_{sigma K}(z) = sum_i
+    eps_i(K) (z^(2i) - z^(2i+1)) = (1 - z) S_K(z^2).  K_i = 1 - (sigma K)_{2i}
+    gives K back, so sigma K is purely periodic exactly when K is, and then
+    t(sigma K) has least period 2p: its even and odd places repeat with p
+    in i, a period 2r of it is a period r of t(K), and an odd period would
+    be one of sigma K past its first place, making its even places 1 like
+    its odd ones, but t(1^inf) = (10)^inf has period 2.  So D_{sigma K} =
+    S_{sigma K} (1 - z^(2p)) = (1 - z) S_K(z^2) (1 - z^(2p)) = (1 - z)
+    D_K(z^2), and with a preperiod D = S on both sides.  The cascade
+    feigenbaum_stream(j) is sigma^(j-1)(1^inf), and 1^inf has the pair
+    (1 - z, 1), so level j has the pair (prod_{i<j} (1 - z^(2^i)), 1).
     """
     if N < 1:
         raise ValueError("order must be >= 1")
-    if not isinstance(K, PeriodicStream):
-        return IntSeries((1, *_epsilon_prefix(K, N)))
     t = xi(K)
+    if not isinstance(K, PeriodicStream):
+        return IntSeries((1, *_epsilon_prefix(t, N)))
     m, p = len(t.preperiod), len(t.period)
     if K.preperiod:
-        eps = _epsilon_prefix(K, max(N, m + p))
+        eps = _epsilon_prefix(t, max(N, m + p))
         poly = [1] + eps[: m + p]  # A + z^m C
         for k, a in enumerate(poly[: m + 1]):
             poly[k + p] -= a
         exact = tuple(_trimmed(poly)), (1,) + (0,) * (p - 1) + (-1,)
     else:
-        eps = _epsilon_prefix(K, p - 1)
+        eps = _epsilon_prefix(t, p - 1)
         exact = (1, *eps), (1,)
     return IntSeries(tuple(([1] + eps + [0] * N)[: N + 1]), exact)
 

@@ -1,7 +1,8 @@
 """Infinite symbol streams and the period-doubling kneading hierarchy.
 
-Streams are exposed through 1-based access: ``s.at(1)`` is the first symbol.
-Finite words and substitution rules are in :mod:`kneading.words`.
+A stream is read through ``prefix`` alone: ``s.prefix(n)`` is its first n
+symbols, and it is the one method a new stream type implements.  Finite
+words and substitution rules are in :mod:`kneading.words`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from .words import (
     _byte_columns,
     _translate_columns,
     check_word,
-    complement,
     minimal_period,
 )
 
@@ -22,15 +22,8 @@ from .words import (
 class SymbolStream:
     """Infinite symbol sequence s_1 s_2 s_3 ... (1-based)."""
 
-    def at(self, k: int) -> int:
-        raise NotImplementedError
-
     def prefix(self, n: int) -> str:
         raise NotImplementedError
-
-    def _check_index(self, k: int) -> None:
-        if k < 1:
-            raise IndexError(f"stream indices are 1-based, got {k}")
 
     def _check_length(self, n: int) -> None:
         if n < 0:
@@ -66,13 +59,6 @@ class PeriodicStream(SymbolStream):
             period = period[p - r:] + period[:p - r]
         self.preperiod = preperiod
         self.period = period
-
-    def at(self, k: int) -> int:
-        self._check_index(k)
-        m = len(self.preperiod)
-        if k <= m:
-            return int(self.preperiod[k - 1])
-        return int(self.period[(k - m - 1) % len(self.period)])
 
     def prefix(self, n: int) -> str:
         self._check_length(n)
@@ -116,10 +102,6 @@ class _MemoizedStream(SymbolStream):
                     target = max(n, 2 * len(self._buf), self._MIN_GROW)
                     self._buf = self._compute_prefix(target)
         return self._buf[:n]
-
-    def at(self, k: int) -> int:
-        self._check_index(k)
-        return int(self.prefix(k)[k - 1])
 
 
 class FixedPointStream(_MemoizedStream):
@@ -194,15 +176,20 @@ def shift(s: SymbolStream, m: int = 1) -> SymbolStream:
 def feigenbaum_word(j: int) -> str:
     """Period word of the j-th kneading sequence in the doubling cascade.
 
-    Level 1 is "1"; level j has length 2^(j-1) and an odd number of 1s.
-    Each level is the previous word twice over, its last symbol flipped.
+    Level j is sigma^(j-1)(1) for sigma: 1 -> 10, 0 -> 11, and as sigma(1)
+    starts with 1, each iterate starts with the one before: level j is the
+    prefix of length 2^(j-1) of sigma's fixed point.  Each level is also the
+    previous one twice over, its last symbol flipped.  sigma^n(0) and
+    sigma^n(1) differ only in their last symbol: for n = 0 they are 0 and 1,
+    and sigma^(n+1)(1) = sigma^n(1) sigma^n(0) and sigma^(n+1)(0) =
+    sigma^n(1) sigma^n(1) differ only in their second halves.  So
+    sigma^(n+1)(1) = w w' for w = sigma^n(1) and w' the word w with its last
+    symbol flipped, and it has 2c +- 1 ones when w has c: level 1 is "1",
+    and every level has an odd number of 1s.
     """
     if j < 1:
         raise ValueError("level must be >= 1")
-    w = "1"
-    for _ in range(j - 1):
-        w = w + w[:-1] + complement(w[-1])
-    return w
+    return feigenbaum_limit().prefix(1 << (j - 1))
 
 
 def feigenbaum_stream(j: int) -> PeriodicStream:

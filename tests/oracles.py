@@ -20,8 +20,8 @@ two quotient streams that ``cf_of_enclosure`` takes, and
 ``cf_continuation_check`` classifies how one cascade level's continued
 fraction continues the last, the check of the theorem that
 ``kneading.cfrac.cf_table``'s docstring proves.
-``FunctionStream`` reads a stream off a symbol function, so a test can
-hand a periodic stream to the library as a generated one, and
+``GeneratedStream`` reads a stream through its ``prefix`` alone, so a test
+can hand a periodic stream to the library as a generated one, and
 ``skew_tent_map`` is a third float family, with its peak off 1/2.
 ``lemma1_via_parity_words`` decides each sampled pair from both whole
 itineraries and parity words, the construction that ``lemma1_validate``
@@ -42,7 +42,8 @@ of the level word over two periods, the construction that ``tau_level``
 replaced with the binary of p (2^n - 1); it is ``tau_level_via``'s
 digit-rule method.  ``tau_level_via``, ``tau_infinity_enclosure_via`` and
 ``feigenbaum_word_via`` take the method names the acceptance criteria use;
-the last two hand their reference method to the library.
+``tau_infinity_enclosure_via`` hands its reference method to the library,
+and ``feigenbaum_word_via`` builds all three itself.
 """
 
 from __future__ import annotations
@@ -532,15 +533,16 @@ def renormalize_map(m: UnimodalMap) -> UnimodalMap:
 
 # === generated streams ================================================
 
-class FunctionStream(_MemoizedStream):
-    """Stream defined by a 1-based symbol function."""
+class GeneratedStream(_MemoizedStream):
+    """The stream K read through K.prefix alone, so that the library sees a
+    generated stream even where K is a PeriodicStream."""
 
-    def __init__(self, fn):
+    def __init__(self, K):
         super().__init__()
-        self.fn = fn
+        self.K = K
 
     def _compute_prefix(self, n: int) -> str:
-        return "".join(str(self.fn(k)) for k in range(1, n + 1))
+        return self.K.prefix(n)
 
 
 # === cascade words ====================================================
@@ -551,18 +553,20 @@ _FEIGENBAUM_METHODS = ("duplicate-flip", "index-doubling", "substitution")
 def feigenbaum_word_via(j: int, method: str = "duplicate-flip") -> str:
     """Period word of the j-th kneading sequence in the doubling cascade.
 
-    The three constructions are equivalent; "duplicate-flip" is the
-    library's ``feigenbaum_word``.
+    The three constructions are equivalent, and none is the library's
+    ``feigenbaum_word``, which takes a prefix of the substitution's fixed
+    point: "duplicate-flip" writes each level as the last one twice over,
+    its last symbol flipped.
     """
     if j < 1:
         raise ValueError("level must be >= 1")
     if method not in _FEIGENBAUM_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method == "duplicate-flip":
-        return feigenbaum_word(j)
     w = "1"
     for _ in range(j - 1):
-        if method == "index-doubling":
+        if method == "duplicate-flip":
+            w = w + w[:-1] + complement(w[-1])
+        elif method == "index-doubling":
             w = "".join("1" + complement(c) for c in w)
         else:
             w = FEIGENBAUM_RULE.apply(w)

@@ -23,7 +23,7 @@ from kneading.symbolic import (
 )
 from kneading.spectral import _epsilon_prefix
 from oracles import (
-    FunctionStream,
+    GeneratedStream,
     Order,
     in_lambda,
     remainder_binary_digits,
@@ -81,15 +81,15 @@ def test_xi_round_trip_bulk():
 def test_xi_on_generated_stream():
     t = xi(feigenbaum_limit())
     assert t.prefix(8) == "11010011"
-    assert t.at(3) == 0
+    assert t.prefix(3)[2] == "0"
 
 
 def test_epsilon():
     # eps_k = (-1)^(s_1 + ... + s_k), the signs of the kneading determinant
     s = PeriodicStream("1", "0")
-    assert _epsilon_prefix(s, 4) == [-1, -1, -1, -1]
-    assert _epsilon_prefix(s, 0) == []
-    eps = _epsilon_prefix(feigenbaum_limit(), 16)
+    assert _epsilon_prefix(xi(s), 4) == [-1, -1, -1, -1]
+    assert _epsilon_prefix(xi(s), 0) == []
+    eps = _epsilon_prefix(xi(feigenbaum_limit()), 16)
     assert eps == [-1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1, -1]
 
 
@@ -227,5 +227,5 @@ def test_is_maximal_generated():
     assert is_maximal(feigenbaum_limit()) is True
     # a periodic stream seen only through its symbols: the shift by one
     # period ties with K over every compared digit, so it stays undetermined
-    assert is_maximal(FunctionStream(feigenbaum_stream(3).at)) is None
-    assert is_maximal(FunctionStream(PeriodicStream("", "01").at)) is False
+    assert is_maximal(GeneratedStream(feigenbaum_stream(3))) is None
+    assert is_maximal(GeneratedStream(PeriodicStream("", "01"))) is False

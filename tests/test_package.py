@@ -373,3 +373,24 @@ def test_every_public_name_has_a_caller():
     assert sorted(public - reached - waiting) == [], "no caller and no ROADMAP item"
     assert sorted(waiting & reached) == [], "reached now: drop from _AWAITING_CALLER"
     assert sorted(waiting - public) == [], "no longer public: drop from _AWAITING_CALLER"
+
+
+def test_console_script_and_python_floor():
+    # pyproject.toml's console script is the CLI's main, and requires-python
+    # names the oldest Python that the tier-1 workflow runs on
+    import importlib
+    import re
+    import tomllib
+
+    import kneading.cli
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        project = tomllib.load(f)["project"]
+    module, _, name = project["scripts"]["kneading"].partition(":")
+    assert getattr(importlib.import_module(module), name) is kneading.cli.main
+    with open(os.path.join(root, ".github", "workflows", "tier1.yml"), encoding="utf-8") as f:
+        matrix = re.search(r"python-version: \[(.*)\]", f.read()).group(1)
+    floor = min(re.findall(r'"(3\.\d+)"', matrix), key=lambda v: int(v.split(".")[1]))
+    assert floor == "3.11"
+    assert project["requires-python"] == f">={floor}"

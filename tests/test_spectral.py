@@ -31,8 +31,9 @@ from kneading.symbolic import (
     feigenbaum_stream,
     shift,
 )
+from kneading.words import FEIGENBAUM_RULE
 from oracles import (
-    FunctionStream,
+    GeneratedStream,
     evaluate_series,
     feigenbaum_zeta,
     moebius_prime_counts,
@@ -264,10 +265,61 @@ def test_determinant_carries_its_exact_fraction(K, N):
         assert R == (1,)
         assert _padded(P, N).coefficients == D.coefficients
     # a stream seen only through a generator gives the truncation, no pair
-    assert kneading_determinant(FunctionStream(K.at), N).exact is None
+    assert kneading_determinant(GeneratedStream(K), N).exact is None
     # no series but a determinant carries a pair
     assert zeta_series(D).exact is None
     assert series_of_rational(P, R, N).exact is None
+
+
+def _at_z_squared(f):
+    """Coefficients of f(z^2)."""
+    out = [0] * (2 * len(f) - 1)
+    out[::2] = f
+    return out
+
+
+def _sigma(K):
+    """sigma K for sigma: 1 -> 10, 0 -> 11, substituted into both words."""
+    return PeriodicStream(FEIGENBAUM_RULE.apply(K.preperiod),
+                          FEIGENBAUM_RULE.apply(K.period))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(
+        PeriodicStream,
+        st.text(alphabet="01", min_size=0, max_size=6),
+        st.text(alphabet="01", min_size=1, max_size=9),
+    ),
+    st.integers(min_value=1, max_value=60),
+)
+def test_doubling_identity(K, N):
+    # D_{sigma K}(z) = (1 - z) D_K(z^2), proved in kneading_determinant's
+    # docstring: on the order-N series, and on the exact pairs crossed over
+    sK = _sigma(K)
+    D, sD = kneading_determinant(K, N), kneading_determinant(sK, N)
+    assert list(sD.coefficients) == _poly_product(
+        [(1, -1), _at_z_squared(D.coefficients)])[: N + 1]
+    (P, R), (sP, sR) = D.exact, sD.exact
+    assert _poly_product([sP, _at_z_squared(R)]) == _poly_product(
+        [(1, -1), _at_z_squared(P), sR])
+
+
+def test_doubling_keeps_maximal_streams_maximal():
+    # sigma K is maximal whenever K is, over every maximal reduced p/q, q < 40
+    for q in range(1, 40):
+        for p in range(1, q + 1):
+            if math.gcd(p, q) == 1 and is_maximal(K := kneading_from_tau(Fraction(p, q))):
+                assert is_maximal(_sigma(K)) is True, (p, q)
+
+
+def test_cascade_pairs_are_the_doubled_products():
+    # 1^inf has the pair (1 - z, 1), and level j is sigma^(j-1) of it
+    for j in range(1, 13):
+        P = _poly_product([(1,) + (0,) * ((1 << i) - 1) + (-1,) for i in range(j)])
+        assert kneading_determinant(feigenbaum_stream(j), 1).exact == (tuple(P), (1,)), j
+        if j > 1:
+            assert feigenbaum_stream(j) == _sigma(feigenbaum_stream(j - 1))
 
 
 def test_xi_oracle_is_the_limit_determinant():
@@ -493,7 +545,7 @@ def test_entropy_values_increase():
 def test_entropy_generated_stream_matches_exact():
     # same symbols as the full-shift stream, but exposed only through a
     # generator: forces the truncation + tail-bound path
-    raw = FunctionStream(lambda k: 1 if k == 1 else 0)
+    raw = GeneratedStream(PeriodicStream("1", "0"))
     r = entropy(kneading_determinant(raw, 256), tol=Fraction(1, 10 ** 8))
     assert r.method == "bisection"
     assert r.lo <= math.log(2) <= r.hi
@@ -549,6 +601,39 @@ def _poly_product(factors):
                 prod[i + j] += u * v
         out = prod
     return out
+
+
+def _exact(*factors):
+    """The series of the polynomial prod(factors), carrying it as its pair."""
+    P = tuple(_poly_product(factors))
+    return IntSeries(P, (P, (1,)))
+
+
+@pytest.mark.parametrize("D,reason", [
+    # the root 1/2 sits on the scan's grid, but the double root 1/3 left of
+    # it blocks the certificate that 1/2 is the smallest
+    (_exact((1, -3), (1, -3), (1, -2)),
+     "rational root found but smallest-root certificate failed; increase N"),
+    # the same double root left of the sign change the scan finds at 3/5
+    (_exact((1, -3), (1, -3), (3, -5)),
+     "sign change found but positivity left of it failed; increase N"),
+    # a truncation whose tail bound leaves every probe's sign open
+    (IntSeries((1, -1, -1, -1, -1, -1, 1, -1, 1)),
+     "tail bound at order 8 cannot sign any probe; increase N"),
+])
+def test_entropy_refusals(D, reason):
+    with pytest.raises(EntropyInconclusive) as e:
+        entropy(D)
+    assert str(e.value) == reason
+
+
+def test_entropy_exact_root_at_a_bisection_midpoint():
+    # 65 - 128 z changes sign between 32/64 and 33/64, and the first
+    # midpoint of that bracket is its root
+    r = entropy(_exact((65, -128)))
+    assert r.method == "exact-rational-root"
+    assert r.z_bracket == (Fraction(65, 128), Fraction(65, 128))
+    assert r.lo <= math.log(128 / 65) <= r.hi
 
 
 # (a, b, root positive?, multiplicity)
@@ -623,7 +708,7 @@ def _entropy_golden_cases():
         yield lambda N=N: entropy(kneading_determinant(feigenbaum_limit(), N))
     for tau, N in (("1", 256), ("5/6", 256), ("6/7", 256), ("4/5", 64), ("14/17", 64)):
         K = kneading_from_tau(Fraction(tau))
-        yield lambda K=K, N=N: entropy(kneading_determinant(FunctionStream(K.at), N))
+        yield lambda K=K, N=N: entropy(kneading_determinant(GeneratedStream(K), N))
 
 
 def test_entropy_golden_hash():

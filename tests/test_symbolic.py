@@ -27,7 +27,7 @@ from kneading import cfrac, dynamics, encoding, feigenbaum, frequency, language,
 from kneading.symbolic import SymbolStream, _DerivedStream, _MemoizedStream
 from kneading._base import _Record
 from oracles import (
-    FunctionStream,
+    GeneratedStream,
     divisor_scan_minimal_period,
     feigenbaum_word_via,
     renormalize_word,
@@ -85,10 +85,7 @@ def test_periodic_stream_matches_stepwise_absorption(head, per, tail):
 
 def test_periodic_stream_access_is_one_based():
     s = PeriodicStream("0", "10")
-    assert [s.at(k) for k in range(1, 6)] == [0, 1, 0, 1, 0]
     assert s.prefix(5) == "01010"
-    with pytest.raises(IndexError):
-        s.at(0)
 
 
 def test_shift_periodic():
@@ -221,13 +218,13 @@ def test_generated_branches_match_periodic(pre, per, m):
     ops = [lambda x: shift(x, m), encoding.xi, encoding.xi_inverse]
     for op in ops:
         want = op(s)
-        got = op(FunctionStream(s.at))
+        got = op(GeneratedStream(s))
         assert [got.prefix(n) for n in _EDGE_LENGTHS] == [
             want.prefix(n) for n in _EDGE_LENGTHS]
         for k in _EDGE_LENGTHS:
-            # a fresh stream each time, so at() also runs on an empty buffer
-            assert op(FunctionStream(s.at)).at(k) == want.at(k)
-            assert got.at(k) == want.at(k)
+            # a fresh stream each time, so prefix() also runs on an empty buffer
+            assert op(GeneratedStream(s)).prefix(k)[k - 1] == want.prefix(k)[k - 1]
+            assert got.prefix(k)[k - 1] == want.prefix(k)[k - 1]
 
 
 def _renormalize_word_loop(word, flags=None):
@@ -266,7 +263,7 @@ def _fixed_points(draw):
     return FixedPointStream(SubstitutionRule(images), letter, coding)
 
 
-_functions = _periodic.map(lambda s: FunctionStream(s.at))
+_functions = _periodic.map(GeneratedStream)
 _generated = st.one_of(_functions, _fixed_points())
 
 # how to build each concrete stream class; _MemoizedStream is abstract
@@ -310,7 +307,7 @@ def test_stream_prefix_contract(data):
         for k in range(n + m + 1):
             assert len(s.prefix(k)) == k
             if k >= 1:
-                assert s.at(k) == int(s.prefix(k)[k - 1]) == int(longer[k - 1])
+                assert s.prefix(k)[k - 1] == longer[k - 1]
         with pytest.raises(ValueError):
             s.prefix(-1)  # after it grew
 
