@@ -91,7 +91,9 @@ _HORIZON = 4096
 
 def is_maximal(K: SymbolStream) -> bool | None:
     """Whether every shift of K has tau <= tau(K): exact for eventually
-    periodic K, possibly None (undetermined) for generated streams.
+    periodic K.  For a generated stream, True means only that no shift
+    among the first _HORIZON exceeds K within _HORIZON digits: a later
+    shift, or a later digit, may still exceed it.  None is undetermined.
 
     Shift m's digits are t[m:], t = xi(K), complemented when t_m = 1: one
     slice of t or of its complement, compared with t itself as a string.

@@ -175,7 +175,7 @@ def tau_level(j: int) -> TauLevel:
 
 
 def tau_infinity_digits():
-    """The digit stream of tau_infinity (memoized), a
+    """The digit stream of tau_infinity, a
     ``kneading.symbolic.FixedPointStream``: t_k = s_1 ^ ... ^ s_k for
     the limit kneading sequence s, read as the fixed point of PAIR_RULE from
     d, each letter written as its digit pair.

@@ -192,7 +192,7 @@ def _fixed_point_counts(stream, b: int, N: int, step: int) -> dict[str, int] | N
     if len(lengths) != 1 or min(lengths) < 2:
         return None
     k = lengths.pop()
-    base = FixedPointStream(rule, stream.letter)._compute_prefix(_DIRECT_LEN)
+    base = FixedPointStream(rule, stream.letter).prefix(_DIRECT_LEN)
     memo = {}
 
     def windows(L, m, M, c):

@@ -22,7 +22,8 @@ class IntSeries(_Record):
 
     exact is (P, R), integer coefficient tuples with series = P / R, or None
     when the coefficients are all that is known; only kneading_determinant
-    sets it.  As a field it counts in repr, == and hash.
+    sets it.  R_0 = +-1 and P_0 = R_0 c_0 are checked, as orbit_counts
+    relies on them.  As a field it counts in repr, == and hash.
     """
 
     coefficients: tuple
@@ -32,6 +33,10 @@ class IntSeries(_Record):
         c = tuple(map(int, self.coefficients))
         if not c:
             raise ValueError("need at least the constant coefficient")
+        if self.exact is not None:
+            P, R = self.exact
+            if not (P and R and R[0] in (1, -1) and P[0] == R[0] * c[0]):
+                raise ValueError("exact pair P / R needs R_0 = +-1 and P_0 = R_0 c_0")
         object.__setattr__(self, "coefficients", c)
 
     @property
@@ -173,9 +178,17 @@ def orbit_counts(D: IntSeries) -> OrbitCounts:
     s_n = -n f_n - sum_{i=1}^{min(n-1, deg f)} f_i s_{n-i}: integers and no
     division, so only the sign of #Per_n needs checking.  O(N (deg P +
     deg R)) products: O(N (m + p)) for an eventually periodic stream, O(N^2)
-    for a truncation.  Negative counts, or prime counts that fail
-    divisibility or sign, mean the input is not a truncation of a topological
-    zeta function and raise; the first negative #Per_n is the one reported.
+    for a truncation.  Negative counts mean the input is not a truncation of
+    a topological zeta function and raise; the first negative #Per_n, or if
+    none the first negative N(p), is the one reported.
+
+    The sieve divides exactly.  (1 - z) P and R have constant term +-1, as
+    D_0 = 1 and IntSeries checks R_0 = +-1 and P_0 = R_0 D_0.  Such an
+    integer series f factors as f / f_0 = prod_{n >= 1} (1 - z^n)^(a_n),
+    integer a_n (the necklace, or Witt, factorisation: each a_n is fixed by
+    the z^n coefficient, with no division).  Then s(f) = sum n a_n z^n /
+    (1 - z^n), so s_n = sum_{d | n} d a_d; with a for (1 - z) P and b for
+    R, the sieve leaves p (a_p - b_p) at p, and N(p) = a_p - b_p.
     """
     if D[0] != 1:
         raise ValueError("determinant must have constant term 1")
@@ -189,13 +202,10 @@ def orbit_counts(D: IntSeries) -> OrbitCounts:
             raise ArithmeticError(f"#Per_{n} = {v} is not a nonnegative integer")
     # #Per_m = sum_{d | m} d N(d), solved by a sieve: once every proper
     # divisor p of m has been subtracted from rest[m], it is m N(m).  O(N log N)
-    # steps; p is reached only if no smaller p raised, so the first failing p
-    # is the first whose Moebius sum fails
+    # steps
     rest = [0] + per
     prime = {}
     for p in range(1, N + 1):
-        if rest[p] % p:
-            raise ArithmeticError(f"orbit count N({p}) is not an integer")
         prime[p] = rest[p] // p
         if prime[p] < 0:
             raise ArithmeticError(f"orbit count N({p}) = {prime[p]} is negative")

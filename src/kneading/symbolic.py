@@ -7,8 +7,6 @@ words and substitution rules are in :mod:`kneading.words`.
 
 from __future__ import annotations
 
-import threading
-
 from .words import (
     FEIGENBAUM_RULE,
     SubstitutionRule,
@@ -82,38 +80,16 @@ class PeriodicStream(SymbolStream):
         return f"PeriodicStream({self.preperiod!r}, {self.period!r})"
 
 
-class _MemoizedStream(SymbolStream):
-    """Stream that materializes prefixes on demand, growing geometrically."""
-
-    _MIN_GROW = 64
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._buf = ""
-
-    def _compute_prefix(self, n: int) -> str:
-        raise NotImplementedError
-
-    def prefix(self, n: int) -> str:
-        self._check_length(n)
-        if len(self._buf) < n:
-            with self._lock:
-                if len(self._buf) < n:
-                    target = max(n, 2 * len(self._buf), self._MIN_GROW)
-                    self._buf = self._compute_prefix(target)
-        return self._buf[:n]
-
-
-class FixedPointStream(_MemoizedStream):
+class FixedPointStream(SymbolStream):
     """Fixed point of a substitution, determined by its first letter; with a
     ``coding``, each letter is written as its word there (one length, >= 1).
 
     Requires the image of ``letter`` to start with ``letter`` and the
-    iteration to grow, so the fixed point exists and is unique.
+    iteration to grow, so the fixed point exists and is unique; a prefix
+    longer than an iteration that stops growing raises ValueError.
     """
 
     def __init__(self, rule: SubstitutionRule, letter: str, coding: dict | None = None):
-        super().__init__()
         if letter not in rule.alphabet:
             raise ValueError(f"{letter!r} not in rule alphabet")
         if not rule.images[letter].startswith(letter):
@@ -126,7 +102,8 @@ class FixedPointStream(_MemoizedStream):
         if coding is not None and not self._code:
             raise ValueError("coding: a Latin-1 word per letter, all of one length")
 
-    def _compute_prefix(self, n: int) -> str:
+    def prefix(self, n: int) -> str:
+        self._check_length(n)
         # the iterates stay over the rule's alphabet, so no symbol check; a
         # coding by words of length L needs ceil(n / L) letters
         L = len(self._code) if self.coding else 1
@@ -143,18 +120,18 @@ class FixedPointStream(_MemoizedStream):
         return f"FixedPointStream({self.rule!r}, {self.letter!r}{coded})"
 
 
-class _DerivedStream(_MemoizedStream):
+class _DerivedStream(SymbolStream):
     """Stream read off a base stream prefix by prefix: its first n symbols
     are derive(base.prefix(n + skip))[:n].  Shifts and the parity recodings
     of generated streams are both of this form."""
 
     def __init__(self, base: SymbolStream, derive, skip: int = 0):
-        super().__init__()
         self.base = base
         self.derive = derive
         self.skip = skip
 
-    def _compute_prefix(self, n: int) -> str:
+    def prefix(self, n: int) -> str:
+        self._check_length(n)
         return self.derive(self.base.prefix(n + self.skip))[:n]
 
 

@@ -84,7 +84,7 @@ from kneading.spectral import IntSeries, _times_one_minus_z, series_of_rational
 from kneading.symbolic import (
     FixedPointStream,
     PeriodicStream,
-    _MemoizedStream,
+    SymbolStream,
     feigenbaum_limit,
     feigenbaum_stream,
     feigenbaum_word,
@@ -533,15 +533,15 @@ def renormalize_map(m: UnimodalMap) -> UnimodalMap:
 
 # === generated streams ================================================
 
-class GeneratedStream(_MemoizedStream):
+class GeneratedStream(SymbolStream):
     """The stream K read through K.prefix alone, so that the library sees a
     generated stream even where K is a PeriodicStream."""
 
     def __init__(self, K):
-        super().__init__()
         self.K = K
 
-    def _compute_prefix(self, n: int) -> str:
+    def prefix(self, n: int) -> str:
+        self._check_length(n)
         return self.K.prefix(n)
 
 

@@ -337,6 +337,10 @@ def test_only_uniform_growing_rules_recurse():
     # images of length 1 take the prefix path, which refuses them
     still = FixedPointStream(SubstitutionRule({"0": "0", "1": "1"}), "0")
     assert _fixed_point_counts(still, 1, 2 ** 20, 1) is None
+    # the symbols the iteration reaches are read; one more is refused
+    assert still.prefix(1) == "0"
+    with pytest.raises(ValueError, match="substitution iteration does not grow"):
+        still.prefix(2)
     with pytest.raises(ValueError, match="substitution iteration does not grow"):
         empirical_frequencies(still, 1, 2 ** 20)
     # images of two lengths are tallied from the prefix

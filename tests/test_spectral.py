@@ -508,6 +508,14 @@ def test_orbit_counts_reject_invalid():
         orbit_counts(_determinant(IntSeries((1, 1, 0, 0))))
 
 
+def test_exact_pair_constant_terms_are_checked():
+    # orbit_counts' sieve divides exactly because R_0 = +-1 and P_0 = R_0 c_0
+    for pair in (((1,), (3,)), ((2,), (1,)), ((1,), (-1,)), ((), (1,))):
+        with pytest.raises(ValueError, match="exact pair"):
+            IntSeries((1, 0, 0, 0, 0, 0), pair)
+    assert IntSeries((-1, 2), ((1,), (-1,))).exact == ((1,), (-1,))
+
+
 def test_entropy_full_shift():
     r = entropy(kneading_determinant(kneading_from_tau(Fraction(1)), 256))
     assert r.method == "exact-rational-root"

@@ -24,7 +24,7 @@ from kneading.words import (
 )
 import kneading
 from kneading import cfrac, dynamics, encoding, feigenbaum, frequency, language, spectral
-from kneading.symbolic import SymbolStream, _DerivedStream, _MemoizedStream
+from kneading.symbolic import SymbolStream, _DerivedStream
 from kneading._base import _Record
 from oracles import (
     GeneratedStream,
@@ -204,7 +204,6 @@ def test_renormalize_seq_ladder():
     assert complement(w[1::2]) == w[:512]
 
 
-# both sides of a memoized stream's first 64-symbol buffer
 _EDGE_LENGTHS = (1, 63, 64, 65, 200)
 
 
@@ -222,7 +221,7 @@ def test_generated_branches_match_periodic(pre, per, m):
         assert [got.prefix(n) for n in _EDGE_LENGTHS] == [
             want.prefix(n) for n in _EDGE_LENGTHS]
         for k in _EDGE_LENGTHS:
-            # a fresh stream each time, so prefix() also runs on an empty buffer
+            # a fresh stream each time, as well as the one read above
             assert op(GeneratedStream(s)).prefix(k)[k - 1] == want.prefix(k)[k - 1]
             assert got.prefix(k)[k - 1] == want.prefix(k)[k - 1]
 
@@ -266,7 +265,7 @@ def _fixed_points(draw):
 _functions = _periodic.map(GeneratedStream)
 _generated = st.one_of(_functions, _fixed_points())
 
-# how to build each concrete stream class; _MemoizedStream is abstract
+# how to build each stream class
 _STREAMS = {
     PeriodicStream: _periodic,
     FixedPointStream: _fixed_points(),
@@ -282,10 +281,17 @@ def _stream_classes():
     found, todo = [], list(SymbolStream.__subclasses__())
     while todo:
         cls = todo.pop()
-        if cls.__module__.split(".")[0] == "kneading" and cls is not _MemoizedStream:
+        if cls.__module__.split(".")[0] == "kneading":
             found.append(cls)
         todo.extend(cls.__subclasses__())
     return sorted(found, key=lambda cls: cls.__name__)
+
+
+def _state(x):
+    # a stream's attributes, with each stream among them read the same way
+    if isinstance(x, SymbolStream):
+        return type(x), {k: _state(v) for k, v in vars(x).items()}
+    return x
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,13 +300,13 @@ def test_stream_prefix_contract(data):
     # every stream class of the package, so a new one needs an entry in _STREAMS
     for cls in _stream_classes():
         s = data.draw(_STREAMS[cls], label=cls.__name__)
-        assert type(s) is cls
+        assert type(s) is cls and "prefix" in vars(cls)
         n = data.draw(st.integers(0, 63), label="n")
         m = data.draw(st.integers(64, 200), label="n + m") - n
+        before = _state(s)
         with pytest.raises(ValueError):
-            s.prefix(-1)  # before the buffer grows
+            s.prefix(-1)  # before any read
         head = s.prefix(n)
-        # a memoized buffer grows to 64 symbols first, then geometrically
         longer = s.prefix(n + m)
         assert len(head) == n and len(longer) == n + m
         assert longer[:n] == head == s.prefix(n)
@@ -309,7 +315,9 @@ def test_stream_prefix_contract(data):
             if k >= 1:
                 assert s.prefix(k)[k - 1] == longer[k - 1]
         with pytest.raises(ValueError):
-            s.prefix(-1)  # after it grew
+            s.prefix(-1)  # and after them
+        # streams keep no cache: reading changes nothing, down to the base
+        assert _state(s) == before
 
 
 def test_coded_fixed_point():
