@@ -27,7 +27,7 @@ def run(args) -> _Result:
         return _Result({"tau": args.tau, "mode": args.mode, "counts": counts},
                        (("n", "p_n"), list(enumerate(counts, start=1))))
     # complexity makes the same check in language._validate
-    if encoding.is_maximal(stream) is not True:
+    if not encoding.is_maximal(stream):
         raise ValueError("K is not a maximal stream")
     return _Result({"tau": args.tau, "nmax": args.nmax,
                     "forbidden": language.forbidden_words(encoding.xi(stream), args.nmax)})

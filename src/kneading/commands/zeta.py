@@ -33,7 +33,7 @@ def run(args) -> _Result:
     if args.entropy and 0 < tol and tol * 10 ** 100 < 1:
         raise ValueError("tolerance must be at least 1/10^100")
     stream = _tau_stream(args.tau)
-    if (args.counts or args.entropy) and encoding.is_maximal(stream) is not True:
+    if (args.counts or args.entropy) and not encoding.is_maximal(stream):
         raise ValueError("K is not a maximal stream")
     det = spectral.kneading_determinant(stream, args.order)
     zeta = spectral.zeta_series(det)

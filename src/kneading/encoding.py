@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from kneading.symbolic import PeriodicStream, SymbolStream, _DerivedStream
-from kneading.words import complement, parity_word, unparity_word
+from kneading.symbolic import FixedPointStream, PeriodicStream, SymbolStream, _DerivedStream
+from kneading.words import FEIGENBAUM_RULE, complement, parity_word, unparity_word
 
 
 def xi(s: SymbolStream) -> SymbolStream:
@@ -85,15 +85,14 @@ def kneading_from_tau(x: Fraction) -> PeriodicStream:
     return xi_inverse(binary_digits(x))
 
 
-# shifts tried, and digits compared per shift, for generated streams
-_HORIZON = 4096
+def is_maximal(K: SymbolStream) -> bool:
+    """Whether every shift of K has tau <= tau(K), decided exactly for an
+    eventually periodic K and proved below for sigma's fixed point.
 
-
-def is_maximal(K: SymbolStream) -> bool | None:
-    """Whether every shift of K has tau <= tau(K): exact for eventually
-    periodic K.  For a generated stream, True means only that no shift
-    among the first _HORIZON exceeds K within _HORIZON digits: a later
-    shift, or a later digit, may still exceed it.  None is undetermined.
+    sigma is 1 -> 10, 0 -> 11: any FixedPointStream of FEIGENBAUM_RULE
+    without a coding is its fixed point (the letter is "1", as sigma(0)
+    does not start with 0), and gives True with no symbol read.  Any other
+    stream raises TypeError.
 
     Shift m's digits are t[m:], t = xi(K), complemented when t_m = 1: one
     slice of t or of its complement, compared with t itself as a string.
@@ -101,27 +100,43 @@ def is_maximal(K: SymbolStream) -> bool | None:
     and t both have period a = len(t.period); by Fine and Wilf two such
     sequences that agree on H = P + 2a digits are equal, so H digits decide
     exactly, over the distinct shifts 1 <= m <= preperiod + period of K.
-    Otherwise _HORIZON shifts are compared to _HORIZON digits, and a tie
-    over all of them gives None (undetermined) unless some shift violates.
 
     Digit order is value order here: no comparison meets the two
     expansions w01^inf and w10^inf of one dyadic rational.  A shift m >= 1
     of K is never the other expansion of K, as it would put the last digit
     change of t at two positions.
+
+    sigma's fixed point is maximal.  Let u = xi(sigma K); the docstring of
+    kneading_determinant proves u_(2i) = t_i and u_(2i+1) = 1 - t_i for
+    i >= 0 (t_0 = 0).  Shift m >= 1 of sigma K has the digits
+    d_k = u_(m+k) xor u_m:
+    - odd m = 2j + 1: u_m = 1 - t_j, so d_1 d_2 = (1 xor x, x) with
+      x = t_(j+1) xor t_j, that is 10 or 01, below u_1 u_2 = 1 t_1 = 11
+      when K_1 = 1;
+    - even m = 2j: u_m = t_j, so d_(2k) = t_(j+k) xor t_j = e_k, the
+      digits of shift j of K, and d_(2k+1) = 1 - e_k (e_0 = 0).  So d is
+      1 e_1 e'_1 e_2 e'_2 ..., each digit of e followed by its complement
+      e', and u is 1 t_1 t'_1 t_2 t'_2 ... alike.  A first difference of e
+      and t at place k is one of d and u at place 2k, in the same
+      direction, so shift 2j of sigma K compares with sigma K exactly as
+      shift j of K with K.
+    So sigma keeps a maximal K with K_1 = 1 maximal.  For the fixed point
+    F = sigma F, u = t and F_1 = 1, and induction on m shows every shift
+    of F below F digit-wise: an odd shift by the first case, shift 2j by
+    the second, as j < 2j.  A digit string below t has tau <= tau(F).
     """
+    if isinstance(K, FixedPointStream) and K.rule == FEIGENBAUM_RULE and K.coding is None:
+        return True
+    if not isinstance(K, PeriodicStream):
+        raise TypeError("exact maximality needs an eventually periodic stream"
+                        " or the fixed point of 1 -> 10, 0 -> 11")
     t_stream = xi(K)
-    if isinstance(K, PeriodicStream):
-        exact, last = True, len(K.preperiod) + len(K.period)
-        H = len(t_stream.preperiod) + 2 * len(t_stream.period)
-    else:
-        exact, last, H = False, _HORIZON, _HORIZON
+    last = len(K.preperiod) + len(K.period)
+    H = len(t_stream.preperiod) + 2 * len(t_stream.period)
     t = t_stream.prefix(last + H)
     tc = complement(t)
     head = t[:H]
-    tied = False
     for m in range(1, last + 1):
-        w = (tc if t[m - 1] == "1" else t)[m:m + H]
-        if w > head:
+        if (tc if t[m - 1] == "1" else t)[m:m + H] > head:
             return False
-        tied = tied or w == head
-    return None if tied and not exact else True
+    return True

@@ -49,7 +49,7 @@ def _references(q: LanguageQuery):
 def _validate(q: LanguageQuery, limit: int, refusal: str):
     if q.nmax > limit:
         raise ValueError(refusal)
-    if is_maximal(q.K) is not True:
+    if not is_maximal(q.K):
         raise ValueError("K is not a maximal stream")
 
 

@@ -22,6 +22,9 @@ fraction continues the last, the check of the theorem that
 ``kneading.cfrac.cf_table``'s docstring proves.
 ``GeneratedStream`` reads a stream through its ``prefix`` alone, so a test
 can hand a periodic stream to the library as a generated one, and
+``maximal_within`` compares a stream's first shifts with it on a fixed
+number of digits, the sampled check that ``is_maximal`` made on generated
+streams until the proof for sigma's fixed point replaced it.
 ``skew_tent_map`` is a third float family, with its peak off 1/2.
 ``lemma1_via_parity_words`` decides each sampled pair from both whole
 itineraries and parity words, the construction that ``lemma1_validate``
@@ -543,6 +546,20 @@ class GeneratedStream(SymbolStream):
     def prefix(self, n: int) -> str:
         self._check_length(n)
         return self.K.prefix(n)
+
+
+def maximal_within(K, shifts: int, digits: int) -> int | None:
+    """First shift 1 <= m <= shifts of K whose digits exceed K's within
+    the first ``digits``, or None.  Shift m's digits are t[m:], t = xi(K),
+    complemented when t_m = 1.  None proves nothing: a later shift, or a
+    later digit, may still exceed K."""
+    t = xi(K).prefix(shifts + digits)
+    tc = complement(t)
+    head = t[:digits]
+    for m in range(1, shifts + 1):
+        if (tc if t[m - 1] == "1" else t)[m:m + digits] > head:
+            return m
+    return None
 
 
 # === cascade words ====================================================

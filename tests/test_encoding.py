@@ -15,17 +15,21 @@ from kneading.encoding import (
     xi,
     xi_inverse,
 )
+from kneading.feigenbaum import tau_infinity_digits
 from kneading.symbolic import (
+    FixedPointStream,
     PeriodicStream,
     feigenbaum_limit,
     feigenbaum_stream,
     shift,
 )
 from kneading.spectral import _epsilon_prefix
+from kneading.words import THUE_MORSE_RULE, SubstitutionRule
 from oracles import (
     GeneratedStream,
     Order,
     in_lambda,
+    maximal_within,
     remainder_binary_digits,
     tent,
     word_order,
@@ -219,13 +223,40 @@ def test_is_maximal_periodic():
     assert is_maximal(PeriodicStream("", "101")) is True
     assert is_maximal(PeriodicStream("", "01")) is False
     assert is_maximal(PeriodicStream("1", "0")) is True
-    for j in range(1, 9):
+    # every level that --tau feigenbaum:j accepts
+    for j in range(1, 15):
         assert is_maximal(feigenbaum_stream(j)) is True
 
 
-def test_is_maximal_generated():
-    assert is_maximal(feigenbaum_limit()) is True
-    # a periodic stream seen only through its symbols: the shift by one
-    # period ties with K over every compared digit, so it stays undetermined
-    assert is_maximal(GeneratedStream(feigenbaum_stream(3))) is None
-    assert is_maximal(GeneratedStream(PeriodicStream("", "01"))) is False
+def test_is_maximal_generated(monkeypatch):
+    # sigma's fixed point is maximal by the proof in is_maximal's
+    # docstring, so no symbol of it is read
+    def unread(self, n):
+        raise AssertionError("is_maximal read the fixed point")
+
+    with monkeypatch.context() as m:
+        m.setattr(FixedPointStream, "prefix", unread)
+        assert is_maximal(feigenbaum_limit()) is True
+        assert is_maximal(FixedPointStream(SubstitutionRule({"1": "10", "0": "11"}), "1")) is True
+    # any other stream that is not eventually periodic has no exact answer
+    for K in (GeneratedStream(feigenbaum_stream(3)),
+              GeneratedStream(PeriodicStream("", "01")),
+              shift(feigenbaum_limit(), 1),
+              tau_infinity_digits(),
+              FixedPointStream(THUE_MORSE_RULE, "0")):
+        with pytest.raises(TypeError, match="exact maximality"):
+            is_maximal(K)
+
+
+def test_limit_maximal_within():
+    # the proof, checked on the limit's first 2^13 shifts to 2^14 digits
+    assert maximal_within(feigenbaum_limit(), 2 ** 13, 2 ** 14) is None
+
+
+def test_sampled_maximality_overclaims():
+    # why is_maximal no longer samples generated streams: the first 4096
+    # shifts of this K, compared to 4096 digits, miss shift 5001
+    K = xi_inverse(PeriodicStream("1" * 5000 + "0" + "1" * 5001, "0"))
+    assert maximal_within(GeneratedStream(K), 4096, 4096) is None
+    assert maximal_within(GeneratedStream(K), 6000, 12000) == 5001
+    assert is_maximal(K) is False
